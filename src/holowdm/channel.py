@@ -39,13 +39,18 @@ _EIG_CLAMP_TOL = 1e-10
 
 @dataclass(eq=False)
 class CorrelationModel:
-    """Per-side correlation matrices with cached Hermitian square roots."""
+    """Per-side correlation matrices with cached Hermitian square roots.
+
+    diagonal marks models whose four matrices are all diagonal (WDM and
+    i.i.d.), so their square roots act on W as per-row and per-column scales.
+    """
 
     kind: str
     R_s: np.ndarray
     R_r: np.ndarray
     R_s_sqrt: np.ndarray
     R_r_sqrt: np.ndarray
+    diagonal: bool = False
 
 
 @dataclass(eq=False)
@@ -92,7 +97,9 @@ def _finalize(kind: str, R_s: np.ndarray, R_r: np.ndarray, diagonal: bool) -> Co
     else:
         R_s_sqrt = _hermitian_sqrt("R_s", R_s)
         R_r_sqrt = _hermitian_sqrt("R_r", R_r)
-    return CorrelationModel(kind=kind, R_s=R_s, R_r=R_r, R_s_sqrt=R_s_sqrt, R_r_sqrt=R_r_sqrt)
+    return CorrelationModel(
+        kind=kind, R_s=R_s, R_r=R_r, R_s_sqrt=R_s_sqrt, R_r_sqrt=R_r_sqrt, diagonal=diagonal
+    )
 
 
 def _trace_normalized(R: np.ndarray) -> np.ndarray:
@@ -171,7 +178,12 @@ def draw_channel(model: CorrelationModel, seed) -> ChannelRealization:
     rng = np.random.default_rng(seed)
     w = rng.standard_normal((n_r, n_s)) + 1j * rng.standard_normal((n_r, n_s))
     w *= math.sqrt(0.5)
-    H = model.R_r_sqrt @ w @ model.R_s_sqrt
+    if model.diagonal:
+        # equal bitwise to the dense product: every off-diagonal term is an
+        # exact zero
+        H = np.diag(model.R_r_sqrt)[:, None] * w * np.diag(model.R_s_sqrt)
+    else:
+        H = model.R_r_sqrt @ w @ model.R_s_sqrt
     return ChannelRealization(
         H=H,
         seed=seed,

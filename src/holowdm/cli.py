@@ -52,8 +52,21 @@ _EXPERIMENTS = (
 )
 
 
+def _number(key: str, value) -> float:
+    # JSON true and false arrive as bools, which float() would take as 1 and 0
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{key} must be a number, got {value!r}")
+    return float(value)
+
+
+def _integer(key: str, value) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
 def _positive(key: str, value) -> float:
-    v = float(value)
+    v = _number(key, value)
     if not (math.isfinite(v) and v > 0.0):
         raise ValueError(f"{key} must be positive and finite, got {value!r}")
     return v
@@ -72,10 +85,10 @@ def _parse_clusters(raw) -> tuple[Cluster, ...]:
         missing = _CLUSTER_KEYS - set(entry)
         if missing:
             raise ValueError(f"clusters[{i}]: missing key {sorted(missing)[0]!r}")
-        mean_deg = float(entry["mean_deg"])
+        mean_deg = _number(f"clusters[{i}].mean_deg", entry["mean_deg"])
         if not (0.0 <= mean_deg < 180.0):
             raise ValueError(f"clusters[{i}].mean_deg must lie in [0, 180), got {mean_deg}")
-        circ_var = float(entry["circ_var"])
+        circ_var = _number(f"clusters[{i}].circ_var", entry["circ_var"])
         if not (0.0 < circ_var <= 1.0):
             raise ValueError(f"clusters[{i}].circ_var must lie in (0, 1], got {circ_var}")
         weight = _positive(f"clusters[{i}].weight", entry["weight"])
@@ -109,28 +122,28 @@ def parse_config(text: str) -> ExperimentConfig:
     wavelength = _positive("lambda_m", merged["lambda_m"])
     L_s = _positive("L_s_over_lambda", merged["L_s_over_lambda"]) * wavelength
     L_r = _positive("L_r_over_lambda", merged["L_r_over_lambda"]) * wavelength
-    d = float(merged["d_m"])
+    d = _number("d_m", merged["d_m"])
     if not (math.isfinite(d) and d >= 0.0):
         raise ValueError(f"d_m must be non-negative, got {merged['d_m']!r}")
 
-    epsilon = float(merged["epsilon"])
+    epsilon = _number("epsilon", merged["epsilon"])
     if not (0.0 < epsilon < 1.0):
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
-    noise_var_dbw = float(merged["noise_var_dbw"])
+    noise_var_dbw = _number("noise_var_dbw", merged["noise_var_dbw"])
     if not math.isfinite(noise_var_dbw):
         raise ValueError(f"noise_var_dbw must be finite, got {merged['noise_var_dbw']!r}")
 
     grid = merged["power_grid_dbw"]
     if not isinstance(grid, list) or not grid:
         raise ValueError("power_grid_dbw must be a non-empty list")
-    power_grid = tuple(float(p) for p in grid)
+    power_grid = tuple(_number(f"power_grid_dbw[{i}]", p) for i, p in enumerate(grid))
     if not all(math.isfinite(p) for p in power_grid):
         raise ValueError("power_grid_dbw entries must be finite")
 
-    realizations = int(merged["realizations"])
+    realizations = _integer("realizations", merged["realizations"])
     if realizations < 1:
         raise ValueError(f"realizations must be at least 1, got {realizations}")
-    seed = int(merged["seed"])
+    seed = _integer("seed", merged["seed"])
     if not (0 <= seed < 2**64):
         raise ValueError(f"seed must fit an unsigned 64-bit integer, got {seed}")
 

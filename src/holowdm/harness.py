@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -20,9 +21,9 @@ from .channel import (
     build_jakes_correlation,
     build_wdm_correlation,
 )
-from .metrics import dof, ergodic_capacity, hermitian_eigs
+from .metrics import dof, ergodic_capacity, hermitian_eigvals
 from .scattering import Cluster, ScatteringSpec
-from .wavenumber import PhysicalConfig, variance_profile
+from .wavenumber import PhysicalConfig, VarianceProfile, variance_profile
 
 __all__ = [
     "MODEL_NAMES",
@@ -118,6 +119,26 @@ def _spec_for(cfg: ExperimentConfig, model: str, side: str) -> ScatteringSpec:
     return cfg.scattering_s if side == "source" else cfg.scattering_r
 
 
+@lru_cache(maxsize=8)
+def _shared_profile(phys: PhysicalConfig, spec: ScatteringSpec, side: str) -> VarianceProfile:
+    """variance_profile, computed once per (geometry, scattering, side).
+
+    The eigs, dof and capacity experiments all need the same four profiles;
+    the cached variances are read-only because every caller shares them.
+    """
+    profile = variance_profile(phys, spec, side)
+    profile.variances.flags.writeable = False
+    return profile
+
+
+def _profiles(cfg: ExperimentConfig, model: str) -> tuple[VarianceProfile, VarianceProfile]:
+    phys = cfg.physical
+    return (
+        _shared_profile(phys, _spec_for(cfg, model, "source"), "source"),
+        _shared_profile(phys, _spec_for(cfg, model, "receiver"), "receiver"),
+    )
+
+
 def correlation_for(cfg: ExperimentConfig, model: str) -> CorrelationModel:
     """Correlation model backing one experiment model name."""
     phys = cfg.physical
@@ -126,9 +147,7 @@ def correlation_for(cfg: ExperimentConfig, model: str) -> CorrelationModel:
     if model == "jakes":
         return build_jakes_correlation(phys)
     if model in _SCATTERING_MODELS:
-        profile_s = variance_profile(phys, _spec_for(cfg, model, "source"), "source")
-        profile_r = variance_profile(phys, _spec_for(cfg, model, "receiver"), "receiver")
-        return build_wdm_correlation(profile_s, profile_r, phys.L_s, phys.L_r)
+        return build_wdm_correlation(*_profiles(cfg, model), phys.L_s, phys.L_r)
     raise ValueError(f"unknown model {model!r}")
 
 
@@ -146,13 +165,23 @@ def run_psf_profile(cfg: ExperimentConfig, grid_points: int = 1024) -> Table:
     return Table(columns=("theta_rad", "model", "psf_density"), rows=rows)
 
 
+def _receive_spectrum(corr: CorrelationModel) -> np.ndarray:
+    """Eigenvalues of R_r sorted descending, divided by its trace."""
+    R_r = corr.R_r
+    if corr.diagonal:
+        values = np.sort(np.diag(R_r).real)[::-1]
+    else:
+        values = hermitian_eigvals(R_r)
+    return values / float(np.trace(R_r).real)
+
+
 def run_eigen_spectrum(cfg: ExperimentConfig) -> Table:
     """Trace-normalized receive-correlation eigenvalues, sorted descending."""
     rows: list[tuple] = []
     for model in cfg.models:
-        R_r = correlation_for(cfg, model).R_r
-        values, _ = hermitian_eigs(R_r)
-        values = values / float(np.trace(R_r).real)
+        # the model is a temporary: its dense matrices are freed before the
+        # next model is built
+        values = _receive_spectrum(correlation_for(cfg, model))
         rows.extend((int(i), model, float(v)) for i, v in enumerate(values))
     return Table(columns=("index", "model", "normalized_eigenvalue"), rows=rows)
 
@@ -166,8 +195,7 @@ def run_dof(cfg: ExperimentConfig) -> Table:
     for model in cfg.models:
         if model not in _SCATTERING_MODELS:
             continue
-        profile_s = variance_profile(phys, _spec_for(cfg, model, "source"), "source")
-        profile_r = variance_profile(phys, _spec_for(cfg, model, "receiver"), "receiver")
+        profile_s, profile_r = _profiles(cfg, model)
         result = dof(profile_s, profile_r, cfg.epsilon, model == "isotropic", n_s, n_r)
         rows.append((model, result.dof, result.per_side[0], result.per_side[1], result.epsilon))
     return Table(columns=("model", "dof", "n_s_prime", "n_r_prime", "epsilon"), rows=rows)

@@ -16,6 +16,7 @@ __all__ = [
     "DoFResult",
     "CapacityResult",
     "hermitian_eigs",
+    "hermitian_eigvals",
     "dof",
     "waterfill",
     "capacity_for_channel",
@@ -24,17 +25,30 @@ __all__ = [
     "worker_count",
 ]
 
+# Relative variance at or below which a mode of a diagonal model is dropped
+# from the capacity eigen-solve.
+_NEGLIGIBLE_VARIANCE = 1e-15
 
-def hermitian_eigs(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (descending) and eigenvectors of a Hermitian matrix."""
+
+def _check_hermitian(A) -> np.ndarray:
     A = np.asarray(A)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"matrix must be square, got shape {A.shape}")
     norm = float(np.linalg.norm(A))
     if float(np.abs(A - A.conj().T).max()) > 1e-10 * max(norm, 1.0):
         raise ValueError("matrix is not Hermitian within tolerance")
-    w, v = np.linalg.eigh(A)
+    return A
+
+
+def hermitian_eigs(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (descending) and eigenvectors of a Hermitian matrix."""
+    w, v = np.linalg.eigh(_check_hermitian(A))
     return w[::-1].copy(), v[:, ::-1].copy()
+
+
+def hermitian_eigvals(A: np.ndarray) -> np.ndarray:
+    """Eigenvalues (descending) of a Hermitian matrix, without eigenvectors."""
+    return np.linalg.eigvalsh(_check_hermitian(A))[::-1].copy()
 
 
 @dataclass(frozen=True)
@@ -122,9 +136,10 @@ def waterfill(eigenvalues, total_power: float, noise_var: float) -> np.ndarray:
 
 
 def _mode_gains(H: np.ndarray) -> np.ndarray:
-    gains, _ = hermitian_eigs(H @ H.conj().T)
-    n_streams = min(H.shape)
-    return np.clip(gains[:n_streams], 0.0, None)
+    # the Gram matrix on the smaller side has exactly the min(n_r, n_s)
+    # eigenmode gains
+    gram = H @ H.conj().T if H.shape[0] <= H.shape[1] else H.conj().T @ H
+    return np.clip(hermitian_eigvals(gram), 0.0, None)
 
 
 def _capacity_from_gains(gains: np.ndarray, power_watts: float, noise_var: float) -> float:
@@ -139,6 +154,15 @@ def capacity_for_channel(H: np.ndarray, power_watts: float, noise_var: float) ->
     return _capacity_from_gains(_mode_gains(H), power_watts, noise_var)
 
 
+def _significant_modes(model: CorrelationModel, R: np.ndarray):
+    """Index of the modes on one side of H that carry non-negligible variance."""
+    if not model.diagonal:
+        return slice(None)
+    variances = np.diag(R).real
+    keep = variances > _NEGLIGIBLE_VARIANCE * variances.max()
+    return slice(None) if keep.all() else np.flatnonzero(keep)
+
+
 def realization_seeds(base_seed: int, count: int) -> np.ndarray:
     """Per-realization 64-bit seeds derived deterministically from base_seed.
 
@@ -151,18 +175,19 @@ def realization_seeds(base_seed: int, count: int) -> np.ndarray:
 
 
 def worker_count() -> int:
-    """Worker-thread cap from HOLOWDM_THREADS (unset or 0 means auto)."""
+    """Monte Carlo worker threads from HOLOWDM_THREADS (unset or 0 means 1).
+
+    One worker leaves the parallelism to the BLAS library's own threads; a
+    pool of N > 1 workers runs that many eigen-solves at once on top of them.
+    """
     raw = os.environ.get("HOLOWDM_THREADS", "").strip()
-    if raw:
-        try:
-            n = int(raw)
-        except ValueError:
-            raise ValueError(f"HOLOWDM_THREADS must be an integer, got {raw!r}") from None
-    else:
-        n = 0
-    if n <= 0:
-        return min(8, os.cpu_count() or 1)
-    return n
+    if not raw:
+        return 1
+    try:
+        n = int(raw)
+    except ValueError:
+        raise ValueError(f"HOLOWDM_THREADS must be an integer, got {raw!r}") from None
+    return max(n, 1)
 
 
 @dataclass(eq=False)
@@ -185,7 +210,11 @@ def ergodic_capacity(
     """Monte Carlo ergodic capacity (bit/s/Hz) over a transmit-power grid.
 
     Each realization draws its channel from a per-realization seed, computes
-    the eigenmode gains of H H^H once, and water-fills at every power point.
+    its eigenmode gains once, and water-fills at every power point.  For a
+    diagonal model the rows and columns of H whose variance is at most 1e-15
+    of the largest are dropped before the eigen-solve; they move the gains by
+    no more than roundoff.
+
     Realizations may run on a thread pool; the average is accumulated in
     realization-index order, so the result is identical for any worker count.
     """
@@ -196,9 +225,12 @@ def ergodic_capacity(
         raise ValueError(f"realizations must be at least 1, got {realizations}")
     powers_w = [10.0 ** (p / 10.0) for p in power_grid_dbw]
     seeds = realization_seeds(base_seed, realizations)
+    rows_kept = _significant_modes(model, model.R_r)
+    cols_kept = _significant_modes(model, model.R_s)
 
     def one_realization(seed) -> np.ndarray:
-        gains = _mode_gains(draw_channel(model, int(seed)).H)
+        H = draw_channel(model, int(seed)).H
+        gains = _mode_gains(H[rows_kept][:, cols_kept])
         return np.array([_capacity_from_gains(gains, p, noise_var) for p in powers_w])
 
     workers = worker_count()

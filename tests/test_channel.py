@@ -195,6 +195,25 @@ class TestDrawChannel:
         with pytest.raises(ValueError):
             draw_channel(wdm_iso_small, -1)
 
+    @pytest.mark.parametrize("ratios", [(128, 128), (16, 8), (8, 16)])
+    def test_diagonal_models_match_dense_product(self, mixture, ratios):
+        cfg = PhysicalConfig(LAMBDA, ratios[0] * LAMBDA, ratios[1] * LAMBDA, 0.0)
+        models = [build_iid_correlation(cfg.mode_count("source"), cfg.mode_count("receiver"))]
+        for spec in (ScatteringSpec.isotropic(), mixture):
+            models.append(build_wdm_correlation(*profiles(cfg, spec), cfg.L_s, cfg.L_r))
+        for model in models:
+            assert model.diagonal
+            n_s, n_r = model.R_s.shape[0], model.R_r.shape[0]
+            for seed in (0, 7, 2**63 + 5):
+                rng = np.random.default_rng(seed)
+                w = rng.standard_normal((n_r, n_s)) + 1j * rng.standard_normal((n_r, n_s))
+                w *= math.sqrt(0.5)
+                dense = model.R_r_sqrt @ w @ model.R_s_sqrt
+                assert np.array_equal(draw_channel(model, seed).H, dense)
+
+    def test_jakes_is_not_diagonal(self, jakes_model):
+        assert not jakes_model.diagonal
+
 
 @pytest.fixture(scope="module")
 def realization():

@@ -60,6 +60,23 @@ class TestParseConfig:
         with pytest.raises(ValueError, match="models"):
             parse_config('{"models": ["isotropic", "rician"]}')
 
+    @pytest.mark.parametrize("key", ["realizations", "seed"])
+    @pytest.mark.parametrize("value", [2.7, True, "abc"])
+    def test_integer_keys_need_json_integers(self, key, value):
+        with pytest.raises(ValueError, match=key):
+            parse_config(json.dumps({key: value}))
+
+    @pytest.mark.parametrize("key", ["lambda_m", "L_s_over_lambda", "L_r_over_lambda"])
+    @pytest.mark.parametrize("value", ["abc", True, None])
+    def test_non_numeric_positive_names_key(self, key, value):
+        with pytest.raises(ValueError, match=key):
+            parse_config(json.dumps({key: value}))
+
+    def test_non_numeric_cluster_field_names_key(self):
+        text = json.dumps({"clusters": [{"mean_deg": "north", "circ_var": 0.01, "weight": 1.0}]})
+        with pytest.raises(ValueError, match=r"clusters\[0\].mean_deg"):
+            parse_config(text)
+
     def test_invalid_json_reported(self):
         with pytest.raises(ValueError, match="JSON"):
             parse_config("{not json")

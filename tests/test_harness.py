@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from holowdm import harness
 from holowdm.harness import (
     MODEL_NAMES,
     correlation_for,
@@ -17,7 +18,7 @@ from holowdm.harness import (
     run_psf_profile,
 )
 from holowdm.scattering import ISOTROPIC_DENSITY
-from holowdm.wavenumber import PhysicalConfig
+from holowdm.wavenumber import PhysicalConfig, variance_profile
 
 
 @pytest.fixture(scope="module")
@@ -102,6 +103,13 @@ class TestEigenSpectrum:
         expected = np.sort(np.diag(R_r))[::-1] / np.trace(R_r)
         assert np.allclose(iso, expected, atol=1e-13)
 
+    def test_diagonal_spectra_are_sorted_diagonals_exactly(self, desk_cfg):
+        table = run_eigen_spectrum(desk_cfg)
+        for model in ("iid", "isotropic", "non_isotropic"):
+            got = np.array([r[2] for r in table.rows if r[1] == model])
+            R_r = correlation_for(desk_cfg, model).R_r
+            assert np.array_equal(got, np.sort(np.diag(R_r))[::-1] / np.trace(R_r))
+
     def test_spectra_normalized_and_sorted(self, desk_cfg):
         table = run_eigen_spectrum(desk_cfg)
         for model in MODEL_NAMES:
@@ -152,6 +160,30 @@ class TestCapacityTable:
         a = run_capacity(desk_cfg).rows
         b = run_capacity(replace(desk_cfg, seed=desk_cfg.seed + 1)).rows
         assert a != b
+
+
+class TestSharedProfiles:
+    def test_each_quadrature_runs_once(self, desk_cfg, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return variance_profile(*args)
+
+        harness._shared_profile.cache_clear()
+        monkeypatch.setattr(harness, "variance_profile", counting)
+        try:
+            run_eigen_spectrum(desk_cfg)
+            run_dof(desk_cfg)
+            run_capacity(replace(desk_cfg, realizations=1))
+            # (isotropic, mixture) x (source, receiver)
+            assert len(calls) == 4
+            profile = harness._shared_profile(*calls[0])
+            assert len(calls) == 4
+            with pytest.raises(ValueError):
+                profile.variances[0] = 0.0
+        finally:
+            harness._shared_profile.cache_clear()
 
 
 class TestRunAll:

@@ -1,6 +1,7 @@
 """Eigen-analysis, DoF, water-filling, and ergodic-capacity contracts."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,11 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from holowdm.channel import build_iid_correlation, build_wdm_correlation, draw_channel
+from holowdm.harness import MODEL_NAMES, correlation_for, default_config
 from holowdm.metrics import (
     capacity_for_channel,
     dof,
     ergodic_capacity,
     hermitian_eigs,
+    hermitian_eigvals,
     realization_seeds,
     waterfill,
     worker_count,
@@ -56,6 +59,22 @@ class TestHermitianEigs:
     def test_non_hermitian_rejected(self):
         with pytest.raises(ValueError):
             hermitian_eigs(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+class TestHermitianEigvals:
+    def test_matches_full_decomposition(self):
+        rng = np.random.default_rng(11)
+        a = rng.standard_normal((40, 40)) + 1j * rng.standard_normal((40, 40))
+        a = a + a.conj().T
+        w = hermitian_eigvals(a)
+        assert np.all(np.diff(w) <= 0.0)
+        assert np.allclose(w, hermitian_eigs(a)[0], rtol=0.0, atol=1e-12 * np.linalg.norm(a))
+
+    def test_validation_shared(self):
+        with pytest.raises(ValueError, match="Hermitian"):
+            hermitian_eigvals(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        with pytest.raises(ValueError, match="square"):
+            hermitian_eigvals(np.zeros((2, 3)))
 
 
 class TestDof:
@@ -235,6 +254,14 @@ class TestCapacity:
         with pytest.raises(ValueError):
             worker_count()
 
+    def test_worker_count_defaults_to_one(self, monkeypatch):
+        monkeypatch.delenv("HOLOWDM_THREADS", raising=False)
+        assert worker_count() == 1
+        monkeypatch.setenv("HOLOWDM_THREADS", "0")
+        assert worker_count() == 1
+        monkeypatch.setenv("HOLOWDM_THREADS", "3")
+        assert worker_count() == 3
+
     def test_realization_seeds_deterministic(self):
         a = realization_seeds(123, 10)
         b = realization_seeds(123, 10)
@@ -247,3 +274,36 @@ class TestCapacity:
             ergodic_capacity(model, (), 1.0, 10, base_seed=0)
         with pytest.raises(ValueError):
             ergodic_capacity(model, (0.0,), 1.0, 0, base_seed=0)
+
+
+def _reference_capacity(model, grid, noise_var, realizations, base_seed):
+    """Capacity by the plain recipe: dense H, eigh of H H^H, one water-fill per power."""
+    n_s, n_r = model.R_s.shape[0], model.R_r.shape[0]
+    rows = []
+    for seed in realization_seeds(base_seed, realizations):
+        rng = np.random.default_rng(int(seed))
+        w = rng.standard_normal((n_r, n_s)) + 1j * rng.standard_normal((n_r, n_s))
+        w *= math.sqrt(0.5)
+        H = model.R_r_sqrt @ w @ model.R_s_sqrt
+        gains = np.linalg.eigh(H @ H.conj().T)[0][::-1][: min(n_s, n_r)]
+        gains = np.clip(gains, 0.0, None)
+        row = []
+        for p_dbw in grid:
+            p = 10.0 ** (p_dbw / 10.0)
+            allocation = waterfill(gains, p, noise_var)
+            row.append(float(np.sum(np.log2(1.0 + allocation * gains / noise_var))))
+        rows.append(row)
+    return np.mean(rows, axis=0)
+
+
+@pytest.mark.parametrize("ratios", [(128, 128), (16, 8), (8, 16)])
+def test_ergodic_capacity_matches_plain_reference(ratios):
+    physical = PhysicalConfig(LAMBDA, ratios[0] * LAMBDA, ratios[1] * LAMBDA, 0.0)
+    cfg = default_config()
+    grid = (-10.0, 10.0, 30.0)
+    realizations = 3 if ratios == (128, 128) else 12
+    for name in MODEL_NAMES:
+        model = correlation_for(replace(cfg, physical=physical), name)
+        got = ergodic_capacity(model, grid, 1.0, realizations, base_seed=31).capacity_bits
+        want = _reference_capacity(model, grid, 1.0, realizations, base_seed=31)
+        assert np.allclose(got, want, rtol=1e-12, atol=0.0), name
