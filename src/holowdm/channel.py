@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -21,7 +22,6 @@ from .specfun import bessel_j0
 from .wavenumber import PhysicalConfig, VarianceProfile
 
 __all__ = [
-    "MODEL_KINDS",
     "CorrelationModel",
     "ChannelRealization",
     "build_wdm_correlation",
@@ -31,26 +31,50 @@ __all__ = [
     "simulate_link",
 ]
 
-MODEL_KINDS = ("wdm", "jakes_sampled", "iid_rayleigh")
-
 _HERMITIAN_TOL = 1e-12
 _EIG_CLAMP_TOL = 1e-10
+_MATRICES = ("R_s", "R_r", "R_s_sqrt", "R_r_sqrt")
 
 
 @dataclass(eq=False)
 class CorrelationModel:
-    """Per-side correlation matrices with cached Hermitian square roots.
+    """Per-side correlations with square roots computed on first use.
 
-    diagonal marks models whose four matrices are all diagonal (WDM and
-    i.i.d.), so their square roots act on W as per-row and per-column scales.
+    A diagonal side (WDM and i.i.d.) is stored as its 1-D variance vector and
+    acts on W as a per-row or per-column scale; a dense side (Jakes) is a
+    Hermitian matrix.  R_s_sqrt and R_r_sqrt have the same form as their side
+    and are cached, so the Hermitian square root of a dense side is taken
+    once, and only if a channel is drawn.  dense() gives the n x n matrix of
+    any of the four.
     """
 
     kind: str
     R_s: np.ndarray
     R_r: np.ndarray
-    R_s_sqrt: np.ndarray
-    R_r_sqrt: np.ndarray
-    diagonal: bool = False
+
+    def __post_init__(self) -> None:
+        self.R_s = _check_correlation("R_s", self.R_s)
+        self.R_r = _check_correlation("R_r", self.R_r)
+
+    @property
+    def diagonal(self) -> bool:
+        """Whether both sides are stored as variance vectors."""
+        return self.R_s.ndim == 1 and self.R_r.ndim == 1
+
+    @cached_property
+    def R_s_sqrt(self) -> np.ndarray:
+        return _side_sqrt("R_s", self.R_s)
+
+    @cached_property
+    def R_r_sqrt(self) -> np.ndarray:
+        return _side_sqrt("R_r", self.R_r)
+
+    def dense(self, name: str) -> np.ndarray:
+        """The n x n matrix of R_s, R_r, R_s_sqrt or R_r_sqrt."""
+        if name not in _MATRICES:
+            raise ValueError(f"name must be one of {_MATRICES}, got {name!r}")
+        value = getattr(self, name)
+        return np.diag(value) if value.ndim == 1 else value
 
 
 @dataclass(eq=False)
@@ -67,10 +91,16 @@ class ChannelRealization:
     tx_variances: np.ndarray
 
 
-def _check_hermitian(name: str, R: np.ndarray) -> np.ndarray:
+def _check_correlation(name: str, R) -> np.ndarray:
     R = np.asarray(R)
+    if R.ndim == 1:
+        if not (np.isrealobj(R) and np.all(np.isfinite(R)) and np.all(R >= 0.0)):
+            raise ValueError(f"{name} variances must be real, finite and non-negative")
+        return R
     if R.ndim != 2 or R.shape[0] != R.shape[1]:
-        raise ValueError(f"{name} must be square, got shape {R.shape}")
+        raise ValueError(
+            f"{name} must be a variance vector or a square matrix, got shape {R.shape}"
+        )
     scale = max(1.0, float(np.abs(R).max()))
     if float(np.abs(R - R.conj().T).max()) > _HERMITIAN_TOL * scale:
         raise ValueError(f"{name} is not Hermitian within tolerance")
@@ -88,23 +118,13 @@ def _hermitian_sqrt(name: str, R: np.ndarray) -> np.ndarray:
     return (v * np.sqrt(w)) @ v.conj().T
 
 
-def _finalize(kind: str, R_s: np.ndarray, R_r: np.ndarray, diagonal: bool) -> CorrelationModel:
-    R_s = _check_hermitian("R_s", R_s)
-    R_r = _check_hermitian("R_r", R_r)
-    if diagonal:
-        R_s_sqrt = np.diag(np.sqrt(np.clip(np.diag(R_s).real, 0.0, None)))
-        R_r_sqrt = np.diag(np.sqrt(np.clip(np.diag(R_r).real, 0.0, None)))
-    else:
-        R_s_sqrt = _hermitian_sqrt("R_s", R_s)
-        R_r_sqrt = _hermitian_sqrt("R_r", R_r)
-    return CorrelationModel(
-        kind=kind, R_s=R_s, R_r=R_r, R_s_sqrt=R_s_sqrt, R_r_sqrt=R_r_sqrt, diagonal=diagonal
-    )
+def _side_sqrt(name: str, R: np.ndarray) -> np.ndarray:
+    return np.sqrt(R) if R.ndim == 1 else _hermitian_sqrt(name, R)
 
 
 def _trace_normalized(R: np.ndarray) -> np.ndarray:
     n = R.shape[0]
-    trace = float(np.trace(R).real)
+    trace = float(R.sum() if R.ndim == 1 else np.trace(R).real)
     if trace <= 0.0:
         raise ValueError("correlation matrix has non-positive trace")
     return R * (n / trace)
@@ -117,7 +137,7 @@ def build_wdm_correlation(
     L_r: float,
     trace_normalize: bool = True,
 ) -> CorrelationModel:
-    """Diagonal correlation from per-index variances.
+    """Diagonal correlation from per-index variances, stored as vectors.
 
     Raw diagonal entries are L * sigma^2 (the squared length-scaled standard
     deviations); with trace_normalize they are rescaled to tr(R) = n.
@@ -127,12 +147,12 @@ def build_wdm_correlation(
     for name, L in (("L_s", L_s), ("L_r", L_r)):
         if not (math.isfinite(L) and L > 0.0):
             raise ValueError(f"{name} must be positive, got {L}")
-    R_s = np.diag(profile_s.scaled_deviations(L_s) ** 2)
-    R_r = np.diag(profile_r.scaled_deviations(L_r) ** 2)
+    R_s = profile_s.scaled_deviations(L_s) ** 2
+    R_r = profile_r.scaled_deviations(L_r) ** 2
     if trace_normalize:
         R_s = _trace_normalized(R_s)
         R_r = _trace_normalized(R_r)
-    return _finalize("wdm", R_s, R_r, diagonal=True)
+    return CorrelationModel("wdm", R_s, R_r)
 
 
 def build_jakes_correlation(cfg: PhysicalConfig) -> CorrelationModel:
@@ -149,14 +169,14 @@ def build_jakes_correlation(cfg: PhysicalConfig) -> CorrelationModel:
         R = gains[np.abs(i[:, None] - i[None, :])]
         return _trace_normalized(R)
 
-    return _finalize("jakes_sampled", one_side("source"), one_side("receiver"), diagonal=False)
+    return CorrelationModel("jakes_sampled", one_side("source"), one_side("receiver"))
 
 
 def build_iid_correlation(n_s: int, n_r: int) -> CorrelationModel:
-    """Identity correlation (i.i.d. Rayleigh fading)."""
+    """Identity correlation (i.i.d. Rayleigh fading), stored as unit vectors."""
     if n_s < 1 or n_r < 1:
         raise ValueError("sizes must be at least 1")
-    return _finalize("iid_rayleigh", np.eye(n_s), np.eye(n_r), diagonal=True)
+    return CorrelationModel("iid_rayleigh", np.ones(n_s), np.ones(n_r))
 
 
 def _check_seed(seed) -> int:
@@ -178,17 +198,17 @@ def draw_channel(model: CorrelationModel, seed) -> ChannelRealization:
     rng = np.random.default_rng(seed)
     w = rng.standard_normal((n_r, n_s)) + 1j * rng.standard_normal((n_r, n_s))
     w *= math.sqrt(0.5)
-    if model.diagonal:
-        # equal bitwise to the dense product: every off-diagonal term is an
-        # exact zero
-        H = np.diag(model.R_r_sqrt)[:, None] * w * np.diag(model.R_s_sqrt)
-    else:
-        H = model.R_r_sqrt @ w @ model.R_s_sqrt
+    # a diagonal side scales rows or columns, which is equal bitwise to the
+    # dense product: every off-diagonal term is an exact zero
+    sr, ss = model.R_r_sqrt, model.R_s_sqrt
+    H = sr[:, None] * w if sr.ndim == 1 else sr @ w
+    H = H * ss if ss.ndim == 1 else H @ ss
+    tx_variances = model.R_s if model.R_s.ndim == 1 else np.diag(model.R_s).real
     return ChannelRealization(
         H=H,
         seed=seed,
         model_kind=model.kind,
-        tx_variances=np.diag(model.R_s).real.copy(),
+        tx_variances=tx_variances.copy(),
     )
 
 

@@ -166,21 +166,22 @@ def run_psf_profile(cfg: ExperimentConfig, grid_points: int = 1024) -> Table:
 
 
 def _receive_spectrum(corr: CorrelationModel) -> np.ndarray:
-    """Eigenvalues of R_r sorted descending, divided by its trace."""
+    """Eigenvalues of R_r sorted descending, divided by its trace.
+
+    A diagonal R_r is its own spectrum; a dense one takes one eigvalsh.
+    """
     R_r = corr.R_r
-    if corr.diagonal:
-        values = np.sort(np.diag(R_r).real)[::-1]
-    else:
-        values = hermitian_eigvals(R_r)
-    return values / float(np.trace(R_r).real)
+    if R_r.ndim == 1:
+        return np.sort(R_r)[::-1] / float(R_r.sum())
+    return hermitian_eigvals(R_r) / float(np.trace(R_r).real)
 
 
 def run_eigen_spectrum(cfg: ExperimentConfig) -> Table:
     """Trace-normalized receive-correlation eigenvalues, sorted descending."""
     rows: list[tuple] = []
     for model in cfg.models:
-        # the model is a temporary: its dense matrices are freed before the
-        # next model is built
+        # the model is a temporary: its matrices are freed before the next
+        # model is built, and no square root is ever taken
         values = _receive_spectrum(correlation_for(cfg, model))
         rows.extend((int(i), model, float(v)) for i, v in enumerate(values))
     return Table(columns=("index", "model", "normalized_eigenvalue"), rows=rows)

@@ -154,12 +154,15 @@ def capacity_for_channel(H: np.ndarray, power_watts: float, noise_var: float) ->
     return _capacity_from_gains(_mode_gains(H), power_watts, noise_var)
 
 
-def _significant_modes(model: CorrelationModel, R: np.ndarray):
-    """Index of the modes on one side of H that carry non-negligible variance."""
-    if not model.diagonal:
+def _significant_modes(R: np.ndarray):
+    """Index of the modes on one side of H that carry non-negligible variance.
+
+    Only a diagonal side (a variance vector) drops modes; a dense side keeps
+    them all.
+    """
+    if R.ndim != 1:
         return slice(None)
-    variances = np.diag(R).real
-    keep = variances > _NEGLIGIBLE_VARIANCE * variances.max()
+    keep = R > _NEGLIGIBLE_VARIANCE * R.max()
     return slice(None) if keep.all() else np.flatnonzero(keep)
 
 
@@ -225,8 +228,8 @@ def ergodic_capacity(
         raise ValueError(f"realizations must be at least 1, got {realizations}")
     powers_w = [10.0 ** (p / 10.0) for p in power_grid_dbw]
     seeds = realization_seeds(base_seed, realizations)
-    rows_kept = _significant_modes(model, model.R_r)
-    cols_kept = _significant_modes(model, model.R_s)
+    rows_kept = _significant_modes(model.R_r)
+    cols_kept = _significant_modes(model.R_s)
 
     def one_realization(seed) -> np.ndarray:
         H = draw_channel(model, int(seed)).H
@@ -237,6 +240,9 @@ def ergodic_capacity(
     if workers == 1 or realizations == 1:
         rows = [one_realization(s) for s in seeds]
     else:
+        # the square roots are cached on first use; take them before the pool
+        # starts, so that no two threads compute the same one
+        model.R_s_sqrt, model.R_r_sqrt
         with ThreadPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(one_realization, seeds))
     mean = np.vstack(rows).mean(axis=0)

@@ -94,7 +94,7 @@ def test_criterion_4_spectrum_coincidence(mixture_profiles):
     wdm_iso = build_wdm_correlation(profile_s, profile_r, PHYS.L_s, PHYS.L_r)
     jakes = build_jakes_correlation(PHYS)
 
-    iso_eigs, _ = hermitian_eigs(wdm_iso.R_r)
+    iso_eigs, _ = hermitian_eigs(wdm_iso.dense("R_r"))
     jakes_eigs, _ = hermitian_eigs(jakes.R_r)
     assert iso_eigs.size == jakes_eigs.size == 256
     cum_iso = np.cumsum(iso_eigs) / iso_eigs.sum()
@@ -102,7 +102,7 @@ def test_criterion_4_spectrum_coincidence(mixture_profiles):
     sup_gap = float(np.abs(cum_iso - cum_jakes).max())
     assert sup_gap <= 0.05
 
-    iso_997 = _prefix_index(np.diag(wdm_iso.R_r))
+    iso_997 = _prefix_index(np.diag(wdm_iso.dense("R_r")))
     non_iso_997 = _prefix_index(mixture_profiles[1].variances)
     assert non_iso_997 <= iso_997 / 2
     print(
@@ -167,7 +167,7 @@ def test_criterion_6_kronecker_covariance():
     profile_s = variance_profile(small, ScatteringSpec.isotropic(), "source")
     profile_r = variance_profile(small, ScatteringSpec.isotropic(), "receiver")
     wdm = build_wdm_correlation(profile_s, profile_r, small.L_s, small.L_r)
-    expected = np.kron(wdm.R_s, wdm.R_r)
+    expected = np.kron(wdm.dense("R_s"), wdm.dense("R_r"))
     sample = _sample_covariance(wdm, draws, 60_000)
     scale = np.sqrt(np.outer(np.diag(expected).real, np.diag(expected).real))
     studentized = np.abs(sample - expected) / scale

@@ -5,14 +5,17 @@ import math
 import numpy as np
 import pytest
 
+from holowdm import channel
 from holowdm.channel import (
     ChannelRealization,
+    CorrelationModel,
     build_iid_correlation,
     build_jakes_correlation,
     build_wdm_correlation,
     draw_channel,
     simulate_link,
 )
+from holowdm.metrics import ergodic_capacity
 from holowdm.scattering import Cluster, ScatteringSpec
 from holowdm.specfun import bessel_j0
 from holowdm.wavenumber import PhysicalConfig, variance_profile
@@ -54,27 +57,30 @@ class TestWdmCorrelation:
         cfg = config(0.6)
         ps, pr = profiles(cfg, ScatteringSpec.isotropic())
         model = build_wdm_correlation(ps, pr, cfg.L_s, cfg.L_r)
-        assert model.R_s.shape == (1, 1)
-        assert model.R_s[0, 0] == pytest.approx(1.0, rel=1e-14)
+        R_s = model.dense("R_s")
+        assert R_s.shape == (1, 1)
+        assert R_s[0, 0] == pytest.approx(1.0, rel=1e-14)
 
     def test_isotropic_trace_normalized(self):
         cfg = config(128)
         ps, pr = profiles(cfg, ScatteringSpec.isotropic())
         model = build_wdm_correlation(ps, pr, cfg.L_s, cfg.L_r)
-        assert np.trace(model.R_s) == pytest.approx(256.0, rel=1e-12)
-        assert np.trace(model.R_r) == pytest.approx(256.0, rel=1e-12)
+        R_s, R_r = model.dense("R_s"), model.dense("R_r")
+        assert np.trace(R_s) == pytest.approx(256.0, rel=1e-12)
+        assert np.trace(R_r) == pytest.approx(256.0, rel=1e-12)
         # diagonal proportional to the partition masses
-        d = np.diag(model.R_r)
+        d = np.diag(R_r)
         assert np.allclose(d / d.sum(), pr.variances, atol=1e-14)
-        assert np.count_nonzero(model.R_r - np.diag(d)) == 0
+        assert np.count_nonzero(R_r - np.diag(d)) == 0
 
     def test_raw_form_carries_length_scaling(self):
         cfg = config(16)
         ps, pr = profiles(cfg, ScatteringSpec.isotropic(), normalize=False)
         model = build_wdm_correlation(ps, pr, cfg.L_s, cfg.L_r, trace_normalize=False)
-        assert np.allclose(np.diag(model.R_s), cfg.L_s * ps.variances, rtol=1e-14)
+        R_s, R_r = model.dense("R_s"), model.dense("R_r")
+        assert np.allclose(np.diag(R_s), cfg.L_s * ps.variances, rtol=1e-14)
         # the four-index covariance factorizes into L_s L_r sigma_s^2 sigma_r^2
-        got = model.R_s[3, 3] * model.R_r[5, 5]
+        got = R_s[3, 3] * R_r[5, 5]
         want = cfg.L_s * cfg.L_r * ps.variances[3] * pr.variances[5]
         assert got == pytest.approx(want, rel=1e-12)
 
@@ -85,7 +91,7 @@ class TestWdmCorrelation:
         cfg = config(128)
         ps, pr = profiles(cfg, mixture)
         model = build_wdm_correlation(ps, pr, cfg.L_s, cfg.L_r)
-        for R in (model.R_s, model.R_r):
+        for R in (model.dense("R_s"), model.dense("R_r")):
             significant = int(np.sum(np.diag(R) > 1e-6 * np.trace(R)))
             assert significant == 102
 
@@ -97,7 +103,9 @@ class TestWdmCorrelation:
 
     def test_sqrt_is_elementwise(self, wdm_iso_small):
         assert np.allclose(
-            np.diag(wdm_iso_small.R_r_sqrt) ** 2, np.diag(wdm_iso_small.R_r), rtol=1e-14
+            np.diag(wdm_iso_small.dense("R_r_sqrt")) ** 2,
+            np.diag(wdm_iso_small.dense("R_r")),
+            rtol=1e-14,
         )
 
 
@@ -134,12 +142,12 @@ class TestJakesCorrelation:
 class TestIidCorrelation:
     def test_identity(self):
         model = build_iid_correlation(4, 4)
-        assert np.array_equal(model.R_s, np.eye(4))
-        assert np.array_equal(model.R_s_sqrt, np.eye(4))
+        assert np.array_equal(model.dense("R_s"), np.eye(4))
+        assert np.array_equal(model.dense("R_s_sqrt"), np.eye(4))
 
     def test_kronecker_trace(self):
         model = build_iid_correlation(3, 5)
-        kron = np.kron(model.R_s, model.R_r)
+        kron = np.kron(model.dense("R_s"), model.dense("R_r"))
         assert np.trace(kron) == pytest.approx(3 * 5, rel=1e-14)
 
     def test_size_validation(self):
@@ -177,7 +185,7 @@ class TestDrawChannel:
             col = draw_channel(wdm_iso_small, 1000 + i).H[:, m]
             acc += np.outer(col, col.conj())
         acc /= draws
-        expected = wdm_iso_small.R_s[m, m].real * wdm_iso_small.R_r
+        expected = wdm_iso_small.dense("R_s")[m, m].real * wdm_iso_small.dense("R_r")
         # per-entry estimator std is bounded by the largest diagonal entry
         assert np.max(np.abs(acc - expected)) <= 5.0 * float(np.diag(expected).max()) / math.sqrt(draws)
 
@@ -208,11 +216,51 @@ class TestDrawChannel:
                 rng = np.random.default_rng(seed)
                 w = rng.standard_normal((n_r, n_s)) + 1j * rng.standard_normal((n_r, n_s))
                 w *= math.sqrt(0.5)
-                dense = model.R_r_sqrt @ w @ model.R_s_sqrt
+                dense = model.dense("R_r_sqrt") @ w @ model.dense("R_s_sqrt")
                 assert np.array_equal(draw_channel(model, seed).H, dense)
 
     def test_jakes_is_not_diagonal(self, jakes_model):
         assert not jakes_model.diagonal
+
+
+class TestCorrelationStorage:
+    def test_diagonal_sides_are_vectors(self, wdm_iso_small):
+        assert wdm_iso_small.R_s.shape == (16,) and wdm_iso_small.R_r.shape == (16,)
+        assert build_iid_correlation(3, 5).R_r.shape == (5,)
+
+    def test_dense_accessor(self, wdm_iso_small, jakes_model):
+        assert np.array_equal(wdm_iso_small.dense("R_r"), np.diag(wdm_iso_small.R_r))
+        assert np.array_equal(wdm_iso_small.dense("R_s_sqrt"), np.diag(wdm_iso_small.R_s_sqrt))
+        assert jakes_model.dense("R_r") is jakes_model.R_r
+        with pytest.raises(ValueError, match="name must be one of"):
+            wdm_iso_small.dense("H")
+
+    @pytest.mark.parametrize("bad", [-0.5, np.nan])
+    def test_bad_variance_vector_names_its_side(self, bad):
+        with pytest.raises(ValueError, match="R_s"):
+            CorrelationModel("wdm", np.array([1.0, bad]), np.ones(2))
+        with pytest.raises(ValueError, match="R_r"):
+            CorrelationModel("wdm", np.ones(2), np.array([bad, 1.0]))
+
+    def test_non_hermitian_dense_side_rejected(self):
+        with pytest.raises(ValueError, match="R_r is not Hermitian"):
+            CorrelationModel("jakes_sampled", np.eye(2), np.array([[1.0, 0.5], [0.0, 1.0]]))
+
+    @pytest.mark.parametrize("threads", ["1", "4"])
+    def test_jakes_square_roots_taken_once(self, monkeypatch, threads):
+        calls = []
+        sqrt = channel._hermitian_sqrt
+
+        def counting(name, R):
+            calls.append(name)
+            return sqrt(name, R)
+
+        monkeypatch.setattr(channel, "_hermitian_sqrt", counting)
+        monkeypatch.setenv("HOLOWDM_THREADS", threads)
+        model = build_jakes_correlation(config(8))
+        assert calls == []
+        ergodic_capacity(model, (0.0, 10.0), 1.0, 6, base_seed=3)
+        assert sorted(calls) == ["R_r", "R_s"]
 
 
 @pytest.fixture(scope="module")

@@ -1,12 +1,14 @@
 """Experiment pipelines: table shapes, reference values, determinism."""
 
+import importlib.util
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from holowdm import harness
+from holowdm import channel, harness
 from holowdm.harness import (
     MODEL_NAMES,
     correlation_for,
@@ -99,7 +101,7 @@ class TestEigenSpectrum:
     def test_wdm_spectrum_is_sorted_diagonal(self, desk_cfg):
         table = run_eigen_spectrum(desk_cfg)
         iso = np.array([r[2] for r in table.rows if r[1] == "isotropic"])
-        R_r = correlation_for(desk_cfg, "isotropic").R_r
+        R_r = correlation_for(desk_cfg, "isotropic").dense("R_r")
         expected = np.sort(np.diag(R_r))[::-1] / np.trace(R_r)
         assert np.allclose(iso, expected, atol=1e-13)
 
@@ -107,7 +109,7 @@ class TestEigenSpectrum:
         table = run_eigen_spectrum(desk_cfg)
         for model in ("iid", "isotropic", "non_isotropic"):
             got = np.array([r[2] for r in table.rows if r[1] == model])
-            R_r = correlation_for(desk_cfg, model).R_r
+            R_r = correlation_for(desk_cfg, model).dense("R_r")
             assert np.array_equal(got, np.sort(np.diag(R_r))[::-1] / np.trace(R_r))
 
     def test_spectra_normalized_and_sorted(self, desk_cfg):
@@ -184,6 +186,45 @@ class TestSharedProfiles:
                 profile.variances[0] = 0.0
         finally:
             harness._shared_profile.cache_clear()
+
+
+class TestLazySquareRoots:
+    def test_eigen_spectrum_takes_no_square_root(self, desk_cfg, monkeypatch):
+        def refuse(name, R):
+            raise AssertionError(f"square root of {name} taken")
+
+        monkeypatch.setattr(channel, "_hermitian_sqrt", refuse)
+        assert run_eigen_spectrum(desk_cfg).rows
+
+    def test_benchmark_tracer_still_binds(self, monkeypatch):
+        # bench/tracing.py wraps layer functions by name and reads the four
+        # correlation attributes; it must keep working on this package
+        path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+        spec = importlib.util.spec_from_file_location("holowdm_bench_tracing", path)
+        tracing = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracing)
+        import holowdm.cli  # noqa: F401  (the tracer wraps its functions too)
+
+        modules = tracing._package_modules()
+        saved = [(module, dict(vars(module))) for module in modules]
+        try:
+            tracer = tracing.Tracer()
+            tracer.install()
+            cfg = replace(
+                default_config(),
+                physical=PhysicalConfig(0.01, 8 * 0.01, 8 * 0.01, 0.0),
+                realizations=2,
+            )
+            harness.run_eigen_spectrum(cfg)
+            harness.run_capacity(cfg)
+            layers = tracer.layers()
+        finally:
+            for module, namespace in saved:
+                vars(module).update(namespace)
+        assert layers["channel.build_jakes_correlation.ms"] > 0.0
+        assert layers["channel.correlation_bytes"] > 0.0
+        assert layers["channel.draw_channel.calls"] == 2 * len(MODEL_NAMES)
+        assert harness.run_capacity is run_capacity
 
 
 class TestRunAll:

@@ -194,8 +194,9 @@ class TestWdmDiagonalShortcut:
         ps = variance_profile(cfg, ScatteringSpec.isotropic(), "source")
         pr = variance_profile(cfg, ScatteringSpec.isotropic(), "receiver")
         model = build_wdm_correlation(ps, pr, cfg.L_s, cfg.L_r)
-        w, _ = hermitian_eigs(model.R_r)
-        assert np.allclose(w, np.sort(np.diag(model.R_r))[::-1], atol=1e-12)
+        R_r = model.dense("R_r")
+        w, _ = hermitian_eigs(R_r)
+        assert np.allclose(w, np.sort(np.diag(R_r))[::-1], atol=1e-12)
 
 
 class TestCapacity:
@@ -284,7 +285,7 @@ def _reference_capacity(model, grid, noise_var, realizations, base_seed):
         rng = np.random.default_rng(int(seed))
         w = rng.standard_normal((n_r, n_s)) + 1j * rng.standard_normal((n_r, n_s))
         w *= math.sqrt(0.5)
-        H = model.R_r_sqrt @ w @ model.R_s_sqrt
+        H = model.dense("R_r_sqrt") @ w @ model.dense("R_s_sqrt")
         gains = np.linalg.eigh(H @ H.conj().T)[0][::-1][: min(n_s, n_r)]
         gains = np.clip(gains, 0.0, None)
         row = []

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy import integrate
 
-from holowdm.scattering import Cluster, ScatteringSpec
+from holowdm import wavenumber
+from holowdm.scattering import Cluster, ScatteringSpec, psf_density
 from holowdm.wavenumber import (
     PhysicalConfig,
     angular_partition,
@@ -211,3 +213,72 @@ class TestVarianceProfile:
     def test_non_negative(self, cfg128, mixture):
         profile = variance_profile(cfg128, mixture, "receiver", normalize=True)
         assert np.all(profile.variances >= 0.0)
+
+
+def _quad_reference(cfg, spec, side):
+    """Unnormalized profile by one adaptive quadrature per partition."""
+    means = [c.mean_angle for c in spec.clusters]
+    values = []
+    for n in build_grid(cfg, side).indices:
+        lo, hi = angular_partition(cfg, side, int(n))
+        value, _ = integrate.quad(
+            lambda t: psf_density(spec, t), lo, hi, epsabs=1e-13, epsrel=1e-12,
+            limit=200, points=[m for m in means if lo < m < hi] or None,
+        )
+        values.append(value)
+    return np.array(values)
+
+
+EDGE_CLUSTERS = ScatteringSpec.mixture(
+    (
+        Cluster.from_circular_variance(0.5, 0.0, 1e-4),
+        Cluster.from_circular_variance(0.5, math.radians(179.0), 1e-4),
+    )
+)
+
+
+class TestPartitionQuadrature:
+    @pytest.mark.parametrize("ratios", [(8, 8), (16.5, 16.5), (128, 128), (16, 8)])
+    @pytest.mark.parametrize("spec_name", ["mixture", "isotropic", "edge"])
+    def test_matches_per_partition_quad(self, ratios, spec_name, mixture):
+        spec = {
+            "mixture": mixture,
+            "isotropic": ScatteringSpec.isotropic(),
+            "edge": EDGE_CLUSTERS,
+        }[spec_name]
+        cfg = config(*ratios)
+        for side in ("source", "receiver"):
+            got = variance_profile(cfg, spec, side, normalize=False).variances
+            want = _quad_reference(cfg, spec, side)
+            assert np.abs(got - want).max() <= 1e-15
+
+    def test_refinement_runs_where_the_rule_is_not_enough(self, mixture, monkeypatch):
+        calls = []
+        quad = integrate.quad
+
+        def counting(*args, **kwargs):
+            calls.append(args[1:3])
+            return quad(*args, **kwargs)
+
+        monkeypatch.setattr(wavenumber.integrate, "quad", counting)
+        cfg = config(8)
+        variance_profile(cfg, mixture, "receiver")
+        indices = build_grid(cfg, "receiver").indices
+        bounds = [angular_partition(cfg, "receiver", int(n)) for n in indices]
+        holding = sum(
+            any(lo <= c.mean_angle <= hi for c in mixture.clusters) for lo, hi in bounds
+        )
+        # the refinement takes the partitions that hold a cluster mean plus
+        # those whose error estimate is too large, but not all of them
+        assert holding < len(calls) < len(bounds)
+        calls.clear()
+        variance_profile(config(128), ScatteringSpec.isotropic(), "receiver")
+        assert calls == []
+
+    def test_refinement_error_still_raises(self, mixture, monkeypatch):
+        def inaccurate(*args, **kwargs):
+            return 0.0, 1e-9
+
+        monkeypatch.setattr(wavenumber.integrate, "quad", inaccurate)
+        with pytest.raises(RuntimeError, match="partition quadrature error"):
+            variance_profile(config(8), mixture, "receiver")
