@@ -7,13 +7,11 @@ and evaluates degrees of freedom and water-filling ergodic capacity.
 """
 
 from .channel import (
-    ChannelRealization,
     CorrelationModel,
     build_iid_correlation,
     build_jakes_correlation,
     build_wdm_correlation,
     draw_channel,
-    simulate_link,
 )
 from .harness import (
     MODEL_NAMES,
@@ -30,7 +28,6 @@ from .harness import (
 from .metrics import (
     CapacityResult,
     DoFResult,
-    capacity_for_channel,
     dof,
     ergodic_capacity,
     hermitian_eigs,
@@ -47,7 +44,6 @@ from .scattering import (
     psf_density,
 )
 from .specfun import (
-    BesselEvalPolicy,
     bessel_i0,
     bessel_i1,
     bessel_j0,

@@ -1,4 +1,4 @@
-"""Correlation-matrix construction, channel synthesis, and discrete link simulation.
+"""Correlation-matrix construction and channel synthesis.
 
 All three channel families are separable, H = R_r^(1/2) W R_s^(1/2) with W
 i.i.d. complex Gaussian: the wavenumber-multiplexed model has diagonal
@@ -23,12 +23,10 @@ from .wavenumber import PhysicalConfig, VarianceProfile
 
 __all__ = [
     "CorrelationModel",
-    "ChannelRealization",
     "build_wdm_correlation",
     "build_jakes_correlation",
     "build_iid_correlation",
     "draw_channel",
-    "simulate_link",
 ]
 
 _HERMITIAN_TOL = 1e-12
@@ -75,20 +73,6 @@ class CorrelationModel:
             raise ValueError(f"name must be one of {_MATRICES}, got {name!r}")
         value = getattr(self, name)
         return np.diag(value) if value.ndim == 1 else value
-
-
-@dataclass(eq=False)
-class ChannelRealization:
-    """One synthesized channel matrix plus the seed that produced it.
-
-    tx_variances carries diag(R_s) so link simulation can rank transmit
-    indices without re-deriving the model.
-    """
-
-    H: np.ndarray
-    seed: int
-    model_kind: str
-    tx_variances: np.ndarray
 
 
 def _check_correlation(name: str, R) -> np.ndarray:
@@ -179,20 +163,15 @@ def build_iid_correlation(n_s: int, n_r: int) -> CorrelationModel:
     return CorrelationModel("iid_rayleigh", np.ones(n_s), np.ones(n_r))
 
 
-def _check_seed(seed) -> int:
+def draw_channel(model: CorrelationModel, seed) -> np.ndarray:
+    """Draw H = R_r^(1/2) W R_s^(1/2) with seeded i.i.d. CN(0, 1) entries in W.
+
+    The same seed reproduces the same H bitwise; Monte Carlo derives one seed
+    per realization (see metrics.realization_seeds).
+    """
     seed = int(seed)
     if not (0 <= seed < 2**64):
         raise ValueError(f"seed must fit an unsigned 64-bit integer, got {seed}")
-    return seed
-
-
-def draw_channel(model: CorrelationModel, seed) -> ChannelRealization:
-    """Draw H = R_r^(1/2) W R_s^(1/2) with seeded i.i.d. CN(0, 1) entries in W.
-
-    The same seed reproduces the same H bitwise; parallel Monte Carlo should
-    derive one seed per realization (see metrics.realization_seeds).
-    """
-    seed = _check_seed(seed)
     n_s = model.R_s.shape[0]
     n_r = model.R_r.shape[0]
     rng = np.random.default_rng(seed)
@@ -202,41 +181,4 @@ def draw_channel(model: CorrelationModel, seed) -> ChannelRealization:
     # dense product: every off-diagonal term is an exact zero
     sr, ss = model.R_r_sqrt, model.R_s_sqrt
     H = sr[:, None] * w if sr.ndim == 1 else sr @ w
-    H = H * ss if ss.ndim == 1 else H @ ss
-    tx_variances = model.R_s if model.R_s.ndim == 1 else np.diag(model.R_s).real
-    return ChannelRealization(
-        H=H,
-        seed=seed,
-        model_kind=model.kind,
-        tx_variances=tx_variances.copy(),
-    )
-
-
-def simulate_link(
-    realization: ChannelRealization,
-    x: np.ndarray,
-    noise_var: float,
-    seed,
-) -> np.ndarray:
-    """Received samples y = H[:, used] x + z with z i.i.d. CN(0, noise_var).
-
-    When fewer streams than transmit modes are used, the N highest-variance
-    transmit indices carry the data; the selected columns keep ascending index
-    order, so x[m] rides the m-th selected column.
-    """
-    x = np.asarray(x, dtype=complex).reshape(-1)
-    if not np.all(np.isfinite(x)):
-        raise ValueError("x must be finite")
-    n_r, n_s = realization.H.shape
-    if x.size < 1 or x.size > min(n_s, n_r):
-        raise ValueError(f"stream count must lie in [1, {min(n_s, n_r)}], got {x.size}")
-    if not (math.isfinite(noise_var) and noise_var >= 0.0):
-        raise ValueError(f"noise_var must be non-negative, got {noise_var}")
-    seed = _check_seed(seed)
-
-    order = np.argsort(-realization.tx_variances, kind="stable")[: x.size]
-    cols = np.sort(order)
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal(n_r) + 1j * rng.standard_normal(n_r)
-    z *= math.sqrt(0.5 * noise_var)
-    return realization.H[:, cols] @ x + z
+    return H * ss if ss.ndim == 1 else H @ ss

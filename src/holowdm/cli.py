@@ -7,14 +7,15 @@ import csv
 import json
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from .harness import (
-    MODEL_NAMES,
     ExperimentConfig,
     Table,
+    default_config,
     run_capacity,
     run_dof,
     run_eigen_spectrum,
@@ -25,22 +26,10 @@ from .wavenumber import PhysicalConfig
 
 __all__ = ["parse_config", "emit_csv", "main"]
 
-_DEFAULTS = {
-    "lambda_m": 0.01,
-    "L_s_over_lambda": 128.0,
-    "L_r_over_lambda": 128.0,
-    "d_m": 0.0,
-    "epsilon": 0.003,
-    "noise_var_dbw": 0.0,
-    "power_grid_dbw": [0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0],
-    "realizations": 500,
-    "seed": 12345,
-    "models": list(MODEL_NAMES),
-    "clusters": [
-        {"mean_deg": 30.0, "circ_var": 0.01, "weight": 0.5},
-        {"mean_deg": 60.0, "circ_var": 0.005, "weight": 0.5},
-    ],
-}
+_PHYSICAL_KEYS = ("lambda_m", "L_s_over_lambda", "L_r_over_lambda", "d_m")
+_KEYS = _PHYSICAL_KEYS + (
+    "epsilon", "noise_var_dbw", "power_grid_dbw", "realizations", "seed", "models", "clusters",
+)
 
 _CLUSTER_KEYS = {"mean_deg", "circ_var", "weight"}
 
@@ -57,12 +46,6 @@ def _number(key: str, value) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{key} must be a number, got {value!r}")
     return float(value)
-
-
-def _integer(key: str, value) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{key} must be an integer, got {value!r}")
-    return value
 
 
 def _positive(key: str, value) -> float:
@@ -99,11 +82,27 @@ def _parse_clusters(raw) -> tuple[Cluster, ...]:
     return tuple(clusters)
 
 
+def _physical(raw: dict, default: PhysicalConfig) -> PhysicalConfig:
+    """The geometry from the keys in wavelengths, each omitted one at its default."""
+    wavelength = _positive("lambda_m", raw.get("lambda_m", default.wavelength))
+
+    def length(key: str, meters: float) -> float:
+        return _positive(key, raw.get(key, meters / default.wavelength)) * wavelength
+
+    L_s = length("L_s_over_lambda", default.L_s)
+    L_r = length("L_r_over_lambda", default.L_r)
+    d = _number("d_m", raw.get("d_m", default.d))
+    if not (math.isfinite(d) and d >= 0.0):
+        raise ValueError(f"d_m must be non-negative, got {d}")
+    return PhysicalConfig(wavelength, L_s, L_r, d)
+
+
 def parse_config(text: str) -> ExperimentConfig:
     """Build an ExperimentConfig from JSON text; omitted keys take defaults.
 
     An empty document yields the full default configuration.  Unknown keys and
-    out-of-range values raise ValueError naming the offending key.
+    out-of-range values raise ValueError naming the offending key; the ranges
+    are checked by ExperimentConfig itself.
     """
     if text.strip():
         try:
@@ -115,57 +114,34 @@ def parse_config(text: str) -> ExperimentConfig:
     else:
         raw = {}
     for key in raw:
-        if key not in _DEFAULTS:
+        if key not in _KEYS:
             raise ValueError(f"unknown config key {key!r}")
-    merged = {**_DEFAULTS, **raw}
 
-    wavelength = _positive("lambda_m", merged["lambda_m"])
-    L_s = _positive("L_s_over_lambda", merged["L_s_over_lambda"]) * wavelength
-    L_r = _positive("L_r_over_lambda", merged["L_r_over_lambda"]) * wavelength
-    d = _number("d_m", merged["d_m"])
-    if not (math.isfinite(d) and d >= 0.0):
-        raise ValueError(f"d_m must be non-negative, got {merged['d_m']!r}")
-
-    epsilon = _number("epsilon", merged["epsilon"])
-    if not (0.0 < epsilon < 1.0):
-        raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
-    noise_var_dbw = _number("noise_var_dbw", merged["noise_var_dbw"])
-    if not math.isfinite(noise_var_dbw):
-        raise ValueError(f"noise_var_dbw must be finite, got {merged['noise_var_dbw']!r}")
-
-    grid = merged["power_grid_dbw"]
-    if not isinstance(grid, list) or not grid:
-        raise ValueError("power_grid_dbw must be a non-empty list")
-    power_grid = tuple(_number(f"power_grid_dbw[{i}]", p) for i, p in enumerate(grid))
-    if not all(math.isfinite(p) for p in power_grid):
-        raise ValueError("power_grid_dbw entries must be finite")
-
-    realizations = _integer("realizations", merged["realizations"])
-    if realizations < 1:
-        raise ValueError(f"realizations must be at least 1, got {realizations}")
-    seed = _integer("seed", merged["seed"])
-    if not (0 <= seed < 2**64):
-        raise ValueError(f"seed must fit an unsigned 64-bit integer, got {seed}")
-
-    models = merged["models"]
-    if not isinstance(models, list) or not models:
-        raise ValueError("models must be a non-empty list")
-    for name in models:
-        if name not in MODEL_NAMES:
-            raise ValueError(f"models: unknown model {name!r}; expected one of {MODEL_NAMES}")
-
-    mixture = ScatteringSpec.mixture(_parse_clusters(merged["clusters"]))
-    return ExperimentConfig(
-        physical=PhysicalConfig(wavelength, L_s, L_r, d),
-        scattering_s=mixture,
-        scattering_r=mixture,
-        models=tuple(models),
-        epsilon=epsilon,
-        power_grid_dbw=power_grid,
-        realizations=realizations,
-        seed=seed,
-        noise_var_dbw=noise_var_dbw,
-    )
+    cfg = default_config()
+    changes = {}
+    if any(key in raw for key in _PHYSICAL_KEYS):
+        changes["physical"] = _physical(raw, cfg.physical)
+    for key in ("epsilon", "noise_var_dbw"):
+        if key in raw:
+            changes[key] = _number(key, raw[key])
+    if "power_grid_dbw" in raw:
+        grid = raw["power_grid_dbw"]
+        if not isinstance(grid, list):
+            raise ValueError("power_grid_dbw must be a list")
+        changes["power_grid_dbw"] = tuple(
+            _number(f"power_grid_dbw[{i}]", p) for i, p in enumerate(grid)
+        )
+    for key in ("realizations", "seed"):
+        if key in raw:
+            changes[key] = raw[key]
+    if "models" in raw:
+        if not isinstance(raw["models"], list):
+            raise ValueError("models must be a list")
+        changes["models"] = tuple(raw["models"])
+    if "clusters" in raw:
+        mixture = ScatteringSpec.mixture(_parse_clusters(raw["clusters"]))
+        changes["scattering_s"] = changes["scattering_r"] = mixture
+    return replace(cfg, **changes)
 
 
 def _format_cell(value) -> str:

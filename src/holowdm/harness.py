@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from functools import cache, lru_cache
 
 import numpy as np
 
@@ -21,7 +21,7 @@ from .channel import (
     build_jakes_correlation,
     build_wdm_correlation,
 )
-from .metrics import dof, ergodic_capacity, hermitian_eigvals
+from .metrics import dof, ergodic_capacity
 from .scattering import Cluster, ScatteringSpec
 from .wavenumber import PhysicalConfig, VarianceProfile, variance_profile
 
@@ -47,7 +47,9 @@ MODEL_NAMES = ("iid", "jakes", "isotropic", "non_isotropic")
 _SCATTERING_MODELS = ("isotropic", "non_isotropic")
 
 
+@cache
 def _default_mixture() -> ScatteringSpec:
+    # cached, so that every default config shares one solve per concentration
     return ScatteringSpec.mixture(
         (
             Cluster.from_circular_variance(0.5, math.radians(30.0), 0.01),
@@ -80,16 +82,23 @@ class ExperimentConfig:
             raise ValueError("models must not be empty")
         for name in self.models:
             if name not in MODEL_NAMES:
-                raise ValueError(f"unknown model {name!r}; expected one of {MODEL_NAMES}")
+                raise ValueError(f"models: unknown model {name!r}; expected one of {MODEL_NAMES}")
+        if len(set(self.models)) != len(self.models):
+            raise ValueError(f"models must not repeat a model, got {self.models}")
         if not (0.0 < self.epsilon < 1.0):
             raise ValueError(f"epsilon must lie in (0, 1), got {self.epsilon}")
         if not self.power_grid_dbw:
             raise ValueError("power_grid_dbw must not be empty")
         if not all(math.isfinite(p) for p in self.power_grid_dbw):
             raise ValueError("power_grid_dbw entries must be finite")
+        for key in ("realizations", "seed"):
+            value = getattr(self, key)
+            # bools are ints to Python, and a float would be truncated silently
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{key} must be an integer, got {value!r}")
         if self.realizations < 1:
             raise ValueError(f"realizations must be at least 1, got {self.realizations}")
-        if not (0 <= int(self.seed) < 2**64):
+        if not (0 <= self.seed < 2**64):
             raise ValueError(f"seed must fit an unsigned 64-bit integer, got {self.seed}")
         if not math.isfinite(self.noise_var_dbw):
             raise ValueError(f"noise_var_dbw must be finite, got {self.noise_var_dbw}")
@@ -168,12 +177,13 @@ def run_psf_profile(cfg: ExperimentConfig, grid_points: int = 1024) -> Table:
 def _receive_spectrum(corr: CorrelationModel) -> np.ndarray:
     """Eigenvalues of R_r sorted descending, divided by its trace.
 
-    A diagonal R_r is its own spectrum; a dense one takes one eigvalsh.
+    A diagonal R_r is its own spectrum; a dense one takes one eigvalsh, with
+    no further Hermitian check than the one CorrelationModel already made.
     """
     R_r = corr.R_r
     if R_r.ndim == 1:
         return np.sort(R_r)[::-1] / float(R_r.sum())
-    return hermitian_eigvals(R_r) / float(np.trace(R_r).real)
+    return np.linalg.eigvalsh(R_r)[::-1] / float(np.trace(R_r).real)
 
 
 def run_eigen_spectrum(cfg: ExperimentConfig) -> Table:

@@ -3,8 +3,6 @@
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,10 +14,8 @@ __all__ = [
     "DoFResult",
     "CapacityResult",
     "hermitian_eigs",
-    "hermitian_eigvals",
     "dof",
     "waterfill",
-    "capacity_for_channel",
     "ergodic_capacity",
     "realization_seeds",
     "worker_count",
@@ -44,11 +40,6 @@ def hermitian_eigs(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (descending) and eigenvectors of a Hermitian matrix."""
     w, v = np.linalg.eigh(_check_hermitian(A))
     return w[::-1].copy(), v[:, ::-1].copy()
-
-
-def hermitian_eigvals(A: np.ndarray) -> np.ndarray:
-    """Eigenvalues (descending) of a Hermitian matrix, without eigenvectors."""
-    return np.linalg.eigvalsh(_check_hermitian(A))[::-1].copy()
 
 
 @dataclass(frozen=True)
@@ -137,21 +128,10 @@ def waterfill(eigenvalues, total_power: float, noise_var: float) -> np.ndarray:
 
 def _mode_gains(H: np.ndarray) -> np.ndarray:
     # the Gram matrix on the smaller side has exactly the min(n_r, n_s)
-    # eigenmode gains
+    # eigenmode gains; it is Hermitian by construction, so it goes to eigvalsh
+    # unchecked
     gram = H @ H.conj().T if H.shape[0] <= H.shape[1] else H.conj().T @ H
-    return np.clip(hermitian_eigvals(gram), 0.0, None)
-
-
-def _capacity_from_gains(gains: np.ndarray, power_watts: float, noise_var: float) -> float:
-    if gains.max(initial=0.0) <= 0.0:
-        return 0.0
-    allocation = waterfill(gains, power_watts, noise_var)
-    return float(np.sum(np.log2(1.0 + allocation * gains / noise_var)))
-
-
-def capacity_for_channel(H: np.ndarray, power_watts: float, noise_var: float) -> float:
-    """Water-filling capacity (bit/s/Hz) of one channel matrix."""
-    return _capacity_from_gains(_mode_gains(H), power_watts, noise_var)
+    return np.clip(np.linalg.eigvalsh(gram)[::-1], 0.0, None)
 
 
 def _significant_modes(R: np.ndarray):
@@ -178,19 +158,12 @@ def realization_seeds(base_seed: int, count: int) -> np.ndarray:
 
 
 def worker_count() -> int:
-    """Monte Carlo worker threads from HOLOWDM_THREADS (unset or 0 means 1).
+    """Monte Carlo workers: always 1.
 
-    One worker leaves the parallelism to the BLAS library's own threads; a
-    pool of N > 1 workers runs that many eigen-solves at once on top of them.
+    Realizations run one after another, and the BLAS library's own threads
+    parallelize each eigen-solve.
     """
-    raw = os.environ.get("HOLOWDM_THREADS", "").strip()
-    if not raw:
-        return 1
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ValueError(f"HOLOWDM_THREADS must be an integer, got {raw!r}") from None
-    return max(n, 1)
+    return 1
 
 
 @dataclass(eq=False)
@@ -218,8 +191,9 @@ def ergodic_capacity(
     of the largest are dropped before the eigen-solve; they move the gains by
     no more than roundoff.
 
-    Realizations may run on a thread pool; the average is accumulated in
-    realization-index order, so the result is identical for any worker count.
+    A channel whose gains are all zero, as when a side has no non-negligible
+    variance, carries 0 bits at every power.  Realizations run one after
+    another; the BLAS library's threads parallelize each eigen-solve.
     """
     power_grid_dbw = tuple(float(p) for p in power_grid_dbw)
     if not power_grid_dbw:
@@ -227,27 +201,18 @@ def ergodic_capacity(
     if realizations < 1:
         raise ValueError(f"realizations must be at least 1, got {realizations}")
     powers_w = [10.0 ** (p / 10.0) for p in power_grid_dbw]
-    seeds = realization_seeds(base_seed, realizations)
     rows_kept = _significant_modes(model.R_r)
     cols_kept = _significant_modes(model.R_s)
-
-    def one_realization(seed) -> np.ndarray:
-        H = draw_channel(model, int(seed)).H
-        gains = _mode_gains(H[rows_kept][:, cols_kept])
-        return np.array([_capacity_from_gains(gains, p, noise_var) for p in powers_w])
-
-    workers = worker_count()
-    if workers == 1 or realizations == 1:
-        rows = [one_realization(s) for s in seeds]
-    else:
-        # the square roots are cached on first use; take them before the pool
-        # starts, so that no two threads compute the same one
-        model.R_s_sqrt, model.R_r_sqrt
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(one_realization, seeds))
-    mean = np.vstack(rows).mean(axis=0)
+    capacity = np.zeros((realizations, len(powers_w)))
+    for i, seed in enumerate(realization_seeds(base_seed, realizations)):
+        gains = _mode_gains(draw_channel(model, int(seed))[rows_kept][:, cols_kept])
+        if gains.max(initial=0.0) <= 0.0:
+            continue
+        for j, p in enumerate(powers_w):
+            allocation = waterfill(gains, p, noise_var)
+            capacity[i, j] = np.sum(np.log2(1.0 + allocation * gains / noise_var))
     return CapacityResult(
-        capacity_bits=mean,
+        capacity_bits=capacity.mean(axis=0),
         power_grid_dbw=power_grid_dbw,
         realizations=realizations,
         model_kind=model.kind,

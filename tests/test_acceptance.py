@@ -15,6 +15,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from conftest import assert_kkt
+from oracles import i0_reference, i1_reference, j0_reference
 
 from holowdm.channel import (
     build_jakes_correlation,
@@ -29,9 +30,6 @@ from holowdm.specfun import (
     bessel_i1,
     bessel_j0,
     bessel_ratio_i1_i0,
-    i0_reference,
-    i1_reference,
-    j0_reference,
     solve_concentration,
 )
 from holowdm.wavenumber import PhysicalConfig, variance_profile
@@ -142,7 +140,7 @@ def _sample_covariance(model, draws, seed_base):
     n_r = model.R_r.shape[0]
     vecs = np.empty((draws, n_s * n_r), dtype=complex)
     for i in range(draws):
-        vecs[i] = draw_channel(model, seed_base + i).H.flatten(order="F")
+        vecs[i] = draw_channel(model, seed_base + i).flatten(order="F")
     return vecs.T @ vecs.conj() / draws
 
 

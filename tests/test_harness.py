@@ -60,6 +60,23 @@ class TestDefaultConfig:
         with pytest.raises(ValueError):
             replace(default_config(), power_grid_dbw=())
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("seed", 3.9),
+            ("seed", True),
+            ("realizations", 2.7),
+            ("realizations", True),
+            ("models", ("iid", "iid")),
+            ("models", ("banana",)),
+        ],
+        ids=["seed-float", "seed-bool", "realizations-float", "realizations-bool",
+             "models-repeated", "models-unknown"],
+    )
+    def test_unrunnable_value_names_its_key(self, key, value):
+        with pytest.raises(ValueError, match=key):
+            replace(default_config(), **{key: value})
+
 
 class TestPsfProfile:
     def test_isotropic_rows_constant(self, desk_cfg):
@@ -150,13 +167,6 @@ class TestCapacityTable:
 
     def test_deterministic_rows(self, desk_cfg):
         assert run_capacity(desk_cfg).rows == run_capacity(desk_cfg).rows
-
-    def test_thread_setting_invariance(self, desk_cfg, monkeypatch):
-        monkeypatch.setenv("HOLOWDM_THREADS", "1")
-        serial = run_capacity(desk_cfg).rows
-        monkeypatch.setenv("HOLOWDM_THREADS", "3")
-        threaded = run_capacity(desk_cfg).rows
-        assert serial == threaded
 
     def test_seed_changes_capacity(self, desk_cfg):
         a = run_capacity(desk_cfg).rows

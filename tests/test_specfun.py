@@ -11,18 +11,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import (
+    BesselEvalPolicy,
+    i0_reference,
+    i1_reference,
+    j0_reference,
+    ratio_reference,
+)
 
 from holowdm.specfun import (
-    BesselEvalPolicy,
     bessel_i0,
     bessel_i0_scaled,
     bessel_i1,
     bessel_j0,
     bessel_ratio_i1_i0,
-    i0_reference,
-    i1_reference,
-    j0_reference,
-    ratio_reference,
     solve_concentration,
 )
 
@@ -203,7 +205,7 @@ class TestSolveConcentration:
 
 
 class TestReferenceEvaluators:
-    """The packaged series/asymptotic path agrees with the local oracles."""
+    """The series/asymptotic path of tests/oracles.py agrees with the local oracles."""
 
     def test_policy_invariants(self):
         with pytest.raises(ValueError):
