@@ -43,7 +43,7 @@ class CorrelationModel:
     Hermitian matrix.  R_s_sqrt and R_r_sqrt have the same form as their side
     and are cached, so the Hermitian square root of a dense side is taken
     once, and only if a channel is drawn.  dense() gives the n x n matrix of
-    any of the four.
+    any of the four, and angular() the diagonal model of the eigenvalues.
     """
 
     kind: str
@@ -74,6 +74,21 @@ class CorrelationModel:
         value = getattr(self, name)
         return np.diag(value) if value.ndim == 1 else value
 
+    def angular(self) -> "CorrelationModel":
+        """The same channel in the angular (eigen) basis of each side.
+
+        W is unitarily invariant, so R_r^(1/2) W R_s^(1/2) and
+        diag(eig R_r)^(1/2) W diag(eig R_s)^(1/2) have identically
+        distributed singular values.  Each dense side is replaced by its
+        eigenvalues (ascending, clipped at 0); a diagonal model is its own
+        angular form and is returned as is.  No square root is taken.
+        """
+        if self.diagonal:
+            return self
+        return CorrelationModel(
+            self.kind, _side_spectrum("R_s", self.R_s), _side_spectrum("R_r", self.R_r)
+        )
+
 
 def _check_correlation(name: str, R) -> np.ndarray:
     R = np.asarray(R)
@@ -91,19 +106,29 @@ def _check_correlation(name: str, R) -> np.ndarray:
     return R
 
 
-def _hermitian_sqrt(name: str, R: np.ndarray) -> np.ndarray:
+def _clipped_eigenvalues(name: str, w: np.ndarray, R: np.ndarray) -> np.ndarray:
     # Eigenvalues of a valid correlation matrix are non-negative up to
     # roundoff; anything below -1e-10 * trace means bad input.
-    w, v = np.linalg.eigh(R)
     trace = float(np.trace(R).real)
     if w.min() < -_EIG_CLAMP_TOL * max(trace, 1.0):
         raise ValueError(f"{name} has a significantly negative eigenvalue ({w.min():.3e})")
-    w = np.clip(w, 0.0, None)
+    return np.clip(w, 0.0, None)
+
+
+def _hermitian_sqrt(name: str, R: np.ndarray) -> np.ndarray:
+    w, v = np.linalg.eigh(R)
+    w = _clipped_eigenvalues(name, w, R)
     return (v * np.sqrt(w)) @ v.conj().T
 
 
 def _side_sqrt(name: str, R: np.ndarray) -> np.ndarray:
     return np.sqrt(R) if R.ndim == 1 else _hermitian_sqrt(name, R)
+
+
+def _side_spectrum(name: str, R: np.ndarray) -> np.ndarray:
+    if R.ndim == 1:
+        return R
+    return _clipped_eigenvalues(name, np.linalg.eigvalsh(R), R)
 
 
 def _trace_normalized(R: np.ndarray) -> np.ndarray:
@@ -174,11 +199,21 @@ def draw_channel(model: CorrelationModel, seed) -> np.ndarray:
         raise ValueError(f"seed must fit an unsigned 64-bit integer, got {seed}")
     n_s = model.R_s.shape[0]
     n_r = model.R_r.shape[0]
-    rng = np.random.default_rng(seed)
-    w = rng.standard_normal((n_r, n_s)) + 1j * rng.standard_normal((n_r, n_s))
-    w *= math.sqrt(0.5)
-    # a diagonal side scales rows or columns, which is equal bitwise to the
-    # dense product: every off-diagonal term is an exact zero
+    # one draw of all 2 n_r n_s normals, real parts first: the stream order
+    # of two separate draws
+    parts = np.random.default_rng(seed).standard_normal((2, n_r, n_s))
+    parts *= math.sqrt(0.5)
+    H = np.empty((n_r, n_s), dtype=complex)
+    H.real, H.imag = parts
+    # a diagonal side scales rows or columns in place, which is equal bitwise
+    # to the dense product: every off-diagonal term is an exact zero
     sr, ss = model.R_r_sqrt, model.R_s_sqrt
-    H = sr[:, None] * w if sr.ndim == 1 else sr @ w
-    return H * ss if ss.ndim == 1 else H @ ss
+    if sr.ndim == 1:
+        H *= sr[:, None]
+    else:
+        H = sr @ H
+    if ss.ndim == 1:
+        H *= ss
+    else:
+        H = H @ ss
+    return H

@@ -21,7 +21,7 @@ from .channel import (
     build_jakes_correlation,
     build_wdm_correlation,
 )
-from .metrics import dof, ergodic_capacity
+from .metrics import check_monte_carlo_args, dof, ergodic_capacity
 from .scattering import Cluster, ScatteringSpec
 from .wavenumber import PhysicalConfig, VarianceProfile, variance_profile
 
@@ -91,15 +91,7 @@ class ExperimentConfig:
             raise ValueError("power_grid_dbw must not be empty")
         if not all(math.isfinite(p) for p in self.power_grid_dbw):
             raise ValueError("power_grid_dbw entries must be finite")
-        for key in ("realizations", "seed"):
-            value = getattr(self, key)
-            # bools are ints to Python, and a float would be truncated silently
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{key} must be an integer, got {value!r}")
-        if self.realizations < 1:
-            raise ValueError(f"realizations must be at least 1, got {self.realizations}")
-        if not (0 <= self.seed < 2**64):
-            raise ValueError(f"seed must fit an unsigned 64-bit integer, got {self.seed}")
+        check_monte_carlo_args(self.realizations, self.seed, "seed")
         if not math.isfinite(self.noise_var_dbw):
             raise ValueError(f"noise_var_dbw must be finite, got {self.noise_var_dbw}")
 
@@ -215,8 +207,10 @@ def run_dof(cfg: ExperimentConfig) -> Table:
 def run_capacity(cfg: ExperimentConfig) -> Table:
     """Ergodic water-filling capacity per model over the power grid.
 
-    All models share the same per-realization seeds (hence the same underlying
-    W draws), so cross-model differences are purely structural.
+    All models share the same per-realization seeds.  The WDM and Jakes
+    models draw the same W from each seed, so their differences are purely
+    structural; i.i.d. Rayleigh takes its gains from the bidiagonal model of
+    metrics.ergodic_capacity, so it shares no W with them.
     """
     noise_var = cfg.noise_var_watts()
     rows: list[tuple] = []

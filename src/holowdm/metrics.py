@@ -6,6 +6,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import eigvalsh_tridiagonal
 
 from .channel import CorrelationModel, draw_channel
 from .wavenumber import VarianceProfile
@@ -21,8 +22,8 @@ __all__ = [
     "worker_count",
 ]
 
-# Relative variance at or below which a mode of a diagonal model is dropped
-# from the capacity eigen-solve.
+# Relative variance at or below which a mode is dropped from the capacity
+# eigen-solve.
 _NEGLIGIBLE_VARIANCE = 1e-15
 
 
@@ -134,16 +135,50 @@ def _mode_gains(H: np.ndarray) -> np.ndarray:
     return np.clip(np.linalg.eigvalsh(gram)[::-1], 0.0, None)
 
 
-def _significant_modes(R: np.ndarray):
-    """Index of the modes on one side of H that carry non-negligible variance.
+def _wishart_gains(n_r: int, n_s: int, seed: int) -> np.ndarray:
+    """Eigenvalues of W W^H for an n_r x n_s W with i.i.d. CN(0, 1) entries.
 
-    Only a diagonal side (a variance vector) drops modes; a dense side keeps
-    them all.
+    Dumitriu and Edelman's beta = 2 Laguerre model ("Matrix models for beta
+    ensembles", 2002): they are the eigenvalues of B B^T, with B the lower
+    bidiagonal min(n_r, n_s)-square matrix of diagonal
+    chi_{2 max}, ..., chi_{2 (max - min + 1)} and subdiagonal
+    chi_{2 (min - 1)}, ..., chi_2, all divided by sqrt(2).  The square of
+    chi_{2k} / sqrt(2) is a unit-scale Gamma(k) variate, so the squares are
+    drawn directly, and B B^T is tridiagonal: O(min^2) work in place of a
+    dense draw and eigen-solve.
     """
-    if R.ndim != 1:
-        return slice(None)
+    small, large = sorted((n_r, n_s))
+    rng = np.random.default_rng(seed)
+    diag_sq = rng.standard_gamma(np.arange(large, large - small, -1))
+    sub_sq = rng.standard_gamma(np.arange(small - 1, 0, -1))
+    off = np.sqrt(diag_sq[:-1] * sub_sq)
+    diag_sq[1:] += sub_sq
+    gains = eigvalsh_tridiagonal(diag_sq, off, lapack_driver="sterf")
+    return np.clip(gains[::-1], 0.0, None)
+
+
+def _common_variance(R: np.ndarray) -> float | None:
+    """The variance shared by every mode of a diagonal side, or None."""
+    return float(R[0]) if np.all(R == R[0]) else None
+
+
+def _significant_modes(R: np.ndarray):
+    """Index of the modes of a variance vector that are not negligible."""
     keep = R > _NEGLIGIBLE_VARIANCE * R.max()
     return slice(None) if keep.all() else np.flatnonzero(keep)
+
+
+def check_monte_carlo_args(realizations, seed, seed_name: str = "base_seed") -> None:
+    """A ValueError naming the argument unless realizations is a positive
+    integer and the seed an integer in [0, 2**64)."""
+    for name, value in (("realizations", realizations), (seed_name, seed)):
+        # bools are ints to Python, and a float would be truncated silently
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+    if realizations < 1:
+        raise ValueError(f"realizations must be at least 1, got {realizations}")
+    if not (0 <= seed < 2**64):
+        raise ValueError(f"{seed_name} must fit an unsigned 64-bit integer, got {seed}")
 
 
 def realization_seeds(base_seed: int, count: int) -> np.ndarray:
@@ -168,12 +203,17 @@ def worker_count() -> int:
 
 @dataclass(eq=False)
 class CapacityResult:
-    """Mean water-filling capacity per transmit-power point."""
+    """Mean water-filling capacity per transmit-power point.
+
+    stderr_bits is the standard error of each mean over the realizations
+    (NaN when there is only one).
+    """
 
     capacity_bits: np.ndarray
     power_grid_dbw: tuple[float, ...]
     realizations: int
     model_kind: str
+    stderr_bits: np.ndarray
 
 
 def ergodic_capacity(
@@ -185,35 +225,59 @@ def ergodic_capacity(
 ) -> CapacityResult:
     """Monte Carlo ergodic capacity (bit/s/Hz) over a transmit-power grid.
 
-    Each realization draws its channel from a per-realization seed, computes
-    its eigenmode gains once, and water-fills at every power point.  For a
-    diagonal model the rows and columns of H whose variance is at most 1e-15
-    of the largest are dropped before the eigen-solve; they move the gains by
-    no more than roundoff.
+    The capacity is computed in the angular domain.  W is unitarily
+    invariant, so the gains of R_r^(1/2) W R_s^(1/2) are distributed as those
+    of diag(a)^(1/2) W diag(b)^(1/2), with a and b the eigenvalues of R_r and
+    R_s (model.angular()).  A dense side (Jakes) costs one eigvalsh before
+    the first realization, and no square root or dense product.
+
+    Each realization takes its gains from a per-realization seed and
+    water-fills them at every power point:
+    - when a and b are constant vectors, as for i.i.d. Rayleigh, the gains
+      are a b times the Wishart eigenvalues of the bidiagonal model in
+      _wishart_gains;
+    - otherwise W is drawn and scaled by sqrt(a) and sqrt(b), and the gains
+      are the eigenvalues of its Gram matrix on the smaller side.  Modes
+      whose variance is at most 1e-15 of the largest are dropped first; they
+      move the gains by no more than roundoff.  Models on this path draw the
+      same W from one seed.
 
     A channel whose gains are all zero, as when a side has no non-negligible
     variance, carries 0 bits at every power.  Realizations run one after
     another; the BLAS library's threads parallelize each eigen-solve.
+    realizations must be a positive integer and base_seed an integer in
+    [0, 2**64); anything else raises a ValueError naming the argument.
     """
     power_grid_dbw = tuple(float(p) for p in power_grid_dbw)
     if not power_grid_dbw:
         raise ValueError("power grid must not be empty")
-    if realizations < 1:
-        raise ValueError(f"realizations must be at least 1, got {realizations}")
+    check_monte_carlo_args(realizations, base_seed)
     powers_w = [10.0 ** (p / 10.0) for p in power_grid_dbw]
-    rows_kept = _significant_modes(model.R_r)
-    cols_kept = _significant_modes(model.R_s)
+    spectrum = model.angular()
+    n_s, n_r = spectrum.R_s.size, spectrum.R_r.size
+    a, b = _common_variance(spectrum.R_r), _common_variance(spectrum.R_s)
+    scalar = a is not None and b is not None
+    rows_kept = _significant_modes(spectrum.R_r)
+    cols_kept = _significant_modes(spectrum.R_s)
     capacity = np.zeros((realizations, len(powers_w)))
     for i, seed in enumerate(realization_seeds(base_seed, realizations)):
-        gains = _mode_gains(draw_channel(model, int(seed))[rows_kept][:, cols_kept])
+        if scalar:
+            gains = (a * b) * _wishart_gains(n_r, n_s, int(seed))
+        else:
+            gains = _mode_gains(draw_channel(spectrum, int(seed))[rows_kept][:, cols_kept])
         if gains.max(initial=0.0) <= 0.0:
             continue
         for j, p in enumerate(powers_w):
             allocation = waterfill(gains, p, noise_var)
             capacity[i, j] = np.sum(np.log2(1.0 + allocation * gains / noise_var))
+    if realizations > 1:
+        stderr = capacity.std(axis=0, ddof=1) / math.sqrt(realizations)
+    else:
+        stderr = np.full(len(powers_w), np.nan)
     return CapacityResult(
         capacity_bits=capacity.mean(axis=0),
         power_grid_dbw=power_grid_dbw,
         realizations=realizations,
         model_kind=model.kind,
+        stderr_bits=stderr,
     )

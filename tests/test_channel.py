@@ -243,9 +243,27 @@ class TestCorrelationStorage:
         with pytest.raises(ValueError, match="R_r is not Hermitian"):
             CorrelationModel("jakes_sampled", np.eye(2), np.array([[1.0, 0.5], [0.0, 1.0]]))
 
+    def test_angular_form(self, wdm_iso_small, jakes_model):
+        assert wdm_iso_small.angular() is wdm_iso_small
+        angular = jakes_model.angular()
+        assert angular.diagonal and angular.kind == jakes_model.kind
+        for side in ("R_s", "R_r"):
+            want = np.clip(np.linalg.eigvalsh(getattr(jakes_model, side)), 0.0, None)
+            assert np.array_equal(getattr(angular, side), want)
+
+    def test_angular_form_shares_the_negative_eigenvalue_rule(self):
+        # the rule of the square root: below -1e-10 * trace is bad input
+        indefinite = np.array([[1.0, 2.0], [2.0, 1.0]])
+        model = CorrelationModel("x", np.eye(2), indefinite)
+        with pytest.raises(ValueError, match="R_r has a significantly negative eigenvalue"):
+            model.angular()
+        with pytest.raises(ValueError, match="R_r has a significantly negative eigenvalue"):
+            model.R_r_sqrt
+
     @pytest.mark.parametrize("threads", ["1", "4"])
     def test_jakes_square_roots_taken_once(self, monkeypatch, threads):
-        # HOLOWDM_THREADS is ignored; the square roots are taken once either way
+        # HOLOWDM_THREADS is ignored.  The capacity works on the eigenvalues
+        # and takes no root; drawing a physical-basis channel takes each once.
         calls = []
         sqrt = channel._hermitian_sqrt
 
@@ -258,4 +276,7 @@ class TestCorrelationStorage:
         model = build_jakes_correlation(config(8))
         assert calls == []
         ergodic_capacity(model, (0.0, 10.0), 1.0, 6, base_seed=3)
+        assert calls == []
+        draw_channel(model, 1)
+        draw_channel(model, 2)
         assert sorted(calls) == ["R_r", "R_s"]

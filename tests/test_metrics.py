@@ -1,6 +1,7 @@
 """Eigen-analysis, DoF, water-filling, and ergodic-capacity contracts."""
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -8,11 +9,13 @@ import pytest
 from conftest import assert_kkt
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import exp1
 
-from holowdm import metrics
+from holowdm import channel, metrics
 from holowdm.channel import (
     CorrelationModel,
     build_iid_correlation,
+    build_jakes_correlation,
     build_wdm_correlation,
     draw_channel,
 )
@@ -190,9 +193,11 @@ class TestWdmDiagonalShortcut:
 class TestCapacity:
     def test_identity_channel_two_modes(self, monkeypatch):
         # every draw is H = I: equal gains split the power evenly, so
-        # 2 log2(1 + 1) = 2 bits
+        # 2 log2(1 + 1) = 2 bits.  The source side is not a constant vector,
+        # so the gains come from the drawn channel.
         monkeypatch.setattr(metrics, "draw_channel", lambda model, seed: np.eye(2, dtype=complex))
-        result = ergodic_capacity(build_iid_correlation(2, 2), (10.0 * math.log10(2.0),), 1.0, 3, 0)
+        model = CorrelationModel("x", np.array([1.0, 0.5]), np.ones(2))
+        result = ergodic_capacity(model, (10.0 * math.log10(2.0),), 1.0, 3, 0)
         assert result.capacity_bits[0] == pytest.approx(2.0, abs=1e-12)
 
     def test_zero_channel_has_zero_capacity(self):
@@ -208,18 +213,26 @@ class TestCapacity:
             assert np.array_equal(result.capacity_bits, [0.0, 0.0])
 
     def test_scalar_iid_against_direct_monte_carlo(self):
-        model = build_iid_correlation(1, 1)
-        grid = (0.0, 10.0)
-        result = ergodic_capacity(model, grid, 1.0, realizations=200, base_seed=99)
-        # direct scalar oracle over the same channel draws: all power rides
-        # the single mode, so C = log2(1 + P |h|^2)
-        for ip, p_dbw in enumerate(grid):
-            p = 10.0 ** (p_dbw / 10.0)
-            caps = [
-                math.log2(1.0 + p * abs(draw_channel(model, int(s))[0, 0]) ** 2)
-                for s in realization_seeds(99, 200)
-            ]
-            assert result.capacity_bits[ip] == pytest.approx(float(np.mean(caps)), rel=1e-12)
+        # E log2(1 + P |h|^2) with |h|^2 ~ Exp(1) is e^(1/P) E1(1/P) / ln 2.
+        # Both the capacity and a direct scalar Monte Carlo over physical
+        # draws (other seeds) lie within 4 standard errors of it and of each
+        # other.
+        grid = (0.0, 10.0, 30.0)
+        realizations = 4000
+        result = ergodic_capacity(build_iid_correlation(1, 1), grid, 1.0, realizations, 99)
+        p = 10.0 ** (np.array(grid) / 10.0)
+        closed_form = np.exp(1.0 / p) * exp1(1.0 / p) / math.log(2.0)
+        h2 = np.array([
+            abs(draw_channel(build_iid_correlation(1, 1), int(s))[0, 0]) ** 2
+            for s in realization_seeds(100, realizations)
+        ])
+        direct = np.log2(1.0 + np.outer(h2, p))
+        direct_mean = direct.mean(axis=0)
+        direct_se = direct.std(axis=0, ddof=1) / math.sqrt(realizations)
+        assert np.all(np.abs(result.capacity_bits - closed_form) <= 4.0 * result.stderr_bits)
+        assert np.all(np.abs(direct_mean - closed_form) <= 4.0 * direct_se)
+        combined = np.hypot(result.stderr_bits, direct_se)
+        assert np.all(np.abs(result.capacity_bits - direct_mean) <= 4.0 * combined)
 
     def test_vanishing_power_limit(self):
         model = build_iid_correlation(4, 4)
@@ -259,6 +272,58 @@ class TestCapacity:
         with pytest.raises(ValueError):
             ergodic_capacity(model, (0.0,), 1.0, 0, base_seed=0)
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("base_seed", 3.9),
+            ("base_seed", True),
+            ("base_seed", -1),
+            ("base_seed", 2**64),
+            ("realizations", 2.7),
+            ("realizations", True),
+        ],
+    )
+    def test_bad_argument_names_itself(self, key, value):
+        args = {"realizations": 2, "base_seed": 3, key: value}
+        with pytest.raises(ValueError, match=key):
+            ergodic_capacity(build_iid_correlation(2, 2), (0.0,), 1.0, **args)
+
+    def test_largest_seed_accepted(self):
+        grid = (0.0,)
+        model = build_iid_correlation(2, 2)
+        top = ergodic_capacity(model, grid, 1.0, 2, np.uint64(2**64 - 1))
+        assert np.isfinite(top.capacity_bits).all()
+
+    def test_standard_error_of_the_mean(self):
+        # one receive mode, two unequal source modes: the only gain is
+        # |h_1|^2 + |h_2|^2, so each realization's capacity is log2(1 + P g)
+        model = CorrelationModel("x", np.array([1.0, 0.5]), np.ones(1))
+        grid = (0.0, 20.0)
+        result = ergodic_capacity(model, grid, 1.0, 50, base_seed=8)
+        g = np.array([
+            np.sum(np.abs(draw_channel(model, int(s))) ** 2) for s in realization_seeds(8, 50)
+        ])
+        caps = np.log2(1.0 + np.outer(g, 10.0 ** (np.array(grid) / 10.0)))
+        assert np.allclose(result.capacity_bits, caps.mean(axis=0), rtol=1e-12, atol=0.0)
+        want = caps.std(axis=0, ddof=1) / math.sqrt(50)
+        assert np.allclose(result.stderr_bits, want, rtol=1e-12, atol=0.0)
+
+    def test_single_realization_has_nan_error_and_no_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = ergodic_capacity(build_iid_correlation(3, 3), (0.0, 10.0), 1.0, 1, 4)
+        assert np.isnan(result.stderr_bits).all() and result.stderr_bits.shape == (2,)
+        assert np.all(result.capacity_bits > 0.0)
+
+
+def _water_filled(gains, grid, noise_var):
+    row = []
+    for p_dbw in grid:
+        p = 10.0 ** (p_dbw / 10.0)
+        allocation = waterfill(gains, p, noise_var)
+        row.append(float(np.sum(np.log2(1.0 + allocation * gains / noise_var))))
+    return row
+
 
 def _reference_capacity(model, grid, noise_var, realizations, base_seed):
     """Capacity by the plain recipe: dense H, eigh of H H^H, one water-fill per power."""
@@ -270,18 +335,35 @@ def _reference_capacity(model, grid, noise_var, realizations, base_seed):
         w *= math.sqrt(0.5)
         H = model.dense("R_r_sqrt") @ w @ model.dense("R_s_sqrt")
         gains = np.linalg.eigh(H @ H.conj().T)[0][::-1][: min(n_s, n_r)]
-        gains = np.clip(gains, 0.0, None)
-        row = []
-        for p_dbw in grid:
-            p = 10.0 ** (p_dbw / 10.0)
-            allocation = waterfill(gains, p, noise_var)
-            row.append(float(np.sum(np.log2(1.0 + allocation * gains / noise_var))))
-        rows.append(row)
+        rows.append(_water_filled(np.clip(gains, 0.0, None), grid, noise_var))
     return np.mean(rows, axis=0)
+
+
+def _reference_bidiagonal_capacity(n_s, n_r, grid, noise_var, realizations, base_seed):
+    """The plain recipe on the Dumitriu-Edelman model of an i.i.d. W: a dense
+    lower-bidiagonal B of chi variates over sqrt(2), and eigh of B B^T."""
+    small, large = sorted((n_s, n_r))
+    rows = []
+    for seed in realization_seeds(base_seed, realizations):
+        rng = np.random.default_rng(int(seed))
+        diag = np.sqrt(rng.standard_gamma(np.arange(large, large - small, -1)))
+        sub = np.sqrt(rng.standard_gamma(np.arange(small - 1, 0, -1)))
+        B = np.diag(diag) + np.diag(sub, -1)
+        gains = np.linalg.eigh(B @ B.T)[0][::-1]
+        rows.append(_water_filled(np.clip(gains, 0.0, None), grid, noise_var))
+    return np.mean(rows, axis=0)
+
+
+def _spectrum_model(model):
+    """The diagonal model of the clipped eigenvalues of each side."""
+    sides = [np.clip(np.linalg.eigvalsh(R), 0.0, None) for R in (model.R_s, model.R_r)]
+    return CorrelationModel(model.kind, *sides)
 
 
 @pytest.mark.parametrize("ratios", [(128, 128), (16, 8), (8, 16)])
 def test_ergodic_capacity_matches_plain_reference(ratios):
+    # WDM runs the recipe on its own variances, Jakes on its eigenvalues,
+    # and iid on the bidiagonal model: each within 1e-12 relative
     physical = PhysicalConfig(LAMBDA, ratios[0] * LAMBDA, ratios[1] * LAMBDA, 0.0)
     cfg = default_config()
     grid = (-10.0, 10.0, 30.0)
@@ -289,5 +371,69 @@ def test_ergodic_capacity_matches_plain_reference(ratios):
     for name in MODEL_NAMES:
         model = correlation_for(replace(cfg, physical=physical), name)
         got = ergodic_capacity(model, grid, 1.0, realizations, base_seed=31).capacity_bits
-        want = _reference_capacity(model, grid, 1.0, realizations, base_seed=31)
+        if name == "iid":
+            n_s, n_r = model.R_s.size, model.R_r.size
+            want = _reference_bidiagonal_capacity(n_s, n_r, grid, 1.0, realizations, 31)
+        elif name == "jakes":
+            want = _reference_capacity(_spectrum_model(model), grid, 1.0, realizations, 31)
+        else:
+            want = _reference_capacity(model, grid, 1.0, realizations, base_seed=31)
         assert np.allclose(got, want, rtol=1e-12, atol=0.0), name
+
+
+def _dense_monte_carlo(model, grid, realizations, base_seed):
+    """Mean and standard error of the capacity of physical-basis draws,
+    with gains from a dense eigvalsh of H H^H."""
+    rows = []
+    for seed in realization_seeds(base_seed, realizations):
+        H = draw_channel(model, int(seed))
+        gains = np.clip(np.linalg.eigvalsh(H @ H.conj().T), 0.0, None)
+        rows.append(_water_filled(gains, grid, 1.0))
+    rows = np.array(rows)
+    return rows.mean(axis=0), rows.std(axis=0, ddof=1) / math.sqrt(realizations)
+
+
+class TestAngularDomainCapacity:
+    @pytest.mark.parametrize("n_r, n_s", [(3, 5), (5, 3), (8, 8)])
+    def test_bidiagonal_gains_against_dense_wishart(self, n_r, n_s):
+        grid = (0.0, 10.0, 30.0)
+        got = ergodic_capacity(build_iid_correlation(n_s, n_r), grid, 1.0, 2000, base_seed=61)
+        mean, se = _dense_monte_carlo(build_iid_correlation(n_s, n_r), grid, 2000, 62)
+        combined = np.hypot(got.stderr_bits, se)
+        assert np.all(np.abs(got.capacity_bits - mean) <= 4.0 * combined)
+
+    def test_scaled_identity_sides_scale_the_gains(self):
+        # a R_r = a I and R_s = b I channel has a b times the i.i.d. gains
+        grid = (0.0, 10.0)
+        base = ergodic_capacity(build_iid_correlation(3, 4), grid, 1.0, 20, 5)
+        scaled = ergodic_capacity(
+            CorrelationModel("x", np.full(3, 0.5), np.full(4, 4.0)), grid, 2.0, 20, 5
+        )
+        assert np.allclose(base.capacity_bits, scaled.capacity_bits, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.filterwarnings("ignore:aperture shorter")
+    def test_jakes_is_the_model_of_its_eigenvalues(self):
+        jakes = build_jakes_correlation(PhysicalConfig(LAMBDA, 8 * LAMBDA, 4 * LAMBDA, 0.0))
+        grid = (0.0, 10.0, 30.0)
+        got = ergodic_capacity(jakes, grid, 1.0, 20, base_seed=17).capacity_bits
+        want = ergodic_capacity(_spectrum_model(jakes), grid, 1.0, 20, base_seed=17).capacity_bits
+        assert np.array_equal(got, want)
+
+    @pytest.mark.filterwarnings("ignore:aperture shorter")
+    def test_jakes_against_physical_basis_monte_carlo(self):
+        jakes = build_jakes_correlation(PhysicalConfig(LAMBDA, 4 * LAMBDA, 8 * LAMBDA, 0.0))
+        assert (jakes.R_s.shape[0], jakes.R_r.shape[0]) == (8, 16)
+        grid = (0.0, 10.0, 30.0)
+        got = ergodic_capacity(jakes, grid, 1.0, 2000, base_seed=71)
+        mean, se = _dense_monte_carlo(jakes, grid, 2000, 72)
+        combined = np.hypot(got.stderr_bits, se)
+        assert np.all(np.abs(got.capacity_bits - mean) <= 4.0 * combined)
+
+    def test_capacity_takes_no_square_root(self, monkeypatch):
+        def refuse(name, R):
+            raise AssertionError(f"square root of {name} taken")
+
+        monkeypatch.setattr(channel, "_hermitian_sqrt", refuse)
+        jakes = build_jakes_correlation(PhysicalConfig(LAMBDA, 8 * LAMBDA, 8 * LAMBDA, 0.0))
+        result = ergodic_capacity(jakes, (0.0, 30.0), 1.0, 4, base_seed=2)
+        assert np.all(result.capacity_bits > 0.0)
