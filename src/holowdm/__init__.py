@@ -19,7 +19,6 @@ from .harness import (
     Table,
     correlation_for,
     default_config,
-    run_all,
     run_capacity,
     run_dof,
     run_eigen_spectrum,

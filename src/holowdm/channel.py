@@ -4,9 +4,9 @@ All three channel families are separable, H = R_r^(1/2) W R_s^(1/2) with W
 i.i.d. complex Gaussian: the wavenumber-multiplexed model has diagonal
 per-side correlation (the per-index coupling variances), the spatially
 sampled Jakes model has a real Toeplitz correlation, and i.i.d. Rayleigh is
-the identity.  Every builder trace-normalizes to tr(R_s) = n_s and
-tr(R_r) = n_r by default so E||H||_F^2 = n_s * n_r for all families, which is
-the only normalization under which their capacities are comparable; the raw
+the identity.  Every builder gives tr(R_s) = n_s and tr(R_r) = n_r by
+default so E||H||_F^2 = n_s * n_r for all families, which is the only
+normalization under which their capacities are comparable; the raw
 length-scaled diagonal form stays available behind a flag.
 """
 
@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from scipy import linalg, special
 
-from .specfun import bessel_j0
 from .wavenumber import PhysicalConfig, VarianceProfile
 
 __all__ = [
@@ -46,13 +46,14 @@ class CorrelationModel:
     any of the four, and angular() the diagonal model of the eigenvalues.
     """
 
-    kind: str
     R_s: np.ndarray
     R_r: np.ndarray
 
     def __post_init__(self) -> None:
+        # sides that are one array (square Jakes) are checked once
+        shared = self.R_r is self.R_s
         self.R_s = _check_correlation("R_s", self.R_s)
-        self.R_r = _check_correlation("R_r", self.R_r)
+        self.R_r = self.R_s if shared else _check_correlation("R_r", self.R_r)
 
     @property
     def diagonal(self) -> bool:
@@ -85,9 +86,7 @@ class CorrelationModel:
         """
         if self.diagonal:
             return self
-        return CorrelationModel(
-            self.kind, _side_spectrum("R_s", self.R_s), _side_spectrum("R_r", self.R_r)
-        )
+        return CorrelationModel(_side_spectrum("R_s", self.R_s), _side_spectrum("R_r", self.R_r))
 
 
 def _check_correlation(name: str, R) -> np.ndarray:
@@ -132,11 +131,10 @@ def _side_spectrum(name: str, R: np.ndarray) -> np.ndarray:
 
 
 def _trace_normalized(R: np.ndarray) -> np.ndarray:
-    n = R.shape[0]
-    trace = float(R.sum() if R.ndim == 1 else np.trace(R).real)
+    trace = float(R.sum())
     if trace <= 0.0:
         raise ValueError("correlation matrix has non-positive trace")
-    return R * (n / trace)
+    return R * (R.size / trace)
 
 
 def build_wdm_correlation(
@@ -161,31 +159,35 @@ def build_wdm_correlation(
     if trace_normalize:
         R_s = _trace_normalized(R_s)
         R_r = _trace_normalized(R_r)
-    return CorrelationModel("wdm", R_s, R_r)
+    return CorrelationModel(R_s, R_r)
 
 
 def build_jakes_correlation(cfg: PhysicalConfig) -> CorrelationModel:
     """Toeplitz correlation of the lines sampled at half-wavelength spacing.
 
     The sample count per side matches the wavenumber mode count, so the Jakes
-    and wavenumber spectra live on the same index axis.
+    and wavenumber spectra live on the same index axis.  Entry (i, j) is
+    J0(k |i - j| lambda/2); the diagonal is J0(0) = 1, so tr R = n with no
+    normalization.  Both sides are leading blocks of one Toeplitz matrix:
+    the smaller side is a copy, and equal sides are one read-only array.
     """
-    def one_side(side: str) -> np.ndarray:
-        n = cfg.mode_count(side)
-        spacing = 0.5 * cfg.wavelength
-        gains = np.array([bessel_j0(cfg.k * spacing * m) for m in range(n)])
-        i = np.arange(n)
-        R = gains[np.abs(i[:, None] - i[None, :])]
-        return _trace_normalized(R)
-
-    return CorrelationModel("jakes_sampled", one_side("source"), one_side("receiver"))
+    n_s, n_r = cfg.mode_count("source"), cfg.mode_count("receiver")
+    n = max(n_s, n_r)
+    R = linalg.toeplitz(special.j0(cfg.k * (0.5 * cfg.wavelength) * np.arange(n)))
+    if n_s == n_r:
+        R.flags.writeable = False
+        return CorrelationModel(R, R)
+    return CorrelationModel(
+        R if n_s == n else R[:n_s, :n_s].copy(),
+        R if n_r == n else R[:n_r, :n_r].copy(),
+    )
 
 
 def build_iid_correlation(n_s: int, n_r: int) -> CorrelationModel:
     """Identity correlation (i.i.d. Rayleigh fading), stored as unit vectors."""
     if n_s < 1 or n_r < 1:
         raise ValueError("sizes must be at least 1")
-    return CorrelationModel("iid_rayleigh", np.ones(n_s), np.ones(n_r))
+    return CorrelationModel(np.ones(n_s), np.ones(n_r))
 
 
 def draw_channel(model: CorrelationModel, seed) -> np.ndarray:

@@ -55,7 +55,7 @@ def _positive(key: str, value) -> float:
     return v
 
 
-def _parse_clusters(raw) -> tuple[Cluster, ...]:
+def _parse_clusters(raw) -> ScatteringSpec:
     if not isinstance(raw, list) or not raw:
         raise ValueError("clusters must be a non-empty list")
     clusters = []
@@ -76,14 +76,19 @@ def _parse_clusters(raw) -> tuple[Cluster, ...]:
             raise ValueError(f"clusters[{i}].circ_var must lie in (0, 1], got {circ_var}")
         weight = _positive(f"clusters[{i}].weight", entry["weight"])
         clusters.append(Cluster.from_circular_variance(weight, math.radians(mean_deg), circ_var))
-    total = math.fsum(c.weight for c in clusters)
-    if abs(total - 1.0) > 1e-9:
-        raise ValueError(f"clusters.weight must sum to 1 within 1e-9, got {total}")
-    return tuple(clusters)
+    try:
+        return ScatteringSpec.mixture(clusters)
+    except ValueError as exc:
+        # the weights are the one mixture rule left unchecked above
+        raise ValueError(f"clusters.weight: {exc}") from None
 
 
 def _physical(raw: dict, default: PhysicalConfig) -> PhysicalConfig:
-    """The geometry from the keys in wavelengths, each omitted one at its default."""
+    """The geometry from the keys in wavelengths, each omitted one at its default.
+
+    A side too short to carry a mode raises here, naming its key, before any
+    experiment runs.
+    """
     wavelength = _positive("lambda_m", raw.get("lambda_m", default.wavelength))
 
     def length(key: str, meters: float) -> float:
@@ -94,7 +99,13 @@ def _physical(raw: dict, default: PhysicalConfig) -> PhysicalConfig:
     d = _number("d_m", raw.get("d_m", default.d))
     if not (math.isfinite(d) and d >= 0.0):
         raise ValueError(f"d_m must be non-negative, got {d}")
-    return PhysicalConfig(wavelength, L_s, L_r, d)
+    phys = PhysicalConfig(wavelength, L_s, L_r, d)
+    for key, side in (("L_s_over_lambda", "source"), ("L_r_over_lambda", "receiver")):
+        try:
+            phys.mode_count(side)
+        except ValueError as exc:
+            raise ValueError(f"{key}: {exc}") from None
+    return phys
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -139,8 +150,7 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ValueError("models must be a list")
         changes["models"] = tuple(raw["models"])
     if "clusters" in raw:
-        mixture = ScatteringSpec.mixture(_parse_clusters(raw["clusters"]))
-        changes["scattering_s"] = changes["scattering_r"] = mixture
+        changes["scattering_s"] = changes["scattering_r"] = _parse_clusters(raw["clusters"])
     return replace(cfg, **changes)
 
 
@@ -190,7 +200,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="JSON config file (omitted keys take defaults)")
         p.add_argument("--out", type=Path, default=Path("."),
                        help="output directory for CSV files (default: current directory)")
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
     return parser
 
 
@@ -208,12 +217,6 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"holowdm: invalid config: {exc}", file=sys.stderr)
         return 2
-    if args.seed is not None:
-        try:
-            cfg = cfg.with_seed(args.seed)
-        except ValueError as exc:
-            print(f"holowdm: invalid seed: {exc}", file=sys.stderr)
-            return 2
 
     selected = _EXPERIMENTS if args.command == "all" else tuple(
         (name, runner) for name, runner in _EXPERIMENTS if name == args.command

@@ -10,7 +10,7 @@ channel realizations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cache, lru_cache
 
 import numpy as np
@@ -35,7 +35,6 @@ __all__ = [
     "run_eigen_spectrum",
     "run_dof",
     "run_capacity",
-    "run_all",
 ]
 
 # Canonical model order: the uncorrelated baseline, the half-wavelength
@@ -45,6 +44,9 @@ MODEL_NAMES = ("iid", "jakes", "isotropic", "non_isotropic")
 # Models with an angular scattering density (the others have none to plot,
 # and their degrees of freedom are not defined by the prefix criterion).
 _SCATTERING_MODELS = ("isotropic", "non_isotropic")
+
+# Angles of the psf table, evenly spaced over [0, pi).
+_PSF_GRID_POINTS = 1024
 
 
 @cache
@@ -98,9 +100,6 @@ class ExperimentConfig:
     def noise_var_watts(self) -> float:
         return 10.0 ** (self.noise_var_dbw / 10.0)
 
-    def with_seed(self, seed: int) -> "ExperimentConfig":
-        return replace(self, seed=seed)
-
 
 def default_config() -> ExperimentConfig:
     return ExperimentConfig()
@@ -152,11 +151,11 @@ def correlation_for(cfg: ExperimentConfig, model: str) -> CorrelationModel:
     raise ValueError(f"unknown model {model!r}")
 
 
-def run_psf_profile(cfg: ExperimentConfig, grid_points: int = 1024) -> Table:
+def run_psf_profile(cfg: ExperimentConfig) -> Table:
     """Receiver-side angular power density on a uniform grid over [0, pi)."""
     from .scattering import psf_density
 
-    thetas = np.linspace(0.0, math.pi, grid_points, endpoint=False)
+    thetas = np.linspace(0.0, math.pi, _PSF_GRID_POINTS, endpoint=False)
     rows: list[tuple] = []
     for model in cfg.models:
         if model not in _SCATTERING_MODELS:
@@ -227,13 +226,3 @@ def run_capacity(cfg: ExperimentConfig) -> Table:
             for p, c in zip(result.power_grid_dbw, result.capacity_bits)
         )
     return Table(columns=("p_dbw", "model", "capacity_bits_per_s_per_hz"), rows=rows)
-
-
-def run_all(cfg: ExperimentConfig) -> dict[str, Table]:
-    """All experiments keyed by name (psf, eigs, dof, capacity)."""
-    return {
-        "psf": run_psf_profile(cfg),
-        "eigs": run_eigen_spectrum(cfg),
-        "dof": run_dof(cfg),
-        "capacity": run_capacity(cfg),
-    }

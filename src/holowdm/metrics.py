@@ -212,7 +212,6 @@ class CapacityResult:
     capacity_bits: np.ndarray
     power_grid_dbw: tuple[float, ...]
     realizations: int
-    model_kind: str
     stderr_bits: np.ndarray
 
 
@@ -278,6 +277,5 @@ def ergodic_capacity(
         capacity_bits=capacity.mean(axis=0),
         power_grid_dbw=power_grid_dbw,
         realizations=realizations,
-        model_kind=model.kind,
         stderr_bits=stderr,
     )

@@ -15,7 +15,6 @@ __all__ = [
     "bessel_i0",
     "bessel_i0_scaled",
     "bessel_i1",
-    "bessel_i1_scaled",
     "bessel_j0",
     "bessel_ratio_i1_i0",
     "solve_concentration",
@@ -57,14 +56,6 @@ def bessel_i0_scaled(x: float) -> float:
     if x < 0.0:
         raise ValueError(f"x must be non-negative, got {x}")
     return float(special.i0e(x))
-
-
-def bessel_i1_scaled(x: float) -> float:
-    """exp(-x) * I1(x); overflow-free for any x >= 0."""
-    x = _as_finite_float("x", x)
-    if x < 0.0:
-        raise ValueError(f"x must be non-negative, got {x}")
-    return float(special.i1e(x))
 
 
 def bessel_j0(x: float) -> float:

@@ -138,17 +138,14 @@ def dispersion(k: float, k_x: float):
 def build_grid(cfg: PhysicalConfig, side: str) -> WavenumberGrid:
     """Propagating-mode index set for one side.
 
-    floor(2L/lambda) integers of smallest magnitude with |m| <= L/lambda; ties
-    between +m and -m resolve toward the negative index, so an integer L/lambda
-    yields exactly {-L/lambda, ..., L/lambda - 1} and the angular partitions
-    tile [0, pi].
+    The n = floor(2L/lambda) integers of smallest magnitude, ties between +m
+    and -m resolved toward the negative index: {-(n // 2), ..., n - n // 2 - 1}.
+    All satisfy |m| <= L/lambda, and an integer L/lambda yields exactly
+    {-L/lambda, ..., L/lambda - 1}, whose angular partitions tile [0, pi].
     """
     n = cfg.mode_count(side)
-    half = cfg.aperture(side) / cfg.wavelength
-    m_hi = math.floor(half * (1.0 + 1e-12) + _SNAP)
-    candidates = sorted(range(-m_hi, m_hi + 1), key=lambda m: (abs(m), m))
-    chosen = np.array(sorted(candidates[:n]), dtype=np.int64)
-    return WavenumberGrid(indices=chosen, side=side, n=n)
+    indices = np.arange(-(n // 2), n - n // 2, dtype=np.int64)
+    return WavenumberGrid(indices=indices, side=side, n=n)
 
 
 def _partition_bounds(cfg: PhysicalConfig, side: str, indices: np.ndarray):

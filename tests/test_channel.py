@@ -116,8 +116,7 @@ class TestJakesCorrelation:
     def test_entries_sample_the_closed_form(self, jakes_model):
         model = jakes_model
         k = 2 * math.pi / LAMBDA
-        # diagonal J0(0) = 1 before normalization; the trace is already n, so
-        # normalization leaves entries untouched
+        # the diagonal is J0(0) = 1, so the trace is n with no normalization
         assert model.R_r[0, 0] == pytest.approx(1.0, rel=1e-14)
         assert model.R_r[3, 4] == pytest.approx(bessel_j0(k * LAMBDA / 2), rel=1e-13)
         assert model.R_r[3, 4] == pytest.approx(-0.30424217764409384, abs=1e-12)
@@ -135,6 +134,25 @@ class TestJakesCorrelation:
 
     def test_matches_wdm_mode_count(self, jakes_model):
         assert jakes_model.R_r.shape == (256, 256)
+
+    @pytest.mark.filterwarnings("ignore:aperture shorter")
+    @pytest.mark.parametrize("ratios", [(8, 8), (16, 8), (8, 16), (16.5, 8.25), (3.3, 5.1)])
+    def test_sides_equal_the_lag_gather_bitwise(self, ratios):
+        cfg = PhysicalConfig(LAMBDA, ratios[0] * LAMBDA, ratios[1] * LAMBDA, 0.0)
+        model = build_jakes_correlation(cfg)
+        for name, side in (("R_s", "source"), ("R_r", "receiver")):
+            n = cfg.mode_count(side)
+            gains = np.array([bessel_j0(cfg.k * (0.5 * LAMBDA) * m) for m in range(n)])
+            i = np.arange(n)
+            want = gains[np.abs(i[:, None] - i[None, :])]
+            R = getattr(model, name)
+            assert np.array_equal(R, want)
+            # the diagonal is J0(0) = 1, so the trace is n with no normalization
+            assert float(np.trace(R)) == n
+        if cfg.mode_count("source") == cfg.mode_count("receiver"):
+            assert model.R_s is model.R_r and not model.R_r.flags.writeable
+        else:
+            assert not np.shares_memory(model.R_s, model.R_r)
 
 
 class TestIidCorrelation:
@@ -235,18 +253,18 @@ class TestCorrelationStorage:
     @pytest.mark.parametrize("bad", [-0.5, np.nan])
     def test_bad_variance_vector_names_its_side(self, bad):
         with pytest.raises(ValueError, match="R_s"):
-            CorrelationModel("wdm", np.array([1.0, bad]), np.ones(2))
+            CorrelationModel(np.array([1.0, bad]), np.ones(2))
         with pytest.raises(ValueError, match="R_r"):
-            CorrelationModel("wdm", np.ones(2), np.array([bad, 1.0]))
+            CorrelationModel(np.ones(2), np.array([bad, 1.0]))
 
     def test_non_hermitian_dense_side_rejected(self):
         with pytest.raises(ValueError, match="R_r is not Hermitian"):
-            CorrelationModel("jakes_sampled", np.eye(2), np.array([[1.0, 0.5], [0.0, 1.0]]))
+            CorrelationModel(np.eye(2), np.array([[1.0, 0.5], [0.0, 1.0]]))
 
     def test_angular_form(self, wdm_iso_small, jakes_model):
         assert wdm_iso_small.angular() is wdm_iso_small
         angular = jakes_model.angular()
-        assert angular.diagonal and angular.kind == jakes_model.kind
+        assert angular.diagonal
         for side in ("R_s", "R_r"):
             want = np.clip(np.linalg.eigvalsh(getattr(jakes_model, side)), 0.0, None)
             assert np.array_equal(getattr(angular, side), want)
@@ -254,7 +272,7 @@ class TestCorrelationStorage:
     def test_angular_form_shares_the_negative_eigenvalue_rule(self):
         # the rule of the square root: below -1e-10 * trace is bad input
         indefinite = np.array([[1.0, 2.0], [2.0, 1.0]])
-        model = CorrelationModel("x", np.eye(2), indefinite)
+        model = CorrelationModel(np.eye(2), indefinite)
         with pytest.raises(ValueError, match="R_r has a significantly negative eigenvalue"):
             model.angular()
         with pytest.raises(ValueError, match="R_r has a significantly negative eigenvalue"):

@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from holowdm import cli
 from holowdm.cli import emit_csv, main, parse_config
 from holowdm.harness import Table, default_config
 
@@ -36,12 +37,14 @@ class TestParseConfig:
         assert spec.clusters[1].circ_variance == 0.005
 
     def test_weight_sum_error_names_key(self):
-        text = json.dumps({"clusters": [
-            {"mean_deg": 30, "circ_var": 0.01, "weight": 0.4},
-            {"mean_deg": 60, "circ_var": 0.005, "weight": 0.5},
-        ]})
-        with pytest.raises(ValueError, match="clusters.weight"):
-            parse_config(text)
+        # 5e-10 off is outside the 1e-12 that ScatteringSpec allows
+        for weights in ((0.4, 0.5), (0.5, 0.5 + 5e-10)):
+            text = json.dumps({"clusters": [
+                {"mean_deg": 30, "circ_var": 0.01, "weight": weights[0]},
+                {"mean_deg": 60, "circ_var": 0.005, "weight": weights[1]},
+            ]})
+            with pytest.raises(ValueError, match="clusters.weight"):
+                parse_config(text)
 
     def test_circ_var_error_names_key(self):
         text = json.dumps({"clusters": [{"mean_deg": 30, "circ_var": 0.0, "weight": 1.0}]})
@@ -51,6 +54,12 @@ class TestParseConfig:
     def test_negative_length_names_key(self):
         with pytest.raises(ValueError, match="L_s_over_lambda"):
             parse_config('{"L_s_over_lambda": -2}')
+
+    @pytest.mark.filterwarnings("ignore:aperture shorter")
+    @pytest.mark.parametrize("key", ["L_s_over_lambda", "L_r_over_lambda"])
+    def test_aperture_without_modes_names_key(self, key):
+        with pytest.raises(ValueError, match=f"{key}: .* carries no modes"):
+            parse_config(json.dumps({key: 0.4}))
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="frequency_ghz"):
@@ -158,22 +167,32 @@ class TestMain:
         assert code == 2
         assert "not found" in capsys.readouterr().err
 
-    def test_invalid_config_value(self, tmp_path, capsys):
-        bad = tmp_path / "bad.json"
-        bad.write_text('{"epsilon": 7}')
-        code = main(["dof", "--config", str(bad), "--out", str(tmp_path)])
-        assert code == 2
-        assert "epsilon" in capsys.readouterr().err
-
     @pytest.mark.filterwarnings("ignore:aperture shorter")
-    def test_experiment_failure_aborts_with_context(self, tmp_path, capsys):
-        # passes parsing but carries no propagating modes, so the run aborts
+    def test_invalid_config_value(self, tmp_path, capsys):
+        # an aperture without modes fails here too, before any CSV is written
         bad = tmp_path / "bad.json"
-        bad.write_text('{"L_s_over_lambda": 0.4, "L_r_over_lambda": 0.4}')
-        code = main(["eigs", "--config", str(bad), "--out", str(tmp_path)])
+        out = tmp_path / "out"
+        for key, value in (("epsilon", 7), ("L_s_over_lambda", 0.4)):
+            bad.write_text(json.dumps({key: value}))
+            code = main(["all", "--config", str(bad), "--out", str(out)])
+            assert code == 2
+            assert key in capsys.readouterr().err
+            assert not out.exists()
+
+    def test_experiment_failure_aborts_with_context(self, tmp_path, config_file, capsys,
+                                                    monkeypatch):
+        def broken(cfg):
+            raise RuntimeError("solver diverged")
+
+        experiments = tuple((name, broken if name == "eigs" else runner)
+                            for name, runner in cli._EXPERIMENTS)
+        monkeypatch.setattr(cli, "_EXPERIMENTS", experiments)
+        code = main(["all", "--config", str(config_file), "--out", str(tmp_path)])
         assert code == 1
         err = capsys.readouterr().err
-        assert "eigs" in err and "failed" in err
+        assert "'eigs' failed: solver diverged" in err
+        # the run stops at the failing experiment
+        assert (tmp_path / "psf.csv").is_file() and not (tmp_path / "dof.csv").exists()
 
     def test_single_experiment(self, tmp_path, config_file):
         out = tmp_path / "out"
@@ -185,8 +204,15 @@ class TestMain:
     def test_all_writes_four_files(self, tmp_path, config_file):
         out = tmp_path / "all"
         assert main(["all", "--config", str(config_file), "--out", str(out)]) == 0
-        for name in ("psf", "eigs", "dof", "capacity"):
-            assert (out / f"{name}.csv").is_file()
+        headers = {
+            "psf": "theta_rad,model,psf_density",
+            "eigs": "index,model,normalized_eigenvalue",
+            "dof": "model,dof,n_s_prime,n_r_prime,epsilon",
+            "capacity": "p_dbw,model,capacity_bits_per_s_per_hz",
+        }
+        for name, header in headers.items():
+            lines = (out / f"{name}.csv").read_text().splitlines()
+            assert lines[0] == header and len(lines) >= 2
 
     def test_rerun_is_byte_identical(self, tmp_path, config_file):
         out1, out2 = tmp_path / "r1", tmp_path / "r2"
@@ -195,9 +221,12 @@ class TestMain:
         assert (out1 / "capacity.csv").read_bytes() == (out2 / "capacity.csv").read_bytes()
 
     def test_seed_override_changes_capacity_only(self, tmp_path, config_file):
+        reseeded = tmp_path / "reseeded.json"
+        reseeded.write_text(json.dumps({**SMALL_CONFIG, "seed": 777}))
         out1, out2 = tmp_path / "s1", tmp_path / "s2"
         assert main(["all", "--config", str(config_file), "--out", str(out1)]) == 0
-        assert main(["all", "--config", str(config_file), "--out", str(out2), "--seed", "777"]) == 0
+        assert main(["all", "--config", str(reseeded), "--out", str(out2)]) == 0
+        assert (out1 / "psf.csv").read_bytes() == (out2 / "psf.csv").read_bytes()
         assert (out1 / "dof.csv").read_bytes() == (out2 / "dof.csv").read_bytes()
         assert (out1 / "eigs.csv").read_bytes() == (out2 / "eigs.csv").read_bytes()
         assert (out1 / "capacity.csv").read_bytes() != (out2 / "capacity.csv").read_bytes()

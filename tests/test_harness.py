@@ -13,7 +13,6 @@ from holowdm.harness import (
     MODEL_NAMES,
     correlation_for,
     default_config,
-    run_all,
     run_capacity,
     run_dof,
     run_eigen_spectrum,
@@ -236,10 +235,3 @@ class TestLazySquareRoots:
         # iid takes its gains from the bidiagonal model and draws no channel
         assert layers["channel.draw_channel.calls"] == 2 * (len(MODEL_NAMES) - 1)
         assert harness.run_capacity is run_capacity
-
-
-class TestRunAll:
-    def test_emits_all_tables(self, desk_cfg):
-        tables = run_all(desk_cfg)
-        assert set(tables) == {"psf", "eigs", "dof", "capacity"}
-        assert all(table.rows for table in tables.values())

@@ -196,7 +196,7 @@ class TestCapacity:
         # 2 log2(1 + 1) = 2 bits.  The source side is not a constant vector,
         # so the gains come from the drawn channel.
         monkeypatch.setattr(metrics, "draw_channel", lambda model, seed: np.eye(2, dtype=complex))
-        model = CorrelationModel("x", np.array([1.0, 0.5]), np.ones(2))
+        model = CorrelationModel(np.array([1.0, 0.5]), np.ones(2))
         result = ergodic_capacity(model, (10.0 * math.log10(2.0),), 1.0, 3, 0)
         assert result.capacity_bits[0] == pytest.approx(2.0, abs=1e-12)
 
@@ -209,7 +209,7 @@ class TestCapacity:
             (np.zeros((3, 3)), np.eye(3)),
         ]
         for R_s, R_r in sides:
-            result = ergodic_capacity(CorrelationModel("x", R_s, R_r), (0.0, 30.0), 1.0, 4, 5)
+            result = ergodic_capacity(CorrelationModel(R_s, R_r), (0.0, 30.0), 1.0, 4, 5)
             assert np.array_equal(result.capacity_bits, [0.0, 0.0])
 
     def test_scalar_iid_against_direct_monte_carlo(self):
@@ -297,7 +297,7 @@ class TestCapacity:
     def test_standard_error_of_the_mean(self):
         # one receive mode, two unequal source modes: the only gain is
         # |h_1|^2 + |h_2|^2, so each realization's capacity is log2(1 + P g)
-        model = CorrelationModel("x", np.array([1.0, 0.5]), np.ones(1))
+        model = CorrelationModel(np.array([1.0, 0.5]), np.ones(1))
         grid = (0.0, 20.0)
         result = ergodic_capacity(model, grid, 1.0, 50, base_seed=8)
         g = np.array([
@@ -357,7 +357,7 @@ def _reference_bidiagonal_capacity(n_s, n_r, grid, noise_var, realizations, base
 def _spectrum_model(model):
     """The diagonal model of the clipped eigenvalues of each side."""
     sides = [np.clip(np.linalg.eigvalsh(R), 0.0, None) for R in (model.R_s, model.R_r)]
-    return CorrelationModel(model.kind, *sides)
+    return CorrelationModel(*sides)
 
 
 @pytest.mark.parametrize("ratios", [(128, 128), (16, 8), (8, 16)])
@@ -407,7 +407,7 @@ class TestAngularDomainCapacity:
         grid = (0.0, 10.0)
         base = ergodic_capacity(build_iid_correlation(3, 4), grid, 1.0, 20, 5)
         scaled = ergodic_capacity(
-            CorrelationModel("x", np.full(3, 0.5), np.full(4, 4.0)), grid, 2.0, 20, 5
+            CorrelationModel(np.full(3, 0.5), np.full(4, 4.0)), grid, 2.0, 20, 5
         )
         assert np.allclose(base.capacity_bits, scaled.capacity_bits, rtol=1e-12, atol=0.0)
 

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy import integrate
 
@@ -121,12 +121,22 @@ class TestBuildGrid:
 
     @pytest.mark.filterwarnings("ignore:aperture shorter")
     @given(st.floats(min_value=0.5, max_value=300.0))
+    @example(0.5 + 1e-10)
+    @example(2.5 - 1e-10)
+    @example(2.5 + 1e-10)
+    @example(127.5 - 1e-10)
+    @example(127.5 + 1e-10)
     def test_cardinality_and_visibility(self, ratio):
         cfg = config(ratio)
         grid = build_grid(cfg, "source")
         assert grid.n == math.floor(2 * cfg.L_s / cfg.wavelength + 1e-9)
         # every retained index is a propagating direction
         assert np.all(np.abs(2 * math.pi * grid.indices / cfg.L_s) <= cfg.k * (1 + 1e-9))
+        # the selection rule the closed form replaces: the n visible indices
+        # of smallest magnitude, ties toward the negative one
+        m_hi = math.floor(cfg.L_s / cfg.wavelength * (1.0 + 1e-12) + 1e-9)
+        candidates = sorted(range(-m_hi, m_hi + 1), key=lambda m: (abs(m), m))
+        assert np.array_equal(grid.indices, sorted(candidates[:grid.n]))
 
 
 class TestAngularPartition:
