@@ -42,8 +42,9 @@ class CorrelationModel:
     acts on W as a per-row or per-column scale; a dense side (Jakes) is a
     Hermitian matrix.  R_s_sqrt and R_r_sqrt have the same form as their side
     and are cached, so the Hermitian square root of a dense side is taken
-    once, and only if a channel is drawn.  dense() gives the n x n matrix of
-    any of the four, and angular() the diagonal model of the eigenvalues.
+    once, and only if a channel is drawn; sides that are one array share
+    one root.  dense() gives the n x n matrix of any of the four, and
+    angular() the diagonal model of the eigenvalues.
     """
 
     R_s: np.ndarray
@@ -66,6 +67,8 @@ class CorrelationModel:
 
     @cached_property
     def R_r_sqrt(self) -> np.ndarray:
+        if self.R_r is self.R_s:
+            return self.R_s_sqrt
         return _side_sqrt("R_r", self.R_r)
 
     def dense(self, name: str) -> np.ndarray:
@@ -82,11 +85,15 @@ class CorrelationModel:
         diag(eig R_r)^(1/2) W diag(eig R_s)^(1/2) have identically
         distributed singular values.  Each dense side is replaced by its
         eigenvalues (ascending, clipped at 0); a diagonal model is its own
-        angular form and is returned as is.  No square root is taken.
+        angular form and is returned as is.  No square root is taken, and
+        sides that are one array (square Jakes) are solved once.
         """
         if self.diagonal:
             return self
-        return CorrelationModel(_side_spectrum("R_s", self.R_s), _side_spectrum("R_r", self.R_r))
+        w_s = _side_spectrum("R_s", self.R_s)
+        if self.R_r is self.R_s:
+            return CorrelationModel(w_s, w_s)
+        return CorrelationModel(w_s, _side_spectrum("R_r", self.R_r))
 
 
 def _check_correlation(name: str, R) -> np.ndarray:

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .specfun import (
     bessel_i0_scaled,
@@ -146,8 +145,11 @@ def acf_quadrature(spec: ScatteringSpec, k: float, r_x: float, abs_tol: float = 
 
     Integrates density(theta) * exp(j k cos(theta) r_x) over [0, pi].  Cluster
     mean angles are passed as break points so narrow vMF peaks are never
-    missed by the initial panels.
+    missed by the initial panels.  scipy.integrate is imported here, since no
+    stage of the study calls this.
     """
+    from scipy import integrate
+
     if not (math.isfinite(k) and k > 0.0):
         raise ValueError(f"k must be positive and finite, got {k}")
     r_x = float(r_x)

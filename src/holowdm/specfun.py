@@ -3,13 +3,18 @@
 Evaluation delegates to scipy.special (Cephes-backed, accurate to a few ulp).
 The test suite checks these functions against independent series/asymptotic
 evaluators that live with the tests, in tests/oracles.py.
+
+The concentration solve uses :func:`_brentq`, an operation-for-operation port
+of scipy's Brent root finder (scipy/optimize/Zeros/brentq.c).  It returns the
+same double as ``scipy.optimize.brentq`` for the same arguments, without
+importing ``scipy.optimize`` at run time.
 """
 
 from __future__ import annotations
 
 import math
 
-from scipy import optimize, special
+from scipy import special
 
 __all__ = [
     "bessel_i0",
@@ -102,8 +107,63 @@ def solve_concentration(nu_sq: float) -> float:
         hi *= 2.0
         if hi > 1e18:
             raise ValueError(f"failed to bracket concentration for nu_sq={nu_sq}")
-    alpha = float(optimize.brentq(gap, 0.0, hi, xtol=1e-12, rtol=4 * 2.3e-16, maxiter=200))
+    alpha = _brentq(gap, 0.0, hi, xtol=1e-12, rtol=4 * 2.3e-16, maxiter=200)
     residual = abs(gap(alpha))
     if residual > 1e-10:
         raise RuntimeError(f"concentration solve residual {residual:.3e} exceeds 1e-10")
     return alpha
+
+
+def _brentq(f, xa: float, xb: float, xtol: float, rtol: float, maxiter: int) -> float:
+    """Root of f in [xa, xb] by Brent's method, as scipy/optimize/Zeros/brentq.c.
+
+    Every arithmetic step is the C code's, in its order, so the iterates and
+    the returned root are the same doubles as ``scipy.optimize.brentq``.
+    f(xa) and f(xb) must differ in sign; a bracket without a sign change
+    raises ValueError and an unconverged solve raises RuntimeError.
+    """
+    xpre, xcur = float(xa), float(xb)
+    xblk = fblk = spre = scur = 0.0
+    fpre = float(f(xpre))
+    fcur = float(f(xcur))
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(xa) and f(xb) must have different signs")
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        # the tolerance is 2 * delta
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = float(f(xcur))
+    raise RuntimeError(f"Brent solve failed to converge after {maxiter} iterations, value {xcur}")

@@ -281,7 +281,8 @@ class TestCorrelationStorage:
     @pytest.mark.parametrize("threads", ["1", "4"])
     def test_jakes_square_roots_taken_once(self, monkeypatch, threads):
         # HOLOWDM_THREADS is ignored.  The capacity works on the eigenvalues
-        # and takes no root; drawing a physical-basis channel takes each once.
+        # and takes no root; drawing a physical-basis channel takes one root
+        # per side array, so the one array of equal sides has one root.
         calls = []
         sqrt = channel._hermitian_sqrt
 
@@ -291,10 +292,47 @@ class TestCorrelationStorage:
 
         monkeypatch.setattr(channel, "_hermitian_sqrt", counting)
         monkeypatch.setenv("HOLOWDM_THREADS", threads)
+        for cfg, roots in (
+            (config(8), ["R_s"]),
+            (PhysicalConfig(LAMBDA, 8 * LAMBDA, 16 * LAMBDA), ["R_r", "R_s"]),
+        ):
+            calls.clear()
+            model = build_jakes_correlation(cfg)
+            assert calls == []
+            ergodic_capacity(model, (0.0, 10.0), 1.0, 6, base_seed=3)
+            assert calls == []
+            draw_channel(model, 1)
+            draw_channel(model, 2)
+            assert sorted(calls) == roots
+
+    def test_shared_jakes_side_solved_once(self, monkeypatch):
+        # one eigvalsh and one root per side array: equal sides are one
+        # array, and their spectrum and root are shared as well
+        spectra, roots = [], []
+        spectrum, sqrt = channel._side_spectrum, channel._hermitian_sqrt
+
+        def counting_spectrum(name, R):
+            spectra.append(id(R))
+            return spectrum(name, R)
+
+        def counting_sqrt(name, R):
+            roots.append(id(R))
+            return sqrt(name, R)
+
+        monkeypatch.setattr(channel, "_side_spectrum", counting_spectrum)
+        monkeypatch.setattr(channel, "_hermitian_sqrt", counting_sqrt)
         model = build_jakes_correlation(config(8))
-        assert calls == []
-        ergodic_capacity(model, (0.0, 10.0), 1.0, 6, base_seed=3)
-        assert calls == []
-        draw_channel(model, 1)
-        draw_channel(model, 2)
-        assert sorted(calls) == ["R_r", "R_s"]
+        angular = model.angular()
+        assert spectra == [id(model.R_s)]
+        assert angular.R_r is angular.R_s
+        assert np.array_equal(angular.R_s, np.clip(np.linalg.eigvalsh(model.R_s), 0.0, None))
+        assert model.R_r_sqrt is model.R_s_sqrt
+        assert roots == [id(model.R_s)]
+        # unequal sides are two arrays, each solved once
+        spectra.clear()
+        roots.clear()
+        model = build_jakes_correlation(PhysicalConfig(LAMBDA, 8 * LAMBDA, 16 * LAMBDA))
+        model.angular()
+        assert model.R_r_sqrt is not model.R_s_sqrt
+        assert spectra == [id(model.R_s), id(model.R_r)]
+        assert sorted(roots) == sorted(spectra)

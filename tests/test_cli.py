@@ -2,9 +2,14 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import holowdm
 from holowdm import cli
 from holowdm.cli import emit_csv, main, parse_config
 from holowdm.harness import Table, default_config
@@ -230,3 +235,35 @@ class TestMain:
         assert (out1 / "dof.csv").read_bytes() == (out2 / "dof.csv").read_bytes()
         assert (out1 / "eigs.csv").read_bytes() == (out2 / "eigs.csv").read_bytes()
         assert (out1 / "capacity.csv").read_bytes() != (out2 / "capacity.csv").read_bytes()
+
+
+# Runs `holowdm all` in a fresh interpreter, then prints the scipy subpackages
+# the run imported that it should not need.
+_IMPORT_PROBE = """
+import json, sys
+from holowdm.cli import main
+code = main(["all", "--config", sys.argv[1], "--out", sys.argv[2]])
+print(json.dumps([code, sorted(
+    m for m in sys.modules if m.startswith(("scipy.optimize", "scipy.integrate"))
+)]))
+"""
+
+
+def test_run_imports_neither_optimize_nor_integrate(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"L_s_over_lambda": 8, "L_r_over_lambda": 8, "realizations": 4}))
+    # the interpreter finds the holowdm this suite imports, installed or from src/
+    package_root = str(Path(holowdm.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (package_root, os.environ.get("PYTHONPATH")) if p
+    )}
+    result = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, str(config), str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, check=True, timeout=120,
+    )
+    code, leaked = json.loads(result.stdout.splitlines()[-1])
+    assert code == 0
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+        "capacity.csv", "dof.csv", "eigs.csv", "psf.csv",
+    ]
+    assert leaked == []

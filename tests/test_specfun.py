@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import (
     BesselEvalPolicy,
@@ -18,7 +18,9 @@ from oracles import (
     j0_reference,
     ratio_reference,
 )
+from scipy import optimize
 
+from holowdm import specfun
 from holowdm.specfun import (
     bessel_i0,
     bessel_i0_scaled,
@@ -202,6 +204,47 @@ class TestSolveConcentration:
     def test_round_trip_property(self, nu_sq):
         alpha = solve_concentration(nu_sq)
         assert abs(1.0 - bessel_ratio_i1_i0(alpha) ** 2 - nu_sq) <= 1e-9
+
+
+class TestBrentPort:
+    """specfun._brentq returns the bits of scipy.optimize.brentq."""
+
+    @staticmethod
+    def scipy_concentration(nu_sq):
+        # solve_concentration's bracket and call, with scipy's root finder
+        def gap(alpha):
+            return (1.0 - bessel_ratio_i1_i0(alpha) ** 2) - nu_sq
+
+        hi = 2.0
+        while gap(hi) > 0.0:
+            hi *= 2.0
+        return optimize.brentq(gap, 0.0, hi, xtol=1e-12, rtol=4 * 2.3e-16, maxiter=200)
+
+    @settings(max_examples=300)
+    @given(st.floats(min_value=1e-8, max_value=1.0, exclude_max=True))
+    @example(0.01)  # the default clusters' circular variances
+    @example(0.005)
+    @example(1e-4)  # the edge clusters of the quadrature tests
+    @example(1e-8)
+    def test_concentration_is_bit_identical(self, nu_sq):
+        assert solve_concentration(nu_sq) == self.scipy_concentration(nu_sq)
+
+    def test_iterates_on_a_polynomial(self):
+        # a root that needs both interpolation and extrapolation steps
+        def f(x):
+            return (x - 1.3) * (x * x + 0.5) - 1e-3
+
+        for a, b in ((0.0, 4.0), (4.0, 0.0), (-2.0, 7.5)):
+            want = optimize.brentq(f, a, b, xtol=1e-12, rtol=4 * 2.3e-16, maxiter=200)
+            assert specfun._brentq(f, a, b, xtol=1e-12, rtol=4 * 2.3e-16, maxiter=200) == want
+
+    def test_bracket_and_iteration_errors(self):
+        with pytest.raises(ValueError, match="different signs"):
+            specfun._brentq(lambda x: x * x + 1.0, -1.0, 1.0, 1e-12, 1e-15, 200)
+        with pytest.raises(RuntimeError, match="converge after 3 iterations"):
+            specfun._brentq(math.atan, -1.0, 1e6, 1e-12, 1e-15, 3)
+        # an endpoint root is returned as given
+        assert specfun._brentq(lambda x: x - 2.0, 2.0, 5.0, 1e-12, 1e-15, 200) == 2.0
 
 
 class TestReferenceEvaluators:

@@ -1,7 +1,9 @@
 """Grid construction, angular partitions, and variance profiles."""
 
 import math
+from functools import cache
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -239,6 +241,33 @@ def _quad_reference(cfg, spec, side):
     return np.array(values)
 
 
+@cache
+def _mpmath_reference(ratio, spec):
+    """Unnormalized profile of spec on the L/lambda = ratio grid, each
+    partition integrated by mpmath at 40 digits with the density's own
+    concentrations."""
+    cfg = config(ratio)
+    with mpmath.workdps(40):
+        terms = [
+            (
+                mpmath.mpf(c.concentration),
+                mpmath.mpf(c.mean_angle),
+                c.weight / (2 * mpmath.pi * mpmath.besseli(0, mpmath.mpf(c.concentration))),
+            )
+            for c in spec.clusters
+        ]
+
+        def density(t):
+            return mpmath.fsum(s * mpmath.exp(k * mpmath.cos(t - m)) for k, m, s in terms)
+
+        values = []
+        for n in build_grid(cfg, "source").indices:
+            lo, hi = angular_partition(cfg, "source", int(n))
+            points = [lo, *(m for _, m, _ in terms if lo < m < hi), hi]
+            values.append(float(mpmath.quad(density, [mpmath.mpf(p) for p in points])))
+    return np.array(values)
+
+
 EDGE_CLUSTERS = ScatteringSpec.mixture(
     (
         Cluster.from_circular_variance(0.5, 0.0, 1e-4),
@@ -251,26 +280,34 @@ class TestPartitionQuadrature:
     @pytest.mark.parametrize("ratios", [(8, 8), (16.5, 16.5), (128, 128), (16, 8)])
     @pytest.mark.parametrize("spec_name", ["mixture", "isotropic", "edge"])
     def test_matches_per_partition_quad(self, ratios, spec_name, mixture):
+        # Clusters at 0 and 179 degrees (kappa ~ 5000) put a quarter of the
+        # mass in one partition, where evaluating the density in doubles
+        # alone costs ~3e-14 and quad itself is up to 4.3e-14 off; those
+        # rows are checked against 40-digit integrals at 1e-13.
         spec = {
             "mixture": mixture,
             "isotropic": ScatteringSpec.isotropic(),
             "edge": EDGE_CLUSTERS,
         }[spec_name]
         cfg = config(*ratios)
-        for side in ("source", "receiver"):
+        for side, ratio in zip(("source", "receiver"), ratios):
             got = variance_profile(cfg, spec, side, normalize=False).variances
-            want = _quad_reference(cfg, spec, side)
-            assert np.abs(got - want).max() <= 1e-15
+            if spec_name == "edge":
+                want = _mpmath_reference(ratio, spec)
+                assert np.abs(got - want).max() <= 1e-13
+            else:
+                want = _quad_reference(cfg, spec, side)
+                assert np.abs(got - want).max() <= 1e-15
 
     def test_refinement_runs_where_the_rule_is_not_enough(self, mixture, monkeypatch):
-        calls = []
-        quad = integrate.quad
+        refined = []
+        refine = wavenumber._refine_partition
 
-        def counting(*args, **kwargs):
-            calls.append(args[1:3])
-            return quad(*args, **kwargs)
+        def counting(spec, lo, hi):
+            refined.append((lo, hi))
+            return refine(spec, lo, hi)
 
-        monkeypatch.setattr(wavenumber.integrate, "quad", counting)
+        monkeypatch.setattr(wavenumber, "_refine_partition", counting)
         cfg = config(8)
         variance_profile(cfg, mixture, "receiver")
         indices = build_grid(cfg, "receiver").indices
@@ -280,15 +317,46 @@ class TestPartitionQuadrature:
         )
         # the refinement takes the partitions that hold a cluster mean plus
         # those whose error estimate is too large, but not all of them
-        assert holding < len(calls) < len(bounds)
-        calls.clear()
+        assert holding < len(refined) < len(bounds)
+        refined.clear()
         variance_profile(config(128), ScatteringSpec.isotropic(), "receiver")
-        assert calls == []
+        assert refined == []
 
     def test_refinement_error_still_raises(self, mixture, monkeypatch):
-        def inaccurate(*args, **kwargs):
-            return 0.0, 1e-9
-
-        monkeypatch.setattr(wavenumber.integrate, "quad", inaccurate)
+        # with one panel allowed, a partition holding a mean stays unconverged
+        monkeypatch.setattr(wavenumber, "_PANEL_LIMIT", 1)
         with pytest.raises(RuntimeError, match="partition quadrature error"):
             variance_profile(config(8), mixture, "receiver")
+
+    def test_refinement_finds_a_peak_narrower_than_the_node_spacing(self):
+        # kappa ~ 5e5 at the end of a 3 rad interval: the nearest Gauss node
+        # sits 7 spreads from the mean, where both rules read ~1e-22.  The
+        # width rule halves the panel anyway, and the cluster's half mass
+        # is found.
+        spec = ScatteringSpec.mixture((Cluster.from_circular_variance(1.0, 0.0, 1e-6),))
+        value, err = wavenumber._refine_partition(spec, 0.0, 3.0)
+        assert err <= 1e-10
+        assert value == pytest.approx(0.5, abs=1e-11)
+
+    def test_refinement_stops_at_the_panel_limit(self, monkeypatch):
+        # at kappa ~ 5e7 the density's own rounding (kappa * eps relative)
+        # keeps the two rules apart, so the panels run into the limit and
+        # the run raises rather than return an unconverged value
+        panels = []
+        pair = wavenumber._gauss_pair
+
+        def counting(spec, a, b):
+            panels.append(a.size)
+            return pair(spec, a, b)
+
+        monkeypatch.setattr(wavenumber, "_gauss_pair", counting)
+        narrow = ScatteringSpec.mixture(
+            (Cluster.from_circular_variance(1.0, math.radians(45.0), 1e-8),)
+        )
+        with pytest.raises(RuntimeError, match="partition quadrature error"):
+            variance_profile(config(8), narrow, "receiver")
+        # one vectorized pass over the 16 partitions, then the refinement:
+        # its first level holds the two panels either side of the mean, and
+        # each later level holds the two halves of every panel split
+        assert panels[:2] == [16, 2]
+        assert 2 + sum(panels[2:]) // 2 <= wavenumber._PANEL_LIMIT
