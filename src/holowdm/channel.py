@@ -4,10 +4,9 @@ All three channel families are separable, H = R_r^(1/2) W R_s^(1/2) with W
 i.i.d. complex Gaussian: the wavenumber-multiplexed model has diagonal
 per-side correlation (the per-index coupling variances), the spatially
 sampled Jakes model has a real Toeplitz correlation, and i.i.d. Rayleigh is
-the identity.  Every builder gives tr(R_s) = n_s and tr(R_r) = n_r by
-default so E||H||_F^2 = n_s * n_r for all families, which is the only
-normalization under which their capacities are comparable; the raw
-length-scaled diagonal form stays available behind a flag.
+the identity.  Every builder gives tr(R_s) = n_s and tr(R_r) = n_r, so
+E||H||_F^2 = n_s * n_r for all families, which is the only normalization
+under which their capacities are comparable.
 """
 
 from __future__ import annotations
@@ -137,7 +136,7 @@ def _side_spectrum(name: str, R: np.ndarray) -> np.ndarray:
     return _clipped_eigenvalues(name, np.linalg.eigvalsh(R), R)
 
 
-def _trace_normalized(R: np.ndarray) -> np.ndarray:
+def _to_trace_n(R: np.ndarray) -> np.ndarray:
     trace = float(R.sum())
     if trace <= 0.0:
         raise ValueError("correlation matrix has non-positive trace")
@@ -145,28 +144,12 @@ def _trace_normalized(R: np.ndarray) -> np.ndarray:
 
 
 def build_wdm_correlation(
-    profile_s: VarianceProfile,
-    profile_r: VarianceProfile,
-    L_s: float,
-    L_r: float,
-    trace_normalize: bool = True,
+    profile_s: VarianceProfile, profile_r: VarianceProfile
 ) -> CorrelationModel:
-    """Diagonal correlation from per-index variances, stored as vectors.
-
-    Raw diagonal entries are L * sigma^2 (the squared length-scaled standard
-    deviations); with trace_normalize they are rescaled to tr(R) = n.
-    """
+    """Diagonal correlation from partition masses, each side scaled to tr(R) = n."""
     if profile_s.grid.side != "source" or profile_r.grid.side != "receiver":
         raise ValueError("profiles must be (source, receiver) in that order")
-    for name, L in (("L_s", L_s), ("L_r", L_r)):
-        if not (math.isfinite(L) and L > 0.0):
-            raise ValueError(f"{name} must be positive, got {L}")
-    R_s = profile_s.scaled_deviations(L_s) ** 2
-    R_r = profile_r.scaled_deviations(L_r) ** 2
-    if trace_normalize:
-        R_s = _trace_normalized(R_s)
-        R_r = _trace_normalized(R_r)
-    return CorrelationModel(R_s, R_r)
+    return CorrelationModel(_to_trace_n(profile_s.variances), _to_trace_n(profile_r.variances))
 
 
 def build_jakes_correlation(cfg: PhysicalConfig) -> CorrelationModel:

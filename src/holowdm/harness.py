@@ -91,14 +91,24 @@ class ExperimentConfig:
             raise ValueError(f"epsilon must lie in (0, 1), got {self.epsilon}")
         if not self.power_grid_dbw:
             raise ValueError("power_grid_dbw must not be empty")
-        if not all(math.isfinite(p) for p in self.power_grid_dbw):
-            raise ValueError("power_grid_dbw entries must be finite")
+        for p in self.power_grid_dbw:
+            _watts("power_grid_dbw", p)
         check_monte_carlo_args(self.realizations, self.seed, "seed")
-        if not math.isfinite(self.noise_var_dbw):
-            raise ValueError(f"noise_var_dbw must be finite, got {self.noise_var_dbw}")
+        _watts("noise_var_dbw", self.noise_var_dbw)
 
     def noise_var_watts(self) -> float:
-        return 10.0 ** (self.noise_var_dbw / 10.0)
+        return _watts("noise_var_dbw", self.noise_var_dbw)
+
+
+def _watts(key: str, dbw: float) -> float:
+    """dBW in watts; raises naming key unless that is a positive finite double."""
+    try:
+        watts = 10.0 ** (dbw / 10.0)
+    except OverflowError:
+        watts = math.inf
+    if not (math.isfinite(watts) and watts > 0.0):
+        raise ValueError(f"{key} must be a positive finite power in watts, got {dbw} dBW")
+    return watts
 
 
 def default_config() -> ExperimentConfig:
@@ -147,7 +157,7 @@ def correlation_for(cfg: ExperimentConfig, model: str) -> CorrelationModel:
     if model == "jakes":
         return build_jakes_correlation(phys)
     if model in _SCATTERING_MODELS:
-        return build_wdm_correlation(*_profiles(cfg, model), phys.L_s, phys.L_r)
+        return build_wdm_correlation(*_profiles(cfg, model))
     raise ValueError(f"unknown model {model!r}")
 
 

@@ -55,9 +55,9 @@ class DoFResult:
 def _prefix_count(profile: VarianceProfile, epsilon: float) -> int:
     ordered = np.sort(profile.variances)[::-1]
     cum = np.cumsum(ordered)
-    # 1e-12 slack keeps the count stable when the cumulative sum grazes the
-    # threshold from below by roundoff alone.
-    idx = int(np.searchsorted(cum, 1.0 - epsilon - 1e-12))
+    # the threshold is a share of the profile's own total; 1e-12 slack keeps
+    # the count stable when the cumulative sum grazes it by roundoff alone
+    idx = int(np.searchsorted(cum, (1.0 - epsilon - 1e-12) * cum[-1]))
     return min(idx + 1, ordered.size)
 
 
@@ -73,14 +73,11 @@ def dof(
 
     Isotropic scattering keeps every mode significant, so the DoF is simply
     min(n_s, n_r).  Otherwise each side contributes the smallest count of
-    descending-sorted variances whose cumulative sum reaches 1 - epsilon, and
-    the DoF is the smaller of the two counts (per_side reports both).
+    descending-sorted variances that holds 1 - epsilon of the side's total,
+    and the DoF is the smaller of the two counts (per_side reports both).
     """
     if not (0.0 < epsilon < 1.0):
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
-    for name, profile in (("source", profile_s), ("receiver", profile_r)):
-        if not profile.normalized or abs(float(profile.variances.sum()) - 1.0) > 1e-9:
-            raise ValueError(f"{name} profile must be normalized to unit sum")
     if isotropic:
         return DoFResult(dof=min(n_s, n_r), per_side=(n_s, n_r), epsilon=epsilon)
     side_s = _prefix_count(profile_s, epsilon)

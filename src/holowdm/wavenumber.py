@@ -96,25 +96,20 @@ class WavenumberGrid:
 
 @dataclass(eq=False)
 class VarianceProfile:
-    """Coupling variances per grid index, optionally normalized to unit sum."""
+    """Raw scattering mass of each grid index's angular partition.
+
+    One minus their sum is the mass outside [0, pi]; only
+    channel.build_wdm_correlation scales a side, to tr R = n.
+    """
 
     grid: WavenumberGrid
     variances: np.ndarray
-    normalized: bool
 
     def __post_init__(self) -> None:
         if self.variances.shape != (self.grid.n,):
             raise ValueError("variance vector does not match the grid size")
         if np.any(self.variances < 0.0):
             raise ValueError("variances must be non-negative")
-        if self.normalized and abs(float(self.variances.sum()) - 1.0) > 1e-10:
-            raise ValueError("normalized profile must sum to 1 within 1e-10")
-
-    def scaled_deviations(self, aperture: float) -> np.ndarray:
-        """Standard deviations scaled by sqrt(aperture length)."""
-        if not (math.isfinite(aperture) and aperture > 0.0):
-            raise ValueError(f"aperture must be positive, got {aperture}")
-        return np.sqrt(aperture * self.variances)
 
 
 def dispersion(k: float, k_x: float):
@@ -224,12 +219,7 @@ def _refine_partition(spec: ScatteringSpec, lo: float, hi: float) -> tuple[float
     return math.fsum(accepted), err
 
 
-def variance_profile(
-    cfg: PhysicalConfig,
-    spec: ScatteringSpec,
-    side: str,
-    normalize: bool = True,
-) -> VarianceProfile:
+def variance_profile(cfg: PhysicalConfig, spec: ScatteringSpec, side: str) -> VarianceProfile:
     """Integrate the scattering density over every index's angular partition.
 
     All partitions are integrated at once with a 20-point Gauss-Legendre
@@ -237,8 +227,9 @@ def variance_profile(
     partition is refined by adaptive bisection with the same pair of rules
     (see _refine_partition) when a cluster mean lies in it or on its
     boundary, or when the estimate exceeds max(1e-13, 1e-12 * |G20|); a
-    refined error above 1e-10 raises.  Entries are independent of each other
-    and of any evaluation parallelism a caller might add.
+    refined error above 1e-10 raises, and so does a profile without mass.
+    Entries are independent of each other and of any evaluation parallelism
+    a caller might add.
     """
     grid = build_grid(cfg, side)
     lo, hi = _partition_bounds(cfg, side, grid.indices)
@@ -254,9 +245,6 @@ def variance_profile(
             )
         variances[i] = value
     variances = np.maximum(variances, 0.0)
-    if normalize:
-        total = float(variances.sum())
-        if total <= 0.0:
-            raise RuntimeError(f"scattering density carries no mass on the {side} partitions")
-        variances = variances / total
-    return VarianceProfile(grid=grid, variances=variances, normalized=normalize)
+    if float(variances.sum()) <= 0.0:
+        raise RuntimeError(f"scattering density carries no mass on the {side} partitions")
+    return VarianceProfile(grid=grid, variances=variances)

@@ -89,7 +89,7 @@ def test_criterion_3_jakes_closed_form():
 def test_criterion_4_spectrum_coincidence(mixture_profiles):
     profile_s = variance_profile(PHYS, ScatteringSpec.isotropic(), "source")
     profile_r = variance_profile(PHYS, ScatteringSpec.isotropic(), "receiver")
-    wdm_iso = build_wdm_correlation(profile_s, profile_r, PHYS.L_s, PHYS.L_r)
+    wdm_iso = build_wdm_correlation(profile_s, profile_r)
     jakes = build_jakes_correlation(PHYS)
 
     iso_eigs, _ = hermitian_eigs(wdm_iso.dense("R_r"))
@@ -164,7 +164,7 @@ def test_criterion_6_kronecker_covariance():
     # estimator std is sqrt(C_ii * C_jj / draws)).
     profile_s = variance_profile(small, ScatteringSpec.isotropic(), "source")
     profile_r = variance_profile(small, ScatteringSpec.isotropic(), "receiver")
-    wdm = build_wdm_correlation(profile_s, profile_r, small.L_s, small.L_r)
+    wdm = build_wdm_correlation(profile_s, profile_r)
     expected = np.kron(wdm.dense("R_s"), wdm.dense("R_r"))
     sample = _sample_covariance(wdm, draws, 60_000)
     scale = np.sqrt(np.outer(np.diag(expected).real, np.diag(expected).real))

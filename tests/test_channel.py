@@ -1,6 +1,7 @@
 """Correlation builders and channel synthesis."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,10 +26,10 @@ def config(ratio):
     return PhysicalConfig(LAMBDA, ratio * LAMBDA, ratio * LAMBDA, 0.0)
 
 
-def profiles(cfg, spec, normalize=True):
+def profiles(cfg, spec):
     return (
-        variance_profile(cfg, spec, "source", normalize=normalize),
-        variance_profile(cfg, spec, "receiver", normalize=normalize),
+        variance_profile(cfg, spec, "source"),
+        variance_profile(cfg, spec, "receiver"),
     )
 
 
@@ -46,7 +47,7 @@ def mixture():
 def wdm_iso_small():
     cfg = config(8)
     ps, pr = profiles(cfg, ScatteringSpec.isotropic())
-    return build_wdm_correlation(ps, pr, cfg.L_s, cfg.L_r)
+    return build_wdm_correlation(ps, pr)
 
 
 class TestWdmCorrelation:
@@ -54,7 +55,7 @@ class TestWdmCorrelation:
     def test_single_index_grid_normalizes_to_one(self):
         cfg = config(0.6)
         ps, pr = profiles(cfg, ScatteringSpec.isotropic())
-        model = build_wdm_correlation(ps, pr, cfg.L_s, cfg.L_r)
+        model = build_wdm_correlation(ps, pr)
         R_s = model.dense("R_s")
         assert R_s.shape == (1, 1)
         assert R_s[0, 0] == pytest.approx(1.0, rel=1e-14)
@@ -62,7 +63,7 @@ class TestWdmCorrelation:
     def test_isotropic_trace_normalized(self):
         cfg = config(128)
         ps, pr = profiles(cfg, ScatteringSpec.isotropic())
-        model = build_wdm_correlation(ps, pr, cfg.L_s, cfg.L_r)
+        model = build_wdm_correlation(ps, pr)
         R_s, R_r = model.dense("R_s"), model.dense("R_r")
         assert np.trace(R_s) == pytest.approx(256.0, rel=1e-12)
         assert np.trace(R_r) == pytest.approx(256.0, rel=1e-12)
@@ -71,24 +72,13 @@ class TestWdmCorrelation:
         assert np.allclose(d / d.sum(), pr.variances, atol=1e-14)
         assert np.count_nonzero(R_r - np.diag(d)) == 0
 
-    def test_raw_form_carries_length_scaling(self):
-        cfg = config(16)
-        ps, pr = profiles(cfg, ScatteringSpec.isotropic(), normalize=False)
-        model = build_wdm_correlation(ps, pr, cfg.L_s, cfg.L_r, trace_normalize=False)
-        R_s, R_r = model.dense("R_s"), model.dense("R_r")
-        assert np.allclose(np.diag(R_s), cfg.L_s * ps.variances, rtol=1e-14)
-        # the four-index covariance factorizes into L_s L_r sigma_s^2 sigma_r^2
-        got = R_s[3, 3] * R_r[5, 5]
-        want = cfg.L_s * cfg.L_r * ps.variances[3] * pr.variances[5]
-        assert got == pytest.approx(want, rel=1e-12)
-
     def test_mixture_significant_entry_count(self, mixture):
         # the vMF tails die off fast: only the partitions under the two
         # clusters carry non-negligible variance (value frozen from the
         # quadrature profile itself)
         cfg = config(128)
         ps, pr = profiles(cfg, mixture)
-        model = build_wdm_correlation(ps, pr, cfg.L_s, cfg.L_r)
+        model = build_wdm_correlation(ps, pr)
         for R in (model.dense("R_s"), model.dense("R_r")):
             significant = int(np.sum(np.diag(R) > 1e-6 * np.trace(R)))
             assert significant == 102
@@ -97,7 +87,12 @@ class TestWdmCorrelation:
         cfg = config(8)
         ps, pr = profiles(cfg, ScatteringSpec.isotropic())
         with pytest.raises(ValueError, match="source, receiver"):
-            build_wdm_correlation(pr, ps, cfg.L_s, cfg.L_r)
+            build_wdm_correlation(pr, ps)
+
+    def test_massless_side_rejected(self):
+        ps, pr = profiles(config(8), ScatteringSpec.isotropic())
+        with pytest.raises(ValueError, match="non-positive trace"):
+            build_wdm_correlation(replace(ps, variances=np.zeros(ps.grid.n)), pr)
 
     def test_sqrt_is_elementwise(self, wdm_iso_small):
         assert np.allclose(
@@ -223,7 +218,7 @@ class TestDrawChannel:
         cfg = PhysicalConfig(LAMBDA, ratios[0] * LAMBDA, ratios[1] * LAMBDA, 0.0)
         models = [build_iid_correlation(cfg.mode_count("source"), cfg.mode_count("receiver"))]
         for spec in (ScatteringSpec.isotropic(), mixture):
-            models.append(build_wdm_correlation(*profiles(cfg, spec), cfg.L_s, cfg.L_r))
+            models.append(build_wdm_correlation(*profiles(cfg, spec)))
         for model in models:
             assert model.diagonal
             n_s, n_r = model.R_s.shape[0], model.R_r.shape[0]

@@ -184,6 +184,24 @@ class TestMain:
             assert key in capsys.readouterr().err
             assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("power_grid_dbw", [4000]), ("power_grid_dbw", [-4000]),
+         ("noise_var_dbw", 4000), ("noise_var_dbw", -4000)],
+    )
+    def test_power_beyond_a_double_names_key(self, tmp_path, capsys, key, value):
+        # 10^400 W overflows and 10^-400 W underflows to 0; both are refused
+        # up front rather than after psf, eigs and dof were written
+        text = json.dumps({key: value})
+        with pytest.raises(ValueError, match=key):
+            parse_config(text)
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        out = tmp_path / "out"
+        assert main(["all", "--config", str(bad), "--out", str(out)]) == 2
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
     def test_experiment_failure_aborts_with_context(self, tmp_path, config_file, capsys,
                                                     monkeypatch):
         def broken(cfg):

@@ -84,16 +84,17 @@ class TestDof:
         result = dof(ps, pr, 0.003, isotropic=False, n_s=ps.grid.n, n_r=pr.grid.n)
         assert result.dof == 2 and result.per_side == (2, 2)
 
-    def test_unnormalized_rejected(self):
-        ps, pr = iso_profiles(8)
-        raw = variance_profile(
-            PhysicalConfig(LAMBDA, 8 * LAMBDA, 8 * LAMBDA, 0.0),
-            ScatteringSpec.isotropic(), "source", normalize=False,
-        )
-        raw.variances = raw.variances * 2.0
-        raw.normalized = False
-        with pytest.raises(ValueError, match="normalized"):
-            dof(raw, pr, 0.003, isotropic=False, n_s=16, n_r=16)
+    @pytest.mark.parametrize("scale", [2.0, 0.5])
+    def test_scale_free(self, scale):
+        # the prefix is a share of each side's own total mass
+        cfg = PhysicalConfig(LAMBDA, 32 * LAMBDA, 32 * LAMBDA, 0.0)
+        mixture = default_config().scattering_s
+        ps = variance_profile(cfg, mixture, "source")
+        pr = variance_profile(cfg, mixture, "receiver")
+        scaled = replace(ps, variances=ps.variances * scale)
+        for epsilon in (0.003, 0.1, 0.5):
+            want = dof(ps, pr, epsilon, isotropic=False, n_s=64, n_r=64)
+            assert dof(scaled, pr, epsilon, isotropic=False, n_s=64, n_r=64) == want
 
     def test_epsilon_domain(self):
         ps, pr = iso_profiles(8)
@@ -184,7 +185,7 @@ class TestWdmDiagonalShortcut:
         cfg = PhysicalConfig(LAMBDA, 32 * LAMBDA, 32 * LAMBDA, 0.0)
         ps = variance_profile(cfg, ScatteringSpec.isotropic(), "source")
         pr = variance_profile(cfg, ScatteringSpec.isotropic(), "receiver")
-        model = build_wdm_correlation(ps, pr, cfg.L_s, cfg.L_r)
+        model = build_wdm_correlation(ps, pr)
         R_r = model.dense("R_r")
         w, _ = hermitian_eigs(R_r)
         assert np.allclose(w, np.sort(np.diag(R_r))[::-1], atol=1e-12)

@@ -61,17 +61,18 @@ class TestScatteringSpec:
     def test_isotropic_has_no_clusters(self):
         spec = ScatteringSpec.isotropic()
         assert spec.is_isotropic and spec.clusters == ()
-        with pytest.raises(ValueError):
-            ScatteringSpec("isotropic", (Cluster.from_circular_variance(1.0, 0.5, 1.0),))
+        # equal and equally hashed, so cached profiles are found again
+        assert spec == ScatteringSpec.isotropic() == ScatteringSpec()
+        assert hash(spec) == hash(ScatteringSpec.isotropic())
+        # a spec with clusters is a mixture, and a mixture needs a cluster
+        assert not ScatteringSpec((Cluster.from_circular_variance(1.0, 0.5, 1.0),)).is_isotropic
+        with pytest.raises(ValueError, match="at least one cluster"):
+            ScatteringSpec.mixture(())
 
     def test_mixture_weights_must_sum_to_one(self):
         good = Cluster.from_circular_variance(0.5, 0.3, 0.5)
         with pytest.raises(ValueError, match="sum to 1"):
             ScatteringSpec.mixture((good,))
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            ScatteringSpec("banana")
 
 
 class TestPsfDensity:

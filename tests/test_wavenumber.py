@@ -178,7 +178,7 @@ class TestAngularPartition:
 
 class TestVarianceProfile:
     def test_isotropic_closed_form(self, cfg128):
-        profile = variance_profile(cfg128, ScatteringSpec.isotropic(), "receiver", normalize=False)
+        profile = variance_profile(cfg128, ScatteringSpec.isotropic(), "receiver")
         idx = profile.grid.indices
         expected = (
             np.arccos(np.clip(idx / 128.0, -1, 1))
@@ -188,43 +188,50 @@ class TestVarianceProfile:
         assert profile.variances.sum() == pytest.approx(1.0, abs=1e-10)
 
     def test_isotropic_center_entry(self, cfg128):
-        profile = variance_profile(cfg128, ScatteringSpec.isotropic(), "receiver", normalize=False)
+        profile = variance_profile(cfg128, ScatteringSpec.isotropic(), "receiver")
         center = profile.variances[profile.grid.indices == 0][0]
         assert center == pytest.approx((math.pi / 2 - math.acos(1 / 128)) / math.pi, rel=1e-12)
         # first-order arccos expansion puts it near 1/(128 pi)
         assert center == pytest.approx(1.0 / (128 * math.pi), rel=2e-5)
 
     def test_isotropic_mirror_symmetry(self, cfg128):
-        profile = variance_profile(cfg128, ScatteringSpec.isotropic(), "source", normalize=False)
+        profile = variance_profile(cfg128, ScatteringSpec.isotropic(), "source")
         v = profile.variances
         idx = profile.grid.indices
         for n in (0, 3, 77, 127):
             assert v[idx == n][0] == pytest.approx(v[idx == -n - 1][0], rel=1e-12)
 
     def test_mixture_prefix_count(self, cfg128, mixture):
-        profile = variance_profile(cfg128, mixture, "receiver", normalize=True)
+        profile = variance_profile(cfg128, mixture, "receiver")
         ordered = np.sort(profile.variances)[::-1]
-        count = int(np.searchsorted(np.cumsum(ordered), 1 - 0.003)) + 1
+        count = int(np.searchsorted(np.cumsum(ordered) / ordered.sum(), 1 - 0.003)) + 1
         assert count == 82
 
-    def test_normalization_flag(self, cfg128, mixture):
-        raw = variance_profile(cfg128, mixture, "source", normalize=False)
-        normed = variance_profile(cfg128, mixture, "source", normalize=True)
-        assert not raw.normalized and normed.normalized
-        assert normed.variances.sum() == pytest.approx(1.0, abs=1e-12)
-        # raw mass falls short of 1 only by the out-of-range vMF leakage
-        assert raw.variances.sum() == pytest.approx(1.0, abs=1e-6)
-        assert np.allclose(raw.variances / raw.variances.sum(), normed.variances, atol=1e-15)
-
-    def test_scaled_deviations(self, cfg128, mixture):
-        profile = variance_profile(cfg128, mixture, "source", normalize=False)
-        scaled = profile.scaled_deviations(cfg128.L_s)
-        assert np.allclose(scaled, math.sqrt(cfg128.L_s) * np.sqrt(profile.variances), atol=0.0)
-        assert np.allclose(scaled**2, cfg128.L_s * profile.variances, rtol=1e-12)
+    def test_missing_mass_is_the_vmf_mass_outside_the_half_circle(self, cfg128, mixture):
+        # the masses are raw, so what they lack of 1 is the density's mass
+        # on [pi, 2 pi), here taken at 40 digits
+        profile = variance_profile(cfg128, mixture, "source")
+        with mpmath.workdps(40):
+            outside = mpmath.quad(
+                lambda t: mpmath.fsum(
+                    c.weight * mpmath.exp(c.concentration * mpmath.cos(t - c.mean_angle))
+                    / (2 * mpmath.pi * mpmath.besseli(0, c.concentration))
+                    for c in mixture.clusters
+                ),
+                [mpmath.pi, 2 * mpmath.pi],
+            )
+        # about 5.9e-8, well above the tolerance
+        assert float(outside) > 1e-8
+        assert 1.0 - profile.variances.sum() == pytest.approx(float(outside), abs=1e-12)
 
     def test_non_negative(self, cfg128, mixture):
-        profile = variance_profile(cfg128, mixture, "receiver", normalize=True)
+        profile = variance_profile(cfg128, mixture, "receiver")
         assert np.all(profile.variances >= 0.0)
+
+    def test_massless_density_raises(self, monkeypatch):
+        monkeypatch.setattr(wavenumber, "_raw_density", lambda spec, theta: 0.0 * theta)
+        with pytest.raises(RuntimeError, match="carries no mass on the source"):
+            variance_profile(config(8), ScatteringSpec.isotropic(), "source")
 
 
 def _quad_reference(cfg, spec, side):
@@ -275,6 +282,8 @@ EDGE_CLUSTERS = ScatteringSpec.mixture(
     )
 )
 
+NARROW = ScatteringSpec.mixture((Cluster.from_circular_variance(1.0, math.radians(45.0), 1e-8),))
+
 
 class TestPartitionQuadrature:
     @pytest.mark.parametrize("ratios", [(8, 8), (16.5, 16.5), (128, 128), (16, 8)])
@@ -291,7 +300,7 @@ class TestPartitionQuadrature:
         }[spec_name]
         cfg = config(*ratios)
         for side, ratio in zip(("source", "receiver"), ratios):
-            got = variance_profile(cfg, spec, side, normalize=False).variances
+            got = variance_profile(cfg, spec, side).variances
             if spec_name == "edge":
                 want = _mpmath_reference(ratio, spec)
                 assert np.abs(got - want).max() <= 1e-13
@@ -339,9 +348,10 @@ class TestPartitionQuadrature:
         assert value == pytest.approx(0.5, abs=1e-11)
 
     def test_refinement_stops_at_the_panel_limit(self, monkeypatch):
-        # at kappa ~ 5e7 the density's own rounding (kappa * eps relative)
-        # keeps the two rules apart, so the panels run into the limit and
-        # the run raises rather than return an unconverged value
+        # a kappa ~ 5e7 peak needs 21 panels; with 8 allowed the panels run
+        # into the limit and the run raises rather than return an
+        # unconverged value
+        monkeypatch.setattr(wavenumber, "_PANEL_LIMIT", 8)
         panels = []
         pair = wavenumber._gauss_pair
 
@@ -350,13 +360,20 @@ class TestPartitionQuadrature:
             return pair(spec, a, b)
 
         monkeypatch.setattr(wavenumber, "_gauss_pair", counting)
-        narrow = ScatteringSpec.mixture(
-            (Cluster.from_circular_variance(1.0, math.radians(45.0), 1e-8),)
-        )
         with pytest.raises(RuntimeError, match="partition quadrature error"):
-            variance_profile(config(8), narrow, "receiver")
+            variance_profile(config(8), NARROW, "receiver")
         # one vectorized pass over the 16 partitions, then the refinement:
         # its first level holds the two panels either side of the mean, and
         # each later level holds the two halves of every panel split
         assert panels[:2] == [16, 2]
         assert 2 + sum(panels[2:]) // 2 <= wavenumber._PANEL_LIMIT
+
+    def test_narrow_cluster_matches_mpmath(self):
+        # kappa ~ 5e7: written as exp(kappa (cos - 1)), the density would
+        # carry kappa * 1e-16 relative rounding near the mean and this
+        # profile would not converge.  The floor left is the peak height
+        # sqrt(kappa / 2 pi) ~ 3e3 times the ~1e-16 spacing of the doubles
+        # that place the nodes.
+        got = variance_profile(config(8), NARROW, "source").variances
+        assert np.abs(got - _mpmath_reference(8, NARROW)).max() <= 1e-12
+        assert got.sum() == pytest.approx(1.0, abs=1e-12)
