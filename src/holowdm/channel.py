@@ -84,8 +84,10 @@ class CorrelationModel:
         diag(eig R_r)^(1/2) W diag(eig R_s)^(1/2) have identically
         distributed singular values.  Each dense side is replaced by its
         eigenvalues (ascending, clipped at 0); a diagonal model is its own
-        angular form and is returned as is.  No square root is taken, and
-        sides that are one array (square Jakes) are solved once.
+        angular form and is returned as is.  No square root is taken, a
+        real symmetric Toeplitz side (Jakes) is solved as two half-size
+        eigenproblems, and sides that are one array (square Jakes) are
+        solved once.
         """
         if self.diagonal:
             return self
@@ -105,10 +107,55 @@ def _check_correlation(name: str, R) -> np.ndarray:
         raise ValueError(
             f"{name} must be a variance vector or a square matrix, got shape {R.shape}"
         )
+    if _symmetric_toeplitz(R):
+        # exactly symmetric, so the Hermitian check below would pass it
+        return R
     scale = max(1.0, float(np.abs(R).max()))
     if float(np.abs(R - R.conj().T).max()) > _HERMITIAN_TOL * scale:
         raise ValueError(f"{name} is not Hermitian within tolerance")
     return R
+
+
+def _symmetric_toeplitz(R: np.ndarray) -> bool:
+    """Whether a square R is real and exactly symmetric Toeplitz.
+
+    Its first row is then its first column, and every entry repeats the one
+    above and to its left.  Apart from that one column, both tests read
+    whole rows, in place of the strided transpose of the Hermitian check.
+    """
+    return (
+        R.size > 0
+        and np.isrealobj(R)
+        and np.array_equal(R[0], R[:, 0])
+        and np.array_equal(R[1:, 1:], R[:-1, :-1])
+    )
+
+
+def _toeplitz_eigenvalues(t: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of the real symmetric Toeplitz matrix t[|i - j|].
+
+    The matrix is centrosymmetric, so its spectrum is that of two half-size
+    symmetric matrices (Cantoni and Butler, Linear Algebra Appl. 13, 1976).
+    With m = n // 2, T = t[|i - j|] and the Hankel H = t[n - 1 - i - j] over
+    i, j < m, they are T - H and T + H; for odd n, T + H is bordered by the
+    column sqrt(2) t[m - i] and the corner t[0].  That is a quarter of the
+    flops of the dense solve, and both halves are built from t alone.
+    """
+    n = t.size
+    m = n // 2
+    reversed_t = t[::-1]
+    T = linalg.toeplitz(t[:m])
+    H = linalg.hankel(reversed_t[:m], reversed_t[m - 1 : 2 * m - 1])
+    minus = T - H
+    T += H
+    if n % 2:
+        plus = np.empty((m + 1, m + 1))
+        plus[:m, :m] = T
+        plus[:m, m] = plus[m, :m] = math.sqrt(2.0) * t[m:0:-1]
+        plus[m, m] = t[0]
+    else:
+        plus = T
+    return np.sort(np.concatenate((np.linalg.eigvalsh(plus), np.linalg.eigvalsh(minus))))
 
 
 def _clipped_eigenvalues(name: str, w: np.ndarray, R: np.ndarray) -> np.ndarray:
@@ -133,7 +180,11 @@ def _side_sqrt(name: str, R: np.ndarray) -> np.ndarray:
 def _side_spectrum(name: str, R: np.ndarray) -> np.ndarray:
     if R.ndim == 1:
         return R
-    return _clipped_eigenvalues(name, np.linalg.eigvalsh(R), R)
+    if _symmetric_toeplitz(R):
+        w = _toeplitz_eigenvalues(R[0])
+    else:
+        w = np.linalg.eigvalsh(R)
+    return _clipped_eigenvalues(name, w, R)
 
 
 def _to_trace_n(R: np.ndarray) -> np.ndarray:

@@ -17,6 +17,7 @@ import numpy as np
 
 from .channel import (
     CorrelationModel,
+    _side_spectrum,
     build_iid_correlation,
     build_jakes_correlation,
     build_wdm_correlation,
@@ -178,13 +179,14 @@ def run_psf_profile(cfg: ExperimentConfig) -> Table:
 def _receive_spectrum(corr: CorrelationModel) -> np.ndarray:
     """Eigenvalues of R_r sorted descending, divided by its trace.
 
-    A diagonal R_r is its own spectrum; a dense one takes one eigvalsh, with
-    no further Hermitian check than the one CorrelationModel already made.
+    A diagonal R_r is its own spectrum; a dense one takes the spectrum path
+    of CorrelationModel.angular(), which solves a Jakes side as two
+    half-size eigenproblems.
     """
     R_r = corr.R_r
     if R_r.ndim == 1:
         return np.sort(R_r)[::-1] / float(R_r.sum())
-    return np.linalg.eigvalsh(R_r)[::-1] / float(np.trace(R_r).real)
+    return _side_spectrum("R_r", R_r)[::-1] / float(np.trace(R_r).real)
 
 
 def run_eigen_spectrum(cfg: ExperimentConfig) -> Table:

@@ -224,8 +224,8 @@ def ergodic_capacity(
     The capacity is computed in the angular domain.  W is unitarily
     invariant, so the gains of R_r^(1/2) W R_s^(1/2) are distributed as those
     of diag(a)^(1/2) W diag(b)^(1/2), with a and b the eigenvalues of R_r and
-    R_s (model.angular()).  A dense side (Jakes) costs one eigvalsh before
-    the first realization, and no square root or dense product.
+    R_s (model.angular()).  A dense side (Jakes) costs one spectrum solve
+    before the first realization, and no square root or dense product.
 
     Each realization takes its gains from a per-realization seed and
     water-fills them at every power point:
@@ -265,7 +265,12 @@ def ergodic_capacity(
             continue
         for j, p in enumerate(powers_w):
             allocation = waterfill(gains, p, noise_var)
-            capacity[i, j] = np.sum(np.log2(1.0 + allocation * gains / noise_var))
+            # log2(1 + p g / noise_var) over the modes with power, from the
+            # log of the product: p g / noise_var overflows at extreme powers
+            # and noise levels, and logaddexp2 keeps full precision at low SNR
+            on = allocation > 0.0
+            log_snr = np.log2(allocation[on]) + np.log2(gains[on]) - math.log2(noise_var)
+            capacity[i, j] = np.sum(np.logaddexp2(0.0, log_snr))
     if realizations > 1:
         stderr = capacity.std(axis=0, ddof=1) / math.sqrt(realizations)
     else:

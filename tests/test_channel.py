@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy import linalg, special
 
 from holowdm import channel
 from holowdm.channel import (
@@ -24,6 +25,14 @@ LAMBDA = 0.01
 
 def config(ratio):
     return PhysicalConfig(LAMBDA, ratio * LAMBDA, ratio * LAMBDA, 0.0)
+
+
+def assert_same_spectrum(got, want):
+    # the Toeplitz split and a dense eigvalsh round differently: each
+    # eigenvalue agrees within 1e-13 of the largest, in ascending order
+    assert got.shape == want.shape
+    assert np.all(np.diff(got) >= 0.0)
+    assert np.max(np.abs(got - want)) <= 1e-13 * want.max()
 
 
 def profiles(cfg, spec):
@@ -262,7 +271,7 @@ class TestCorrelationStorage:
         assert angular.diagonal
         for side in ("R_s", "R_r"):
             want = np.clip(np.linalg.eigvalsh(getattr(jakes_model, side)), 0.0, None)
-            assert np.array_equal(getattr(angular, side), want)
+            assert_same_spectrum(getattr(angular, side), want)
 
     def test_angular_form_shares_the_negative_eigenvalue_rule(self):
         # the rule of the square root: below -1e-10 * trace is bad input
@@ -320,7 +329,7 @@ class TestCorrelationStorage:
         angular = model.angular()
         assert spectra == [id(model.R_s)]
         assert angular.R_r is angular.R_s
-        assert np.array_equal(angular.R_s, np.clip(np.linalg.eigvalsh(model.R_s), 0.0, None))
+        assert_same_spectrum(angular.R_s, np.clip(np.linalg.eigvalsh(model.R_s), 0.0, None))
         assert model.R_r_sqrt is model.R_s_sqrt
         assert roots == [id(model.R_s)]
         # unequal sides are two arrays, each solved once
@@ -331,3 +340,65 @@ class TestCorrelationStorage:
         assert model.R_r_sqrt is not model.R_s_sqrt
         assert spectra == [id(model.R_s), id(model.R_r)]
         assert sorted(roots) == sorted(spectra)
+
+
+def jakes_lags(n):
+    return special.j0(np.pi * np.arange(n))
+
+
+def _recording(solve, sizes):
+    def recording(A, *args, **kwargs):
+        sizes.append(A.shape[0])
+        return solve(A, *args, **kwargs)
+
+    return recording
+
+
+class TestToeplitzSpectrum:
+    @pytest.mark.parametrize("n", [1, 2, 3, 33, 256, 257])
+    def test_split_matches_dense_eigvalsh(self, monkeypatch, n):
+        R = linalg.toeplitz(jakes_lags(n))
+        dense = []
+        monkeypatch.setattr(np.linalg, "eigvalsh", _recording(np.linalg.eigvalsh, dense))
+        got = CorrelationModel(np.ones(1), R).angular().R_r
+        # the split solves two halves, never the n x n matrix
+        assert sorted(dense) == [n // 2, (n + 1) // 2]
+        monkeypatch.undo()
+        assert_same_spectrum(got, np.linalg.eigvalsh(R))
+
+    @pytest.mark.filterwarnings("ignore:aperture shorter")
+    @pytest.mark.parametrize("ratios", [(16.5, 8.25), (8, 16)])
+    def test_non_square_jakes(self, ratios):
+        model = build_jakes_correlation(PhysicalConfig(LAMBDA, ratios[0] * LAMBDA, ratios[1] * LAMBDA))
+        angular = model.angular()
+        for side in ("R_s", "R_r"):
+            want = np.linalg.eigvalsh(getattr(model, side))
+            assert_same_spectrum(getattr(angular, side), want)
+
+    @pytest.mark.parametrize("kind", ["complex", "real"])
+    def test_other_dense_sides_keep_the_dense_solve(self, kind):
+        rng = np.random.default_rng(5)
+        A = rng.standard_normal((7, 7))
+        if kind == "complex":
+            A = A + 1j * rng.standard_normal((7, 7))
+        R = A @ A.conj().T
+        assert not channel._symmetric_toeplitz(R)
+        got = CorrelationModel(np.ones(1), R).angular().R_r
+        assert np.array_equal(got, np.linalg.eigvalsh(R))
+
+    def test_first_row_not_first_column_rejected(self):
+        # Toeplitz along every diagonal, but not symmetric
+        R = linalg.toeplitz([1.0, 0.3, 0.1], [1.0, 0.2, 0.1])
+        assert np.array_equal(R[1:, 1:], R[:-1, :-1])
+        with pytest.raises(ValueError, match="R_r is not Hermitian"):
+            CorrelationModel(np.ones(1), R)
+
+    def test_predicate(self):
+        R = linalg.toeplitz(jakes_lags(6))
+        assert channel._symmetric_toeplitz(R)
+        assert not channel._symmetric_toeplitz(R.astype(complex))
+        off = R.copy()
+        off[4, 2] += 1e-15
+        assert not channel._symmetric_toeplitz(off)
+        assert not channel._symmetric_toeplitz(np.zeros((0, 0)))
+

@@ -128,6 +128,13 @@ class TestEigenSpectrum:
             R_r = correlation_for(desk_cfg, model).dense("R_r")
             assert np.array_equal(got, np.sort(np.diag(R_r))[::-1] / np.trace(R_r))
 
+    def test_jakes_spectrum_is_its_angular_form(self, desk_cfg):
+        # the eigs stage and CorrelationModel.angular() share one solve
+        table = run_eigen_spectrum(desk_cfg)
+        got = np.array([r[2] for r in table.rows if r[1] == "jakes"])
+        R_r = correlation_for(desk_cfg, "jakes").angular().R_r
+        assert np.array_equal(got, R_r[::-1] / R_r.size)
+
     def test_spectra_normalized_and_sorted(self, desk_cfg):
         table = run_eigen_spectrum(desk_cfg)
         for model in MODEL_NAMES:
@@ -163,6 +170,23 @@ class TestCapacityTable:
             assert len(curve) == len(desk_cfg.power_grid_dbw)
             assert all(b > a for a, b in zip(curve, curve[1:]))
             assert all(math.isfinite(v) for v in curve)
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"power_grid_dbw": (-3080.0, 0.0, 1000.0, 3080.0)},
+            {"power_grid_dbw": (-30.0, 0.0, 30.0), "noise_var_dbw": -3080.0},
+        ],
+        ids=["power-plus-minus-3080-dbw", "noise-minus-3080-dbw"],
+    )
+    def test_extreme_powers_stay_finite(self, desk_cfg, overrides):
+        # powers and noise levels near the ends of the double range: the
+        # capacity is finite and still grows with power
+        table = run_capacity(replace(desk_cfg, **overrides))
+        for model in MODEL_NAMES:
+            curve = [r[2] for r in table.rows if r[1] == model]
+            assert all(math.isfinite(v) for v in curve)
+            assert all(b > a for a, b in zip(curve, curve[1:]))
 
     def test_deterministic_rows(self, desk_cfg):
         assert run_capacity(desk_cfg).rows == run_capacity(desk_cfg).rows
