@@ -28,6 +28,7 @@ from .metrics import (
     CapacityResult,
     DoFResult,
     dof,
+    ergodic_capacities,
     ergodic_capacity,
     hermitian_eigs,
     realization_seeds,

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy import linalg, special
+from numpy.lib.stride_tricks import sliding_window_view
+from scipy import special
 
 from .wavenumber import PhysicalConfig, VarianceProfile
 
@@ -25,6 +26,7 @@ __all__ = [
     "build_wdm_correlation",
     "build_jakes_correlation",
     "build_iid_correlation",
+    "draw_w",
     "draw_channel",
 ]
 
@@ -131,6 +133,16 @@ def _symmetric_toeplitz(R: np.ndarray) -> bool:
     )
 
 
+def _toeplitz_view(c: np.ndarray) -> np.ndarray:
+    """The symmetric Toeplitz matrix c[|i - j|] as a read-only view.
+
+    Row i is a window over the 2 n - 1 lags c[n-1], ..., c[1], c[0], ...,
+    c[n-1], so the matrix holds O(n) memory in place of n^2.  c must not be
+    empty.
+    """
+    return sliding_window_view(np.concatenate((c[:0:-1], c)), c.size)[::-1]
+
+
 def _toeplitz_eigenvalues(t: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of the real symmetric Toeplitz matrix t[|i - j|].
 
@@ -139,22 +151,23 @@ def _toeplitz_eigenvalues(t: np.ndarray) -> np.ndarray:
     With m = n // 2, T = t[|i - j|] and the Hankel H = t[n - 1 - i - j] over
     i, j < m, they are T - H and T + H; for odd n, T + H is bordered by the
     column sqrt(2) t[m - i] and the corner t[0].  That is a quarter of the
-    flops of the dense solve, and both halves are built from t alone.
+    flops of the dense solve, and T and H are read-only views over t.
     """
     n = t.size
     m = n // 2
-    reversed_t = t[::-1]
-    T = linalg.toeplitz(t[:m])
-    H = linalg.hankel(reversed_t[:m], reversed_t[m - 1 : 2 * m - 1])
+    if m:
+        T = _toeplitz_view(t[:m])
+        H = sliding_window_view(t[::-1][: 2 * m - 1], m)
+    else:
+        T = H = np.empty((0, 0))
     minus = T - H
-    T += H
     if n % 2:
         plus = np.empty((m + 1, m + 1))
-        plus[:m, :m] = T
+        np.add(T, H, out=plus[:m, :m])
         plus[:m, m] = plus[m, :m] = math.sqrt(2.0) * t[m:0:-1]
         plus[m, m] = t[0]
     else:
-        plus = T
+        plus = T + H
     return np.sort(np.concatenate((np.linalg.eigvalsh(plus), np.linalg.eigvalsh(minus))))
 
 
@@ -209,19 +222,13 @@ def build_jakes_correlation(cfg: PhysicalConfig) -> CorrelationModel:
     The sample count per side matches the wavenumber mode count, so the Jakes
     and wavenumber spectra live on the same index axis.  Entry (i, j) is
     J0(k |i - j| lambda/2); the diagonal is J0(0) = 1, so tr R = n with no
-    normalization.  Both sides are leading blocks of one Toeplitz matrix:
-    the smaller side is a copy, and equal sides are one read-only array.
+    normalization.  Each side is a read-only strided view over its 2 n - 1
+    lag values, and equal sides are one array.
     """
     n_s, n_r = cfg.mode_count("source"), cfg.mode_count("receiver")
-    n = max(n_s, n_r)
-    R = linalg.toeplitz(special.j0(cfg.k * (0.5 * cfg.wavelength) * np.arange(n)))
-    if n_s == n_r:
-        R.flags.writeable = False
-        return CorrelationModel(R, R)
-    return CorrelationModel(
-        R if n_s == n else R[:n_s, :n_s].copy(),
-        R if n_r == n else R[:n_r, :n_r].copy(),
-    )
+    lags = special.j0(cfg.k * (0.5 * cfg.wavelength) * np.arange(max(n_s, n_r)))
+    R_s = _toeplitz_view(lags[:n_s])
+    return CorrelationModel(R_s, R_s if n_r == n_s else _toeplitz_view(lags[:n_r]))
 
 
 def build_iid_correlation(n_s: int, n_r: int) -> CorrelationModel:
@@ -231,23 +238,30 @@ def build_iid_correlation(n_s: int, n_r: int) -> CorrelationModel:
     return CorrelationModel(np.ones(n_s), np.ones(n_r))
 
 
-def draw_channel(model: CorrelationModel, seed) -> np.ndarray:
-    """Draw H = R_r^(1/2) W R_s^(1/2) with seeded i.i.d. CN(0, 1) entries in W.
+def draw_w(n_r: int, n_s: int, seed) -> np.ndarray:
+    """Draw the n_r x n_s matrix W of seeded i.i.d. CN(0, 1) entries.
 
-    The same seed reproduces the same H bitwise; Monte Carlo derives one seed
+    The same seed reproduces the same W bitwise; Monte Carlo derives one seed
     per realization (see metrics.realization_seeds).
     """
     seed = int(seed)
     if not (0 <= seed < 2**64):
         raise ValueError(f"seed must fit an unsigned 64-bit integer, got {seed}")
-    n_s = model.R_s.shape[0]
-    n_r = model.R_r.shape[0]
     # one draw of all 2 n_r n_s normals, real parts first: the stream order
     # of two separate draws
     parts = np.random.default_rng(seed).standard_normal((2, n_r, n_s))
     parts *= math.sqrt(0.5)
-    H = np.empty((n_r, n_s), dtype=complex)
-    H.real, H.imag = parts
+    W = np.empty((n_r, n_s), dtype=complex)
+    W.real, W.imag = parts
+    return W
+
+
+def draw_channel(model: CorrelationModel, seed) -> np.ndarray:
+    """Draw H = R_r^(1/2) W R_s^(1/2), with W from draw_w(n_r, n_s, seed).
+
+    The same seed reproduces the same H bitwise.
+    """
+    H = draw_w(model.R_r.shape[0], model.R_s.shape[0], seed)
     # a diagonal side scales rows or columns in place, which is equal bitwise
     # to the dense product: every off-diagonal term is an exact zero
     sr, ss = model.R_r_sqrt, model.R_s_sqrt

@@ -22,7 +22,9 @@ from .channel import (
     build_jakes_correlation,
     build_wdm_correlation,
 )
-from .metrics import check_monte_carlo_args, dof, ergodic_capacity
+from .metrics import check_monte_carlo_args, dof, ergodic_capacities
+# bound here for bench/tracing.py, which wraps it by this name
+from .metrics import ergodic_capacity  # noqa: F401
 from .scattering import Cluster, ScatteringSpec
 from .wavenumber import PhysicalConfig, VarianceProfile, variance_profile
 
@@ -218,21 +220,23 @@ def run_dof(cfg: ExperimentConfig) -> Table:
 def run_capacity(cfg: ExperimentConfig) -> Table:
     """Ergodic water-filling capacity per model over the power grid.
 
-    All models share the same per-realization seeds.  The WDM and Jakes
-    models draw the same W from each seed, so their differences are purely
-    structural; i.i.d. Rayleigh takes its gains from the bidiagonal model of
-    metrics.ergodic_capacity, so it shares no W with them.
+    One Monte Carlo pass serves every model: each per-realization seed draws
+    one W, which the Jakes and WDM models all scale, so their differences
+    are purely structural; i.i.d. Rayleigh takes its gains from the
+    bidiagonal model of metrics.ergodic_capacities, so it shares no W with
+    them.  Each model's gains are water-filled over the whole power grid at
+    once.  The models are built one at a time, and only their spectra are
+    kept.
     """
-    noise_var = cfg.noise_var_watts()
+    results = ergodic_capacities(
+        (correlation_for(cfg, model) for model in cfg.models),
+        cfg.power_grid_dbw,
+        cfg.noise_var_watts(),
+        cfg.realizations,
+        cfg.seed,
+    )
     rows: list[tuple] = []
-    for model in cfg.models:
-        result = ergodic_capacity(
-            correlation_for(cfg, model),
-            cfg.power_grid_dbw,
-            noise_var,
-            cfg.realizations,
-            cfg.seed,
-        )
+    for model, result in zip(cfg.models, results):
         rows.extend(
             (float(p), model, float(c))
             for p, c in zip(result.power_grid_dbw, result.capacity_bits)

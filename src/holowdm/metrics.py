@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal
 
-from .channel import CorrelationModel, draw_channel
+from .channel import CorrelationModel, draw_w
+# bound here for bench/tracing.py, which wraps it by this name
+from .channel import draw_channel  # noqa: F401
 from .wavenumber import VarianceProfile
 
 __all__ = [
@@ -18,6 +21,7 @@ __all__ = [
     "dof",
     "waterfill",
     "ergodic_capacity",
+    "ergodic_capacities",
     "realization_seeds",
     "worker_count",
 ]
@@ -93,12 +97,30 @@ def waterfill(eigenvalues, total_power: float, noise_var: float) -> np.ndarray:
     P_i = mu - noise_var / gain_i; zero gains get zero power.  The active set
     is found exactly by scanning the sorted breakpoints, and the final
     allocation is corrected so it sums to total_power to machine precision.
+    It is the one-power case of the water-filling over a power grid that
+    ergodic_capacity runs.
+    """
+    return _waterfill_grid(eigenvalues, (total_power,), noise_var)[0]
+
+
+def _waterfill_grid(eigenvalues, powers, noise_var: float) -> np.ndarray:
+    """Water-filling allocations of one gain vector at each total power.
+
+    Row j is the allocation at powers[j], as waterfill describes it: one
+    sort and one cumulative breakpoint sum serve every power.  When the
+    largest power plus the breakpoint sum would overflow (a noise variance
+    near the top of the double range, or a gain near the bottom), the water
+    level is found with the noise and the powers divided by a power of two,
+    which is exact, and the allocation is scaled back before the sum-to-power
+    correction; any other input takes no scaling at all.
     """
     gains = np.asarray(eigenvalues, dtype=float).reshape(-1)
     if gains.size == 0 or not np.all(np.isfinite(gains)):
         raise ValueError("eigenvalues must be a non-empty finite vector")
-    if not (math.isfinite(total_power) and total_power > 0.0):
-        raise ValueError(f"total_power must be positive, got {total_power}")
+    powers = np.asarray(powers, dtype=float).reshape(-1)
+    for total_power in powers:
+        if not (math.isfinite(total_power) and total_power > 0.0):
+            raise ValueError(f"total_power must be positive, got {total_power}")
     if not (math.isfinite(noise_var) and noise_var > 0.0):
         raise ValueError(f"noise_var must be positive, got {noise_var}")
     top = float(gains.max())
@@ -110,17 +132,38 @@ def waterfill(eigenvalues, total_power: float, noise_var: float) -> np.ndarray:
 
     order = np.argsort(-gains, kind="stable")
     positive = order[gains[order] > 0.0]
-    breakpoints = noise_var / gains[positive]
-    mu_candidates = (total_power + np.cumsum(breakpoints)) / np.arange(1, positive.size + 1)
-    feasible = np.nonzero(mu_candidates > breakpoints)[0]
+    with np.errstate(over="ignore"):
+        breakpoints = noise_var / gains[positive]
+        cumulative = np.cumsum(breakpoints)
+    shift = 0
+    top_power = float(powers.max())
+    if not math.isfinite(top_power + float(cumulative[-1])):
+        # the power plus the sum is below 2 ** bound: each breakpoint is below
+        # noise_var / min gain, and there are fewer than 2 ** bit_length
+        bound = 1 + max(
+            math.frexp(noise_var)[1] - math.frexp(float(gains[positive[-1]]))[1]
+            + 1 + positive.size.bit_length(),
+            math.frexp(top_power)[1],
+        )
+        shift = bound - 1023
+        breakpoints = math.ldexp(noise_var, -shift) / gains[positive]
+        cumulative = np.cumsum(breakpoints)
+    counts = np.arange(1, positive.size + 1)
+    mu_candidates = (np.ldexp(powers, -shift)[:, None] + cumulative) / counts
+    feasible = mu_candidates > breakpoints
     # a total power below the rounding scale of the first breakpoint leaves no
     # strictly feasible candidate; everything then rides the strongest mode
-    active = int(feasible[-1]) + 1 if feasible.size else 1
-    mu = float(mu_candidates[active - 1])
+    last = positive.size - np.argmax(feasible[:, ::-1], axis=1)
+    active = np.where(feasible.any(axis=1), last, 1)
+    mu = mu_candidates[np.arange(powers.size), active - 1]
 
-    allocation = np.zeros_like(gains)
-    allocation[positive[:active]] = mu - breakpoints[:active]
-    allocation[positive[0]] += total_power - float(allocation.sum())
+    allocation = np.zeros((powers.size, gains.size))
+    allocation[:, positive] = np.where(
+        counts <= active[:, None], mu[:, None] - breakpoints, 0.0
+    )
+    if shift:
+        allocation = np.ldexp(allocation, shift)
+    allocation[:, positive[0]] += powers - allocation.sum(axis=1)
     return allocation
 
 
@@ -192,8 +235,9 @@ def realization_seeds(base_seed: int, count: int) -> np.ndarray:
 def worker_count() -> int:
     """Monte Carlo workers: always 1.
 
-    Realizations run one after another, and the BLAS library's own threads
-    parallelize each eigen-solve.
+    Realizations run one after another in one process.  BLAS threads do not
+    speed up the 256-mode solves of the default study, and Python threads
+    contend with each other over them.
     """
     return 1
 
@@ -212,14 +256,72 @@ class CapacityResult:
     stderr_bits: np.ndarray
 
 
-def ergodic_capacity(
-    model: CorrelationModel,
+def _capacity_bits(gains: np.ndarray, powers_w: np.ndarray, noise_var: float) -> np.ndarray:
+    """Water-filling capacity of one gain vector at each total power."""
+    bits = np.zeros(powers_w.size)
+    for j, allocation in enumerate(_waterfill_grid(gains, powers_w, noise_var)):
+        # log2(1 + p g / noise_var) over the modes with power, from the log of
+        # the product: p g / noise_var overflows at extreme powers and noise
+        # levels, and logaddexp2 keeps full precision at low SNR
+        on = allocation > 0.0
+        log_snr = np.log2(allocation[on]) + np.log2(gains[on]) - math.log2(noise_var)
+        bits[j] = np.sum(np.logaddexp2(0.0, log_snr))
+    return bits
+
+
+def _capacity_block(
+    spectra: list[CorrelationModel], seeds, powers_w: np.ndarray, noise_var: float
+) -> np.ndarray:
+    """Capacities of diagonal models, shape (models, seeds, powers).
+
+    Each seed gives one realization of every model.  A model whose sides are
+    constant vectors a and b takes a b times the Wishart gains of
+    _wishart_gains.  Every other model scales one W per seed and side shape,
+    drawn by draw_w, by sqrt(a) and sqrt(b) on a copy, as draw_channel would;
+    only its modes above 1e-15 of its largest variance are kept.
+    """
+    plans = []
+    for spectrum in spectra:
+        a, b = _common_variance(spectrum.R_r), _common_variance(spectrum.R_s)
+        rows = _significant_modes(spectrum.R_r)
+        cols = _significant_modes(spectrum.R_s)
+        plans.append((
+            spectrum.R_r.size,
+            spectrum.R_s.size,
+            a * b if a is not None and b is not None else None,
+            rows,
+            cols,
+            spectrum.R_r_sqrt[rows][:, None],
+            spectrum.R_s_sqrt[cols],
+        ))
+    capacity = np.zeros((len(spectra), len(seeds), powers_w.size))
+    for i, seed in enumerate(seeds):
+        seed = int(seed)
+        draws = {}
+        for m, (n_r, n_s, scale, rows, cols, sr, ss) in enumerate(plans):
+            if scale is not None:
+                gains = scale * _wishart_gains(n_r, n_s, seed)
+            else:
+                if (n_r, n_s) not in draws:
+                    draws[n_r, n_s] = draw_w(n_r, n_s, seed)
+                # the scale of each entry is one rounded product, so keeping
+                # modes before scaling gives the bits of scaling first
+                H = draws[n_r, n_s][rows][:, cols] * sr
+                H *= ss
+                gains = _mode_gains(H)
+            if gains.max(initial=0.0) > 0.0:
+                capacity[m, i] = _capacity_bits(gains, powers_w, noise_var)
+    return capacity
+
+
+def ergodic_capacities(
+    models: Iterable[CorrelationModel],
     power_grid_dbw,
     noise_var: float,
     realizations: int,
     base_seed: int,
-) -> CapacityResult:
-    """Monte Carlo ergodic capacity (bit/s/Hz) over a transmit-power grid.
+) -> list[CapacityResult]:
+    """Monte Carlo ergodic capacity (bit/s/Hz) of each model over a power grid.
 
     The capacity is computed in the angular domain.  W is unitarily
     invariant, so the gains of R_r^(1/2) W R_s^(1/2) are distributed as those
@@ -227,57 +329,59 @@ def ergodic_capacity(
     R_s (model.angular()).  A dense side (Jakes) costs one spectrum solve
     before the first realization, and no square root or dense product.
 
-    Each realization takes its gains from a per-realization seed and
-    water-fills them at every power point:
+    All models run in one pass over the per-realization seeds of base_seed.
+    Each seed gives the gains of every model:
     - when a and b are constant vectors, as for i.i.d. Rayleigh, the gains
       are a b times the Wishart eigenvalues of the bidiagonal model in
       _wishart_gains;
-    - otherwise W is drawn and scaled by sqrt(a) and sqrt(b), and the gains
+    - otherwise the models share one W per seed, drawn once (by draw_w) and
+      scaled by sqrt(a) and sqrt(b) on a copy for each model, and the gains
       are the eigenvalues of its Gram matrix on the smaller side.  Modes
       whose variance is at most 1e-15 of the largest are dropped first; they
-      move the gains by no more than roundoff.  Models on this path draw the
-      same W from one seed.
+      move the gains by no more than roundoff.
+    The gains are then water-filled at every power of the grid from one sort
+    and one breakpoint sum; each cell is bitwise what waterfill gives at that
+    power alone.
 
     A channel whose gains are all zero, as when a side has no non-negligible
-    variance, carries 0 bits at every power.  Realizations run one after
-    another; the BLAS library's threads parallelize each eigen-solve.
-    realizations must be a positive integer and base_seed an integer in
-    [0, 2**64); anything else raises a ValueError naming the argument.
+    variance, carries 0 bits at every power.  realizations must be a positive
+    integer and base_seed an integer in [0, 2**64); anything else raises a
+    ValueError naming the argument.
     """
     power_grid_dbw = tuple(float(p) for p in power_grid_dbw)
     if not power_grid_dbw:
         raise ValueError("power grid must not be empty")
     check_monte_carlo_args(realizations, base_seed)
-    powers_w = [10.0 ** (p / 10.0) for p in power_grid_dbw]
-    spectrum = model.angular()
-    n_s, n_r = spectrum.R_s.size, spectrum.R_r.size
-    a, b = _common_variance(spectrum.R_r), _common_variance(spectrum.R_s)
-    scalar = a is not None and b is not None
-    rows_kept = _significant_modes(spectrum.R_r)
-    cols_kept = _significant_modes(spectrum.R_s)
-    capacity = np.zeros((realizations, len(powers_w)))
-    for i, seed in enumerate(realization_seeds(base_seed, realizations)):
-        if scalar:
-            gains = (a * b) * _wishart_gains(n_r, n_s, int(seed))
-        else:
-            gains = _mode_gains(draw_channel(spectrum, int(seed))[rows_kept][:, cols_kept])
-        if gains.max(initial=0.0) <= 0.0:
-            continue
-        for j, p in enumerate(powers_w):
-            allocation = waterfill(gains, p, noise_var)
-            # log2(1 + p g / noise_var) over the modes with power, from the
-            # log of the product: p g / noise_var overflows at extreme powers
-            # and noise levels, and logaddexp2 keeps full precision at low SNR
-            on = allocation > 0.0
-            log_snr = np.log2(allocation[on]) + np.log2(gains[on]) - math.log2(noise_var)
-            capacity[i, j] = np.sum(np.logaddexp2(0.0, log_snr))
-    if realizations > 1:
-        stderr = capacity.std(axis=0, ddof=1) / math.sqrt(realizations)
-    else:
-        stderr = np.full(len(powers_w), np.nan)
-    return CapacityResult(
-        capacity_bits=capacity.mean(axis=0),
-        power_grid_dbw=power_grid_dbw,
-        realizations=realizations,
-        stderr_bits=stderr,
+    powers_w = np.array([10.0 ** (p / 10.0) for p in power_grid_dbw])
+    spectra = [model.angular() for model in models]
+    capacity = _capacity_block(
+        spectra, realization_seeds(base_seed, realizations), powers_w, noise_var
     )
+    results = []
+    for per_model in capacity:
+        if realizations > 1:
+            stderr = per_model.std(axis=0, ddof=1) / math.sqrt(realizations)
+        else:
+            stderr = np.full(len(power_grid_dbw), np.nan)
+        results.append(CapacityResult(
+            capacity_bits=per_model.mean(axis=0),
+            power_grid_dbw=power_grid_dbw,
+            realizations=realizations,
+            stderr_bits=stderr,
+        ))
+    return results
+
+
+def ergodic_capacity(
+    model: CorrelationModel,
+    power_grid_dbw,
+    noise_var: float,
+    realizations: int,
+    base_seed: int,
+) -> CapacityResult:
+    """Monte Carlo ergodic capacity (bit/s/Hz) of one model over a power grid.
+
+    The one-model case of ergodic_capacities, with the same checks and the
+    same bits.
+    """
+    return ergodic_capacities((model,), power_grid_dbw, noise_var, realizations, base_seed)[0]

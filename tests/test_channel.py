@@ -140,7 +140,9 @@ class TestJakesCorrelation:
         assert jakes_model.R_r.shape == (256, 256)
 
     @pytest.mark.filterwarnings("ignore:aperture shorter")
-    @pytest.mark.parametrize("ratios", [(8, 8), (16, 8), (8, 16), (16.5, 8.25), (3.3, 5.1)])
+    @pytest.mark.parametrize(
+        "ratios", [(8, 8), (16, 8), (8, 16), (16.5, 8.25), (3.3, 5.1), (0.5, 0.5), (0.5, 1.5)]
+    )
     def test_sides_equal_the_lag_gather_bitwise(self, ratios):
         cfg = PhysicalConfig(LAMBDA, ratios[0] * LAMBDA, ratios[1] * LAMBDA, 0.0)
         model = build_jakes_correlation(cfg)
@@ -153,8 +155,11 @@ class TestJakesCorrelation:
             assert np.array_equal(R, want)
             # the diagonal is J0(0) = 1, so the trace is n with no normalization
             assert float(np.trace(R)) == n
+            # a read-only view whose rows step back one lag and columns one
+            # lag forward: it addresses 2 n - 1 values, not an n x n gather
+            assert not R.flags.writeable and R.strides == (-R.itemsize, R.itemsize)
         if cfg.mode_count("source") == cfg.mode_count("receiver"):
-            assert model.R_s is model.R_r and not model.R_r.flags.writeable
+            assert model.R_s is model.R_r
         else:
             assert not np.shares_memory(model.R_s, model.R_r)
 

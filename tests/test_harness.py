@@ -176,8 +176,9 @@ class TestCapacityTable:
         [
             {"power_grid_dbw": (-3080.0, 0.0, 1000.0, 3080.0)},
             {"power_grid_dbw": (-30.0, 0.0, 30.0), "noise_var_dbw": -3080.0},
+            {"power_grid_dbw": (-30.0, 0.0, 30.0, 3080.0), "noise_var_dbw": 3080.0},
         ],
-        ids=["power-plus-minus-3080-dbw", "noise-minus-3080-dbw"],
+        ids=["power-plus-minus-3080-dbw", "noise-minus-3080-dbw", "noise-plus-3080-dbw"],
     )
     def test_extreme_powers_stay_finite(self, desk_cfg, overrides):
         # powers and noise levels near the ends of the double range: the
@@ -237,7 +238,13 @@ class TestLazySquareRoots:
         tracing = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(tracing)
         import holowdm.cli  # noqa: F401  (the tracer wraps its functions too)
+        from holowdm import metrics
 
+        draws = []
+        draw_w = metrics.draw_w
+        monkeypatch.setattr(
+            metrics, "draw_w", lambda n_r, n_s, seed: draws.append(seed) or draw_w(n_r, n_s, seed)
+        )
         modules = tracing._package_modules()
         saved = [(module, dict(vars(module))) for module in modules]
         try:
@@ -256,6 +263,9 @@ class TestLazySquareRoots:
                 vars(module).update(namespace)
         assert layers["channel.build_jakes_correlation.ms"] > 0.0
         assert layers["channel.correlation_bytes"] > 0.0
-        # iid takes its gains from the bidiagonal model and draws no channel
-        assert layers["channel.draw_channel.calls"] == 2 * (len(MODEL_NAMES) - 1)
+        # the Monte Carlo draws one W per seed through draw_w for all three
+        # dense-path models (iid takes its gains from the bidiagonal model),
+        # and draw_channel, which the tracer counts, is not called
+        assert len(draws) == cfg.realizations
+        assert layers["channel.draw_channel.calls"] == 0
         assert harness.run_capacity is run_capacity

@@ -19,16 +19,17 @@ from holowdm.channel import (
     build_wdm_correlation,
     draw_channel,
 )
-from holowdm.harness import MODEL_NAMES, correlation_for, default_config
+from holowdm.harness import MODEL_NAMES, correlation_for, default_config, run_capacity
 from holowdm.metrics import (
     dof,
+    ergodic_capacities,
     ergodic_capacity,
     hermitian_eigs,
     realization_seeds,
     waterfill,
     worker_count,
 )
-from holowdm.scattering import ScatteringSpec
+from holowdm.scattering import Cluster, ScatteringSpec
 from holowdm.wavenumber import PhysicalConfig, variance_profile
 
 LAMBDA = 0.01
@@ -195,9 +196,12 @@ class TestCapacity:
     def test_identity_channel_two_modes(self, monkeypatch):
         # every draw is H = I: equal gains split the power evenly, so
         # 2 log2(1 + 1) = 2 bits.  The source side is not a constant vector,
-        # so the gains come from the drawn channel.
-        monkeypatch.setattr(metrics, "draw_channel", lambda model, seed: np.eye(2, dtype=complex))
-        model = CorrelationModel(np.array([1.0, 0.5]), np.ones(2))
+        # so the gains come from the drawn W; its third mode has no variance
+        # and is dropped, which leaves the 2 x 2 identity.
+        monkeypatch.setattr(
+            metrics, "draw_w", lambda n_r, n_s, seed: np.eye(n_r, n_s, dtype=complex)
+        )
+        model = CorrelationModel(np.array([1.0, 1.0, 0.0]), np.ones(2))
         result = ergodic_capacity(model, (10.0 * math.log10(2.0),), 1.0, 3, 0)
         assert result.capacity_bits[0] == pytest.approx(2.0, abs=1e-12)
 
@@ -458,3 +462,147 @@ class TestAngularDomainCapacity:
         jakes = build_jakes_correlation(PhysicalConfig(LAMBDA, 8 * LAMBDA, 8 * LAMBDA, 0.0))
         result = ergodic_capacity(jakes, (0.0, 30.0), 1.0, 4, base_seed=2)
         assert np.all(result.capacity_bits > 0.0)
+
+
+def _single_power_waterfill(gains, total_power, noise_var):
+    """Water-filling at one power by a scan of its own sorted breakpoints:
+    the reference for the power-grid pass, checks left out."""
+    gains = np.clip(np.asarray(gains, dtype=float), 0.0, None)
+    order = np.argsort(-gains, kind="stable")
+    positive = order[gains[order] > 0.0]
+    breakpoints = noise_var / gains[positive]
+    mu_candidates = (total_power + np.cumsum(breakpoints)) / np.arange(1, positive.size + 1)
+    feasible = np.nonzero(mu_candidates > breakpoints)[0]
+    active = int(feasible[-1]) + 1 if feasible.size else 1
+    allocation = np.zeros_like(gains)
+    allocation[positive[:active]] = float(mu_candidates[active - 1]) - breakpoints[:active]
+    allocation[positive[0]] += total_power - float(allocation.sum())
+    return allocation
+
+
+def _log_sum(allocation, gains, noise_var):
+    on = allocation > 0.0
+    log_snr = np.log2(allocation[on]) + np.log2(gains[on]) - math.log2(noise_var)
+    return np.sum(np.logaddexp2(0.0, log_snr))
+
+
+def _per_model_loop(model, grid, noise_var, realizations, base_seed):
+    """Mean and standard error of one model's capacity, one realization at a
+    time: draw_channel for each seed, then one water-filling per power."""
+    spectrum = model.angular()
+    a = metrics._common_variance(spectrum.R_r)
+    b = metrics._common_variance(spectrum.R_s)
+    rows = metrics._significant_modes(spectrum.R_r)
+    cols = metrics._significant_modes(spectrum.R_s)
+    n_s, n_r = spectrum.R_s.size, spectrum.R_r.size
+    capacity = np.zeros((realizations, len(grid)))
+    for i, seed in enumerate(realization_seeds(base_seed, realizations)):
+        if a is not None and b is not None:
+            gains = (a * b) * metrics._wishart_gains(n_r, n_s, int(seed))
+        else:
+            gains = metrics._mode_gains(draw_channel(spectrum, int(seed))[rows][:, cols])
+        if gains.max(initial=0.0) <= 0.0:
+            continue
+        for j, p_dbw in enumerate(grid):
+            allocation = _single_power_waterfill(gains, 10.0 ** (p_dbw / 10.0), noise_var)
+            capacity[i, j] = _log_sum(allocation, gains, noise_var)
+    stderr = capacity.std(axis=0, ddof=1) / math.sqrt(realizations)
+    return capacity.mean(axis=0), stderr
+
+
+def _two_narrow_clusters():
+    return ScatteringSpec.mixture((
+        Cluster.from_circular_variance(0.5, math.radians(20.0), 1e-4),
+        Cluster.from_circular_variance(0.5, math.radians(150.0), 1e-4),
+    ))
+
+
+class TestOnePassCapacity:
+    @pytest.mark.filterwarnings("ignore:aperture shorter")
+    @pytest.mark.parametrize("ratios", [(128, 128), (16.5, 8.25), (8, 16)])
+    def test_all_models_in_one_pass_equal_each_alone_bitwise(self, ratios):
+        cfg = replace(
+            default_config(),
+            physical=PhysicalConfig(LAMBDA, ratios[0] * LAMBDA, ratios[1] * LAMBDA, 0.0),
+        )
+        models = [correlation_for(cfg, name) for name in MODEL_NAMES]
+        # two narrow clusters far apart leave a gap of negligible modes
+        gap = correlation_for(
+            replace(cfg, scattering_s=_two_narrow_clusters(), scattering_r=_two_narrow_clusters()),
+            "non_isotropic",
+        )
+        kept = metrics._significant_modes(gap.R_r)
+        assert np.any(np.diff(kept) > 1)
+        models.append(gap)
+        grid = (-30.0, 0.0, 30.0, 60.0)
+        realizations = 2 if ratios == (128, 128) else 6
+        together = ergodic_capacities(models, grid, 1.0, realizations, 41)
+        assert len(together) == len(models)
+        for model, result in zip(models, together):
+            alone = ergodic_capacity(model, grid, 1.0, realizations, 41)
+            mean, stderr = _per_model_loop(model, grid, 1.0, realizations, 41)
+            for got in (result, alone):
+                assert np.array_equal(got.capacity_bits, mean)
+                assert np.array_equal(got.stderr_bits, stderr)
+
+    def test_one_w_per_seed(self, monkeypatch):
+        seeds = []
+        draw_w = channel.draw_w
+
+        def counting(n_r, n_s, seed):
+            seeds.append(seed)
+            return draw_w(n_r, n_s, seed)
+
+        monkeypatch.setattr(metrics, "draw_w", counting)
+        cfg = replace(
+            default_config(), physical=PhysicalConfig(LAMBDA, 8 * LAMBDA, 8 * LAMBDA, 0.0),
+            realizations=5,
+        )
+        run_capacity(cfg)
+        # jakes, isotropic and non_isotropic share each draw; iid needs none
+        assert seeds == [int(s) for s in realization_seeds(cfg.seed, 5)]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        gains=st.lists(
+            st.one_of(
+                st.just(0.0),
+                st.sampled_from([0.25, 1.0, 3.0]),
+                st.floats(min_value=1e-4, max_value=1e4),
+            ),
+            min_size=1, max_size=40,
+        ).filter(lambda g: any(v > 0 for v in g)),
+        powers=st.lists(st.floats(min_value=1e-3, max_value=1e3), min_size=1, max_size=8),
+        noise_var=st.floats(min_value=1e-3, max_value=1e3),
+    )
+    def test_power_grid_equals_single_powers_bitwise(self, gains, powers, noise_var):
+        gains = np.array(gains)
+        # a power below the rounding scale of the first breakpoint
+        powers = [*powers, noise_var / gains.max() * 2.0**-60]
+        grid = metrics._waterfill_grid(gains, powers, noise_var)
+        bits = metrics._capacity_bits(gains, np.array(powers), noise_var)
+        for j, p in enumerate(powers):
+            want = _single_power_waterfill(gains, p, noise_var)
+            assert np.array_equal(grid[j], want)
+            assert np.array_equal(waterfill(gains, p, noise_var), want)
+            assert bits[j] == _log_sum(want, gains, noise_var)
+
+    @pytest.mark.parametrize(
+        "gains, noise_var",
+        [([3.0, 1.0, 1.0, 1.0, 0.0], 1.5 * 2.0**1022), ([1.0, 0.5, 1e-320], 1.0)],
+        ids=["noise-near-the-top", "subnormal-gain"],
+    )
+    def test_overflowing_breakpoints_scale_exactly(self, gains, noise_var):
+        # the breakpoint sum overflows; the allocation is that of the
+        # problem with noise and power divided by 2**60, scaled back, and it
+        # still sums to the power
+        gains = np.array(gains)
+        with np.errstate(over="ignore"):
+            assert not np.isfinite(np.sum(noise_var / gains[gains > 0.0]))
+        for p in (noise_var * 0.5, noise_var * 1.5):
+            allocation = waterfill(gains, p, noise_var)
+            scaled = waterfill(gains, math.ldexp(p, -60), math.ldexp(noise_var, -60))
+            assert np.array_equal(allocation, np.ldexp(scaled, 60))
+            assert allocation.sum() == pytest.approx(p, rel=1e-15)
+            bits = metrics._capacity_bits(gains, np.array([p]), noise_var)
+            assert np.isfinite(bits).all() and bits[0] > 0.0
