@@ -157,12 +157,19 @@ def _waterfill_grid(eigenvalues, powers, noise_var: float) -> np.ndarray:
     active = np.where(feasible.any(axis=1), last, 1)
     mu = mu_candidates[np.arange(powers.size), active - 1]
 
+    on = counts <= active[:, None]
     allocation = np.zeros((powers.size, gains.size))
-    allocation[:, positive] = np.where(
-        counts <= active[:, None], mu[:, None] - breakpoints, 0.0
-    )
+    allocation[:, positive] = np.where(on, mu[:, None] - breakpoints, 0.0)
     if shift:
         allocation = np.ldexp(allocation, shift)
+    # mu is rounded on the scale of the breakpoints, so the allocations miss
+    # the power by up to a few ulps of mu.  That remainder is shared evenly by
+    # the active modes, which keeps their water levels equal; on one mode it
+    # would lift that mode's level alone.  The strongest mode takes what the
+    # sharing leaves, a rounding of the power.
+    share = (powers - allocation.sum(axis=1)) / active
+    allocation[:, positive] += np.where(on, share[:, None], 0.0)
+    np.maximum(allocation, 0.0, out=allocation)
     allocation[:, positive[0]] += powers - allocation.sum(axis=1)
     return allocation
 

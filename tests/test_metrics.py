@@ -476,6 +476,8 @@ def _single_power_waterfill(gains, total_power, noise_var):
     active = int(feasible[-1]) + 1 if feasible.size else 1
     allocation = np.zeros_like(gains)
     allocation[positive[:active]] = float(mu_candidates[active - 1]) - breakpoints[:active]
+    allocation[positive[:active]] += (total_power - float(allocation.sum())) / active
+    np.maximum(allocation, 0.0, out=allocation)
     allocation[positive[0]] += total_power - float(allocation.sum())
     return allocation
 
