@@ -238,15 +238,21 @@ def build_iid_correlation(n_s: int, n_r: int) -> CorrelationModel:
     return CorrelationModel(np.ones(n_s), np.ones(n_r))
 
 
+def check_seed(seed, name: str = "seed") -> int:
+    """seed as an int; a ValueError naming it unless it is an integer in [0, 2**64)."""
+    # bools are ints to Python, and int() would take a float or a string
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2**64:
+        raise ValueError(f"{name} must be an integer in [0, 2**64), got {seed!r}")
+    return int(seed)
+
+
 def draw_w(n_r: int, n_s: int, seed) -> np.ndarray:
     """Draw the n_r x n_s matrix W of seeded i.i.d. CN(0, 1) entries.
 
     The same seed reproduces the same W bitwise; Monte Carlo derives one seed
     per realization (see metrics.realization_seeds).
     """
-    seed = int(seed)
-    if not (0 <= seed < 2**64):
-        raise ValueError(f"seed must fit an unsigned 64-bit integer, got {seed}")
+    seed = check_seed(seed)
     # one draw of all 2 n_r n_s normals, real parts first: the stream order
     # of two separate draws
     parts = np.random.default_rng(seed).standard_normal((2, n_r, n_s))

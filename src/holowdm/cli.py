@@ -75,7 +75,7 @@ def _parse_clusters(raw) -> ScatteringSpec:
         if not (0.0 < circ_var <= 1.0):
             raise ValueError(f"clusters[{i}].circ_var must lie in (0, 1], got {circ_var}")
         weight = _positive(f"clusters[{i}].weight", entry["weight"])
-        clusters.append(Cluster.from_circular_variance(weight, math.radians(mean_deg), circ_var))
+        clusters.append(Cluster(weight, math.radians(mean_deg), circ_var))
     try:
         return ScatteringSpec.mixture(clusters)
     except ValueError as exc:

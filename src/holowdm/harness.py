@@ -22,7 +22,7 @@ from .channel import (
     build_jakes_correlation,
     build_wdm_correlation,
 )
-from .metrics import check_monte_carlo_args, dof, ergodic_capacities
+from .metrics import _watts, check_monte_carlo_args, dof, ergodic_capacities
 # bound here for bench/tracing.py, which wraps it by this name
 from .metrics import ergodic_capacity  # noqa: F401
 from .scattering import Cluster, ScatteringSpec
@@ -57,8 +57,8 @@ def _default_mixture() -> ScatteringSpec:
     # cached, so that every default config shares one solve per concentration
     return ScatteringSpec.mixture(
         (
-            Cluster.from_circular_variance(0.5, math.radians(30.0), 0.01),
-            Cluster.from_circular_variance(0.5, math.radians(60.0), 0.005),
+            Cluster(0.5, math.radians(30.0), 0.01),
+            Cluster(0.5, math.radians(60.0), 0.005),
         )
     )
 
@@ -101,17 +101,6 @@ class ExperimentConfig:
 
     def noise_var_watts(self) -> float:
         return _watts("noise_var_dbw", self.noise_var_dbw)
-
-
-def _watts(key: str, dbw: float) -> float:
-    """dBW in watts; raises naming key unless that is a positive finite double."""
-    try:
-        watts = 10.0 ** (dbw / 10.0)
-    except OverflowError:
-        watts = math.inf
-    if not (math.isfinite(watts) and watts > 0.0):
-        raise ValueError(f"{key} must be a positive finite power in watts, got {dbw} dBW")
-    return watts
 
 
 def default_config() -> ExperimentConfig:

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal
 
-from .channel import CorrelationModel, draw_w
+from .channel import CorrelationModel, check_seed, draw_w
 # bound here for bench/tracing.py, which wraps it by this name
 from .channel import draw_channel  # noqa: F401
 from .wavenumber import VarianceProfile
@@ -217,15 +217,24 @@ def _significant_modes(R: np.ndarray):
 
 def check_monte_carlo_args(realizations, seed, seed_name: str = "base_seed") -> None:
     """A ValueError naming the argument unless realizations is a positive
-    integer and the seed an integer in [0, 2**64)."""
-    for name, value in (("realizations", realizations), (seed_name, seed)):
-        # bools are ints to Python, and a float would be truncated silently
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
+    integer and the seed passes channel.check_seed."""
+    # bools are ints to Python, and a float would be truncated silently
+    if isinstance(realizations, bool) or not isinstance(realizations, (int, np.integer)):
+        raise ValueError(f"realizations must be an integer, got {realizations!r}")
     if realizations < 1:
         raise ValueError(f"realizations must be at least 1, got {realizations}")
-    if not (0 <= seed < 2**64):
-        raise ValueError(f"{seed_name} must fit an unsigned 64-bit integer, got {seed}")
+    check_seed(seed, seed_name)
+
+
+def _watts(key: str, dbw: float) -> float:
+    """dBW in watts; raises naming key unless that is a positive finite double."""
+    try:
+        watts = 10.0 ** (dbw / 10.0)
+    except OverflowError:
+        watts = math.inf
+    if not (math.isfinite(watts) and watts > 0.0):
+        raise ValueError(f"{key} must be a positive finite power in watts, got {dbw} dBW")
+    return watts
 
 
 def realization_seeds(base_seed: int, count: int) -> np.ndarray:
@@ -359,7 +368,7 @@ def ergodic_capacities(
     if not power_grid_dbw:
         raise ValueError("power grid must not be empty")
     check_monte_carlo_args(realizations, base_seed)
-    powers_w = np.array([10.0 ** (p / 10.0) for p in power_grid_dbw])
+    powers_w = np.array([_watts("power_grid_dbw", p) for p in power_grid_dbw])
     spectra = [model.angular() for model in models]
     capacity = _capacity_block(
         spectra, realization_seeds(base_seed, realizations), powers_w, noise_var

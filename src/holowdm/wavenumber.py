@@ -12,11 +12,11 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import cache
 
 import numpy as np
 
-from .scattering import ScatteringSpec, _raw_density
+from . import scattering
+from .scattering import ScatteringSpec
 
 __all__ = [
     "SIDES",
@@ -158,92 +158,31 @@ def angular_partition(cfg: PhysicalConfig, side: str, n: int) -> tuple[float, fl
     return float(lo[0]), float(hi[0])
 
 
-@cache
-def _gauss_legendre():
-    """Nodes of the 20- and 10-point Gauss-Legendre rules on [-1, 1], then their weights."""
-    x20, w20 = np.polynomial.legendre.leggauss(20)
-    x10, w10 = np.polynomial.legendre.leggauss(10)
-    return np.concatenate((x20, x10)), w20, w10
-
-
-# Most panels one partition's refinement may reach, as quad's limit=200.
-_PANEL_LIMIT = 200
-
-
-def _gauss_pair(spec: ScatteringSpec, a: np.ndarray, b: np.ndarray):
-    """20- and 10-point Gauss-Legendre integrals of the density over each [a, b]."""
-    nodes, w20, w10 = _gauss_legendre()
-    half = 0.5 * (b - a)
-    density = _raw_density(spec, 0.5 * (a + b)[:, None] + half[:, None] * nodes)
-    return half * (density[:, :20] * w20).sum(axis=1), half * (density[:, 20:] * w10).sum(axis=1)
-
-
-def _refine_partition(spec: ScatteringSpec, lo: float, hi: float) -> tuple[float, float]:
-    """Integral of the density over [lo, hi] by adaptive bisection, and its error.
-
-    The interval is first split at the cluster means inside it.  A panel is
-    accepted when its 20- and 10-point Gauss-Legendre values agree within
-    max(1e-15, 1e-13 * |G20|) and, if it ends at a cluster mean, when it is
-    no wider than 16 of that cluster's spreads 1/sqrt(concentration);
-    otherwise it is halved.  The width rule keeps a peak narrower than the
-    nodes' spacing from passing unseen, with both rules near 0: the node
-    nearest a panel end lies 0.0034 panel widths in.  Once halving would pass
-    _PANEL_LIMIT panels, the open panels are accepted as they are, so the
-    summed |G20 - G10| of the accepted panels reports what was not reached.
-    """
-    peaks = [
-        (c.mean_angle, 16.0 / math.sqrt(c.concentration))
-        for c in spec.clusters
-        if lo <= c.mean_angle <= hi and c.concentration > 0.0
-    ]
-    edges = np.unique([lo, hi, *(m for m, _ in peaks if lo < m < hi)])
-    a, b = edges[:-1], edges[1:]
-    panels = a.size
-    accepted = []
-    err = 0.0
-    while a.size:
-        g20, g10 = _gauss_pair(spec, a, b)
-        gap = np.abs(g20 - g10)
-        done = gap <= np.maximum(1e-15, 1e-13 * np.abs(g20))
-        for mean, width in peaks:
-            done &= ~(((a == mean) | (b == mean)) & (b - a > width))
-        split = np.flatnonzero(~done)
-        if panels + split.size > _PANEL_LIMIT:
-            done[:] = True
-            split = split[:0]
-        accepted.extend(g20[done])
-        err += float(gap[done].sum())
-        panels += split.size
-        mid = 0.5 * (a[split] + b[split])
-        a, b = np.concatenate((a[split], mid)), np.concatenate((mid, b[split]))
-    return math.fsum(accepted), err
-
-
 def variance_profile(cfg: PhysicalConfig, spec: ScatteringSpec, side: str) -> VarianceProfile:
     """Integrate the scattering density over every index's angular partition.
 
     All partitions are integrated at once with a 20-point Gauss-Legendre
     rule; the 10-point rule on the same partition estimates its error.  A
     partition is refined by adaptive bisection with the same pair of rules
-    (see _refine_partition) when a cluster mean lies in it or on its
-    boundary, or when the estimate exceeds max(1e-13, 1e-12 * |G20|); a
+    (see scattering._refine_partition) when a cluster mean lies in it or on
+    its boundary, or when the estimate exceeds max(1e-13, 1e-12 * |G20|); a
     refined error above 1e-10 raises, and so does a profile without mass.
     Entries are independent of each other and of any evaluation parallelism
     a caller might add.
     """
     grid = build_grid(cfg, side)
     lo, hi = _partition_bounds(cfg, side, grid.indices)
-    variances, estimate = _gauss_pair(spec, lo, hi)
+    variances, estimate = scattering._gauss_pair(spec, lo, hi)
     means = np.array([c.mean_angle for c in spec.clusters])
     holds_mean = ((lo[:, None] <= means) & (means <= hi[:, None])).any(axis=1)
     rough = np.abs(variances - estimate) > np.maximum(1e-13, 1e-12 * np.abs(variances))
     for i in np.flatnonzero(holds_mean | rough):
-        value, err = _refine_partition(spec, lo[i], hi[i])
+        values, err = scattering._refine_partition(spec, lo[i], hi[i])
         if err > 1e-10:
             raise RuntimeError(
                 f"partition quadrature error {err:.3e} at {side} index {grid.indices[i]}"
             )
-        variances[i] = value
+        variances[i] = math.fsum(values)
     variances = np.maximum(variances, 0.0)
     if float(variances.sum()) <= 0.0:
         raise RuntimeError(f"scattering density carries no mass on the {side} partitions")

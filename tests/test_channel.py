@@ -46,8 +46,8 @@ def profiles(cfg, spec):
 def mixture():
     return ScatteringSpec.mixture(
         (
-            Cluster.from_circular_variance(0.5, math.radians(30.0), 0.01),
-            Cluster.from_circular_variance(0.5, math.radians(60.0), 0.005),
+            Cluster(0.5, math.radians(30.0), 0.01),
+            Cluster(0.5, math.radians(60.0), 0.005),
         )
     )
 
@@ -224,8 +224,10 @@ class TestDrawChannel:
         assert mean == pytest.approx(n_s * n_r, rel=0.05)
 
     def test_bad_seed(self, wdm_iso_small):
-        with pytest.raises(ValueError):
-            draw_channel(wdm_iso_small, -1)
+        # int() would draw seed 3 for 3.9, seed 1 for True and seed 7 for "7"
+        for seed in (-1, 2**64, 3.9, True, "7", np.float64(7.0)):
+            with pytest.raises(ValueError, match="seed"):
+                draw_channel(wdm_iso_small, seed)
 
     @pytest.mark.parametrize("ratios", [(128, 128), (16, 8), (8, 16)])
     def test_diagonal_models_match_dense_product(self, mixture, ratios):

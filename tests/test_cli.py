@@ -255,12 +255,15 @@ class TestMain:
         assert (out1 / "capacity.csv").read_bytes() != (out2 / "capacity.csv").read_bytes()
 
 
-# Runs `holowdm all` in a fresh interpreter, then prints the scipy subpackages
-# the run imported that it should not need.
+# Runs `holowdm all` and a mixture ACF in a fresh interpreter, then prints the
+# scipy subpackages they imported that they should not need.
 _IMPORT_PROBE = """
 import json, sys
 from holowdm.cli import main
+from holowdm.harness import default_config
+from holowdm.scattering import acf_quadrature
 code = main(["all", "--config", sys.argv[1], "--out", sys.argv[2]])
+acf_quadrature(default_config().scattering_s, 628.0, 0.05)
 print(json.dumps([code, sorted(
     m for m in sys.modules if m.startswith(("scipy.optimize", "scipy.integrate"))
 )]))

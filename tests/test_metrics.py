@@ -293,6 +293,12 @@ class TestCapacity:
         with pytest.raises(ValueError, match=key):
             ergodic_capacity(build_iid_correlation(2, 2), (0.0,), 1.0, **args)
 
+    @pytest.mark.parametrize("power_dbw", [4000.0, -4000.0, math.nan])
+    def test_power_outside_the_double_range_names_the_key(self, power_dbw):
+        # 10 ** 400 overflows, 10 ** -400 is 0 and NaN is no power at all
+        with pytest.raises(ValueError, match="power_grid_dbw"):
+            ergodic_capacity(build_iid_correlation(2, 2), (power_dbw,), 1.0, 2, 1)
+
     def test_largest_seed_accepted(self):
         grid = (0.0,)
         model = build_iid_correlation(2, 2)
@@ -514,8 +520,8 @@ def _per_model_loop(model, grid, noise_var, realizations, base_seed):
 
 def _two_narrow_clusters():
     return ScatteringSpec.mixture((
-        Cluster.from_circular_variance(0.5, math.radians(20.0), 1e-4),
-        Cluster.from_circular_variance(0.5, math.radians(150.0), 1e-4),
+        Cluster(0.5, math.radians(20.0), 1e-4),
+        Cluster(0.5, math.radians(150.0), 1e-4),
     ))
 
 

@@ -5,14 +5,17 @@ The two-cluster fixture mirrors the reference experiment: mean angles 30 and
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 from holowdm.scattering import (
     ISOTROPIC_DENSITY,
     Cluster,
     ScatteringSpec,
+    _raw_density,
     acf,
     acf_quadrature,
     psd,
@@ -28,28 +31,25 @@ K = 2.0 * math.pi / WAVELENGTH
 def two_cluster_spec():
     return ScatteringSpec.mixture(
         (
-            Cluster.from_circular_variance(0.5, math.radians(30.0), 0.01),
-            Cluster.from_circular_variance(0.5, math.radians(60.0), 0.005),
+            Cluster(0.5, math.radians(30.0), 0.01),
+            Cluster(0.5, math.radians(60.0), 0.005),
         )
     )
 
 
 class TestCluster:
-    def test_from_circular_variance_solves_concentration(self):
-        c = Cluster.from_circular_variance(1.0, 0.5, 0.25)
+    def test_concentration_is_solved_from_circular_variance(self):
+        c = Cluster(1.0, 0.5, 0.25)
         assert abs(1.0 - bessel_ratio_i1_i0(c.concentration) ** 2 - 0.25) < 1e-10
-
-    def test_inconsistent_concentration_rejected(self):
-        with pytest.raises(ValueError, match="inconsistent"):
-            Cluster(weight=1.0, mean_angle=0.5, circ_variance=0.25, concentration=1.0)
+        assert Cluster(1.0, 0.5, 1.0).concentration == 0.0
 
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"weight": 0.0, "mean_angle": 0.5, "circ_variance": 1.0, "concentration": 0.0},
-            {"weight": 1.0, "mean_angle": -0.1, "circ_variance": 1.0, "concentration": 0.0},
-            {"weight": 1.0, "mean_angle": math.pi, "circ_variance": 1.0, "concentration": 0.0},
-            {"weight": 1.0, "mean_angle": 0.5, "circ_variance": 0.0, "concentration": 0.0},
+            {"weight": 0.0, "mean_angle": 0.5, "circ_variance": 1.0},
+            {"weight": 1.0, "mean_angle": -0.1, "circ_variance": 1.0},
+            {"weight": 1.0, "mean_angle": math.pi, "circ_variance": 1.0},
+            {"weight": 1.0, "mean_angle": 0.5, "circ_variance": 0.0},
         ],
     )
     def test_field_validation(self, kwargs):
@@ -65,12 +65,12 @@ class TestScatteringSpec:
         assert spec == ScatteringSpec.isotropic() == ScatteringSpec()
         assert hash(spec) == hash(ScatteringSpec.isotropic())
         # a spec with clusters is a mixture, and a mixture needs a cluster
-        assert not ScatteringSpec((Cluster.from_circular_variance(1.0, 0.5, 1.0),)).is_isotropic
+        assert not ScatteringSpec((Cluster(1.0, 0.5, 1.0),)).is_isotropic
         with pytest.raises(ValueError, match="at least one cluster"):
             ScatteringSpec.mixture(())
 
     def test_mixture_weights_must_sum_to_one(self):
-        good = Cluster.from_circular_variance(0.5, 0.3, 0.5)
+        good = Cluster(0.5, 0.3, 0.5)
         with pytest.raises(ValueError, match="sum to 1"):
             ScatteringSpec.mixture((good,))
 
@@ -82,16 +82,14 @@ class TestPsfDensity:
 
     def test_uniform_cluster_is_full_circle_uniform(self):
         # a single alpha = 0 cluster is uniform over the whole circle: 1/(2 pi)
-        spec = ScatteringSpec.mixture((Cluster.from_circular_variance(1.0, 0.9, 1.0),))
+        spec = ScatteringSpec.mixture((Cluster(1.0, 0.9, 1.0),))
         for theta in (0.0, 0.9, 3.0):
             assert psf_density(spec, theta) == pytest.approx(1.0 / (2 * math.pi), rel=1e-14)
 
     def test_peak_value_single_cluster(self):
         # direct evaluation oracle: e^5 / (2 pi I0(5)) with series-checked I0
         nu_sq = 1.0 - bessel_ratio_i1_i0(5.0) ** 2
-        spec = ScatteringSpec.mixture(
-            (Cluster(weight=1.0, mean_angle=math.pi / 3, circ_variance=nu_sq, concentration=5.0),)
-        )
+        spec = ScatteringSpec.mixture((Cluster(1.0, math.pi / 3, nu_sq),))
         expected = math.exp(5.0) / (2 * math.pi * bessel_i0(5.0))
         assert expected == pytest.approx(0.8671365285423521, rel=1e-13)
         assert psf_density(spec, math.pi / 3) == pytest.approx(expected, rel=1e-12)
@@ -109,7 +107,7 @@ class TestPsfDensity:
         assert np.all(values >= 0.0) and np.all(np.isfinite(values))
 
     def test_huge_concentration_no_overflow(self):
-        spec = ScatteringSpec.mixture((Cluster.from_circular_variance(1.0, 1.0, 1e-4),))
+        spec = ScatteringSpec.mixture((Cluster(1.0, 1.0, 1e-4),))
         assert math.isfinite(psf_density(spec, 1.0))
         assert psf_density(spec, 2.5) >= 0.0
 
@@ -134,6 +132,33 @@ class TestAcf:
         for r in np.linspace(0.0, 10 * WAVELENGTH, 40):
             numeric = acf_quadrature(ScatteringSpec.isotropic(), K, r)
             assert abs(numeric - bessel_j0(K * r)) < 1e-8
+        # a long lag takes one refinement per 64 radians of k |r_x|; one
+        # refinement alone runs into its panel limit from about 100 wavelengths
+        for r in (100 * WAVELENGTH, -1000 * WAVELENGTH):
+            numeric = acf_quadrature(ScatteringSpec.isotropic(), K, r)
+            assert abs(numeric - bessel_j0(K * r)) < 1e-12
+
+    @pytest.mark.parametrize("spec_name", ["isotropic", "mixture", "narrow", "edges"])
+    def test_quadrature_matches_quad(self, spec_name, two_cluster_spec):
+        spec = {
+            "isotropic": ScatteringSpec.isotropic(),
+            "mixture": two_cluster_spec,
+            "narrow": ScatteringSpec.mixture((Cluster(1.0, 0.9, 1e-6),)),
+            "edges": ScatteringSpec.mixture(
+                (Cluster(0.5, 0.0, 1e-4), Cluster(0.5, math.radians(179.0), 1e-4))
+            ),
+        }[spec_name]
+        for r in np.linspace(-10 * WAVELENGTH, 10 * WAVELENGTH, 41):
+            assert abs(acf_quadrature(spec, K, r) - _quad_acf(spec, K, r)) <= 1e-12
+
+    def test_quadrature_refuses_an_unresolved_lag(self, two_cluster_spec):
+        # at 1e4 m the 200 refinements are too few for the oscillation; at
+        # 1e308 m the phase k r_x overflows and every panel value is NaN
+        for r in (1e4, 1e308):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                with pytest.raises(RuntimeError, match="ACF quadrature error"):
+                    acf_quadrature(two_cluster_spec, K, r)
 
     def test_hermitian_symmetry(self, two_cluster_spec):
         for spec in (ScatteringSpec.isotropic(), two_cluster_spec):
@@ -151,6 +176,22 @@ class TestAcf:
             acf(spec, 0.0, 1.0)
         with pytest.raises(ValueError):
             acf(spec, K, float("inf"))
+
+
+def _quad_acf(spec, k, r_x):
+    """Reference ACF: scipy's adaptive quad on the real and imaginary parts,
+    with the cluster means inside (0, pi) as break points."""
+
+    def integrand(theta, osc):
+        return _raw_density(spec, theta) * osc(k * math.cos(theta) * r_x)
+
+    points = [c.mean_angle for c in spec.clusters if 0.0 < c.mean_angle < math.pi] or None
+    re, re_err = integrate.quad(integrand, 0.0, math.pi, args=(math.cos,),
+                                epsabs=1e-10, epsrel=1e-11, limit=400, points=points)
+    im, im_err = integrate.quad(integrand, 0.0, math.pi, args=(math.sin,),
+                                epsabs=1e-10, epsrel=1e-11, limit=400, points=points)
+    assert re_err + im_err <= 1e-9
+    return complex(re, im)
 
 
 def chebyshev_psd_transform(spec, k, r_x, nodes=4096):
@@ -178,7 +219,7 @@ class TestPsd:
         assert psd(ScatteringSpec.isotropic(), K, -K) == math.inf
 
     def test_uniform_cluster_broadside(self):
-        spec = ScatteringSpec.mixture((Cluster.from_circular_variance(1.0, 0.9, 1.0),))
+        spec = ScatteringSpec.mixture((Cluster(1.0, 0.9, 1.0),))
         assert psd(spec, K, 0.0) == pytest.approx(1.0 / K, rel=1e-13)
 
     def test_isotropic_closed_form_inside(self):

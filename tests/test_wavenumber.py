@@ -10,7 +10,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy import integrate
 
-from holowdm import wavenumber
+from holowdm import scattering
 from holowdm.scattering import Cluster, ScatteringSpec, psf_density
 from holowdm.wavenumber import (
     PhysicalConfig,
@@ -37,8 +37,8 @@ def cfg128():
 def mixture():
     return ScatteringSpec.mixture(
         (
-            Cluster.from_circular_variance(0.5, math.radians(30.0), 0.01),
-            Cluster.from_circular_variance(0.5, math.radians(60.0), 0.005),
+            Cluster(0.5, math.radians(30.0), 0.01),
+            Cluster(0.5, math.radians(60.0), 0.005),
         )
     )
 
@@ -229,7 +229,7 @@ class TestVarianceProfile:
         assert np.all(profile.variances >= 0.0)
 
     def test_massless_density_raises(self, monkeypatch):
-        monkeypatch.setattr(wavenumber, "_raw_density", lambda spec, theta: 0.0 * theta)
+        monkeypatch.setattr(scattering, "_raw_density", lambda spec, theta: 0.0 * theta)
         with pytest.raises(RuntimeError, match="carries no mass on the source"):
             variance_profile(config(8), ScatteringSpec.isotropic(), "source")
 
@@ -277,12 +277,12 @@ def _mpmath_reference(ratio, spec):
 
 EDGE_CLUSTERS = ScatteringSpec.mixture(
     (
-        Cluster.from_circular_variance(0.5, 0.0, 1e-4),
-        Cluster.from_circular_variance(0.5, math.radians(179.0), 1e-4),
+        Cluster(0.5, 0.0, 1e-4),
+        Cluster(0.5, math.radians(179.0), 1e-4),
     )
 )
 
-NARROW = ScatteringSpec.mixture((Cluster.from_circular_variance(1.0, math.radians(45.0), 1e-8),))
+NARROW = ScatteringSpec.mixture((Cluster(1.0, math.radians(45.0), 1e-8),))
 
 
 class TestPartitionQuadrature:
@@ -310,13 +310,13 @@ class TestPartitionQuadrature:
 
     def test_refinement_runs_where_the_rule_is_not_enough(self, mixture, monkeypatch):
         refined = []
-        refine = wavenumber._refine_partition
+        refine = scattering._refine_partition
 
-        def counting(spec, lo, hi):
+        def counting(spec, lo, hi, weight=None):
             refined.append((lo, hi))
-            return refine(spec, lo, hi)
+            return refine(spec, lo, hi, weight)
 
-        monkeypatch.setattr(wavenumber, "_refine_partition", counting)
+        monkeypatch.setattr(scattering, "_refine_partition", counting)
         cfg = config(8)
         variance_profile(cfg, mixture, "receiver")
         indices = build_grid(cfg, "receiver").indices
@@ -333,7 +333,7 @@ class TestPartitionQuadrature:
 
     def test_refinement_error_still_raises(self, mixture, monkeypatch):
         # with one panel allowed, a partition holding a mean stays unconverged
-        monkeypatch.setattr(wavenumber, "_PANEL_LIMIT", 1)
+        monkeypatch.setattr(scattering, "_PANEL_LIMIT", 1)
         with pytest.raises(RuntimeError, match="partition quadrature error"):
             variance_profile(config(8), mixture, "receiver")
 
@@ -342,31 +342,31 @@ class TestPartitionQuadrature:
         # sits 7 spreads from the mean, where both rules read ~1e-22.  The
         # width rule halves the panel anyway, and the cluster's half mass
         # is found.
-        spec = ScatteringSpec.mixture((Cluster.from_circular_variance(1.0, 0.0, 1e-6),))
-        value, err = wavenumber._refine_partition(spec, 0.0, 3.0)
+        spec = ScatteringSpec.mixture((Cluster(1.0, 0.0, 1e-6),))
+        values, err = scattering._refine_partition(spec, 0.0, 3.0)
         assert err <= 1e-10
-        assert value == pytest.approx(0.5, abs=1e-11)
+        assert math.fsum(values) == pytest.approx(0.5, abs=1e-11)
 
     def test_refinement_stops_at_the_panel_limit(self, monkeypatch):
         # a kappa ~ 5e7 peak needs 21 panels; with 8 allowed the panels run
         # into the limit and the run raises rather than return an
         # unconverged value
-        monkeypatch.setattr(wavenumber, "_PANEL_LIMIT", 8)
+        monkeypatch.setattr(scattering, "_PANEL_LIMIT", 8)
         panels = []
-        pair = wavenumber._gauss_pair
+        pair = scattering._gauss_pair
 
-        def counting(spec, a, b):
+        def counting(spec, a, b, weight=None):
             panels.append(a.size)
-            return pair(spec, a, b)
+            return pair(spec, a, b, weight)
 
-        monkeypatch.setattr(wavenumber, "_gauss_pair", counting)
+        monkeypatch.setattr(scattering, "_gauss_pair", counting)
         with pytest.raises(RuntimeError, match="partition quadrature error"):
             variance_profile(config(8), NARROW, "receiver")
         # one vectorized pass over the 16 partitions, then the refinement:
         # its first level holds the two panels either side of the mean, and
         # each later level holds the two halves of every panel split
         assert panels[:2] == [16, 2]
-        assert 2 + sum(panels[2:]) // 2 <= wavenumber._PANEL_LIMIT
+        assert 2 + sum(panels[2:]) // 2 <= scattering._PANEL_LIMIT
 
     def test_narrow_cluster_matches_mpmath(self):
         # kappa ~ 5e7: written as exp(kappa (cos - 1)), the density would
