@@ -10,8 +10,6 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from .harness import (
     ExperimentConfig,
     Table,
@@ -154,27 +152,26 @@ def parse_config(text: str) -> ExperimentConfig:
     return replace(cfg, **changes)
 
 
-def _format_cell(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        raise TypeError("boolean cells are not part of any table schema")
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        # 17 significant digits round-trip doubles exactly, making re-runs
-        # byte-comparable.
-        return format(float(value), ".17g")
-    return str(value)
+def _format_column(name: str, values) -> list[str]:
+    # 17 significant digits round-trip doubles exactly, so re-runs are byte-comparable
+    kinds = set(map(type, values))
+    if kinds <= {float}:
+        return list(map("%.17g".__mod__, values))
+    if kinds <= {int}:
+        return list(map(str, values))
+    if kinds <= {str}:
+        return values
+    raise TypeError(f"column {name!r} is not all floats, all ints or all strs: {kinds}")
 
 
 def emit_csv(table: Table, path) -> None:
-    """Write a table as RFC-4180-style CSV with LF line endings."""
-    path = Path(path)
+    """Write a table as RFC-4180-style CSV with LF line endings, one column at a time."""
+    cells = [_format_column(n, v) for n, v in zip(table.columns, table.data, strict=True)]
     try:
         with open(path, "w", newline="") as handle:
             writer = csv.writer(handle, lineterminator="\n")
             writer.writerow(table.columns)
-            for row in table.rows:
-                writer.writerow([_format_cell(v) for v in row])
+            writer.writerows(zip(*cells, strict=True))
     except OSError as exc:
         raise OSError(f"failed to write {path}: {exc}") from exc
 
@@ -186,7 +183,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "scattering, spectrum, degrees-of-freedom, and capacity experiments.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    names = [name for name, _ in _EXPERIMENTS] + ["all"]
     helps = {
         "psf": "angular power density table",
         "eigs": "receive-correlation eigenvalue table",
@@ -194,8 +190,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "capacity": "ergodic capacity table",
         "all": "all experiments",
     }
-    for name in names:
-        p = sub.add_parser(name, help=helps[name])
+    for name, text in helps.items():
+        p = sub.add_parser(name, help=text)
         p.add_argument("--config", type=Path, default=None,
                        help="JSON config file (omitted keys take defaults)")
         p.add_argument("--out", type=Path, default=Path("."),
@@ -218,15 +214,13 @@ def main(argv=None) -> int:
         print(f"holowdm: invalid config: {exc}", file=sys.stderr)
         return 2
 
-    selected = _EXPERIMENTS if args.command == "all" else tuple(
-        (name, runner) for name, runner in _EXPERIMENTS if name == args.command
-    )
     args.out.mkdir(parents=True, exist_ok=True)
-    for name, runner in selected:
+    for name, runner in _EXPERIMENTS:
+        if args.command not in (name, "all"):
+            continue
+        target = args.out / f"{name}.csv"
         try:
-            table = runner(cfg)
-            target = args.out / f"{name}.csv"
-            emit_csv(table, target)
+            emit_csv(runner(cfg), target)
         except Exception as exc:
             print(f"holowdm: experiment {name!r} failed: {exc}", file=sys.stderr)
             return 1

@@ -10,6 +10,7 @@ channel realizations.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cache, lru_cache
 
@@ -25,7 +26,7 @@ from .channel import (
 from .metrics import _watts, check_monte_carlo_args, dof, ergodic_capacities
 # bound here for bench/tracing.py, which wraps it by this name
 from .metrics import ergodic_capacity  # noqa: F401
-from .scattering import Cluster, ScatteringSpec
+from .scattering import Cluster, ScatteringSpec, psf_density
 from .wavenumber import PhysicalConfig, VarianceProfile, variance_profile
 
 __all__ = [
@@ -107,12 +108,16 @@ def default_config() -> ExperimentConfig:
     return ExperimentConfig()
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class Table:
-    """Column-named rows, ready for CSV emission."""
+    """Named columns of equal length, each all floats, ints or strs; rows reads across."""
 
     columns: tuple[str, ...]
-    rows: list[tuple]
+    data: tuple[Sequence, ...]
+
+    @property
+    def rows(self) -> list[tuple]:
+        return list(zip(*self.data, strict=True))
 
 
 def _spec_for(cfg: ExperimentConfig, model: str, side: str) -> ScatteringSpec:
@@ -155,16 +160,14 @@ def correlation_for(cfg: ExperimentConfig, model: str) -> CorrelationModel:
 
 def run_psf_profile(cfg: ExperimentConfig) -> Table:
     """Receiver-side angular power density on a uniform grid over [0, pi)."""
-    from .scattering import psf_density
-
     thetas = np.linspace(0.0, math.pi, _PSF_GRID_POINTS, endpoint=False)
-    rows: list[tuple] = []
+    angles, labels, values = [], [], []
     for model in cfg.models:
-        if model not in _SCATTERING_MODELS:
-            continue
-        values = psf_density(_spec_for(cfg, model, "receiver"), thetas)
-        rows.extend((float(t), model, float(v)) for t, v in zip(thetas, values))
-    return Table(columns=("theta_rad", "model", "psf_density"), rows=rows)
+        if model in _SCATTERING_MODELS:
+            angles += thetas.tolist()
+            labels += [model] * thetas.size
+            values += psf_density(_spec_for(cfg, model, "receiver"), thetas).tolist()
+    return Table(("theta_rad", "model", "psf_density"), (angles, labels, values))
 
 
 def _receive_spectrum(corr: CorrelationModel) -> np.ndarray:
@@ -182,28 +185,26 @@ def _receive_spectrum(corr: CorrelationModel) -> np.ndarray:
 
 def run_eigen_spectrum(cfg: ExperimentConfig) -> Table:
     """Trace-normalized receive-correlation eigenvalues, sorted descending."""
-    rows: list[tuple] = []
+    indices, labels, values = [], [], []
     for model in cfg.models:
         # the model is a temporary: its matrices are freed before the next
         # model is built, and no square root is ever taken
-        values = _receive_spectrum(correlation_for(cfg, model))
-        rows.extend((int(i), model, float(v)) for i, v in enumerate(values))
-    return Table(columns=("index", "model", "normalized_eigenvalue"), rows=rows)
+        spectrum = _receive_spectrum(correlation_for(cfg, model)).tolist()
+        indices += range(len(spectrum))
+        labels += [model] * len(spectrum)
+        values += spectrum
+    return Table(("index", "model", "normalized_eigenvalue"), (indices, labels, values))
 
 
 def run_dof(cfg: ExperimentConfig) -> Table:
     """Degrees of freedom of the scattering-defined models."""
-    phys = cfg.physical
-    n_s = phys.mode_count("source")
-    n_r = phys.mode_count("receiver")
-    rows: list[tuple] = []
-    for model in cfg.models:
-        if model not in _SCATTERING_MODELS:
-            continue
-        profile_s, profile_r = _profiles(cfg, model)
-        result = dof(profile_s, profile_r, cfg.epsilon, model == "isotropic", n_s, n_r)
-        rows.append((model, result.dof, result.per_side[0], result.per_side[1], result.epsilon))
-    return Table(columns=("model", "dof", "n_s_prime", "n_r_prime", "epsilon"), rows=rows)
+    n_s, n_r = map(cfg.physical.mode_count, ("source", "receiver"))
+    models = [model for model in cfg.models if model in _SCATTERING_MODELS]
+    results = [dof(*_profiles(cfg, m), cfg.epsilon, m == "isotropic", n_s, n_r) for m in models]
+    return Table(("model", "dof", "n_s_prime", "n_r_prime", "epsilon"), (
+        models, [r.dof for r in results], [r.per_side[0] for r in results],
+        [r.per_side[1] for r in results], [float(r.epsilon) for r in results],
+    ))
 
 
 def run_capacity(cfg: ExperimentConfig) -> Table:
@@ -224,10 +225,9 @@ def run_capacity(cfg: ExperimentConfig) -> Table:
         cfg.realizations,
         cfg.seed,
     )
-    rows: list[tuple] = []
+    powers, labels, values = [], [], []
     for model, result in zip(cfg.models, results):
-        rows.extend(
-            (float(p), model, float(c))
-            for p, c in zip(result.power_grid_dbw, result.capacity_bits)
-        )
-    return Table(columns=("p_dbw", "model", "capacity_bits_per_s_per_hz"), rows=rows)
+        powers += result.power_grid_dbw
+        labels += [model] * len(result.power_grid_dbw)
+        values += result.capacity_bits.tolist()
+    return Table(("p_dbw", "model", "capacity_bits_per_s_per_hz"), (powers, labels, values))

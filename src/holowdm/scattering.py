@@ -118,6 +118,13 @@ def _check_lag(k: float, x, name: str) -> float:
     return x
 
 
+def _phase(k: float, r_x) -> float:
+    phase = k * _check_lag(k, r_x, "r_x")
+    if not math.isfinite(phase):
+        raise ValueError(f"r_x must keep the phase k * r_x finite, got r_x = {r_x} at k = {k}")
+    return phase
+
+
 @cache
 def _gauss_legendre():
     """Nodes of the 20- and 10-point Gauss-Legendre rules on [-1, 1], then their weights."""
@@ -191,14 +198,14 @@ def acf_quadrature(spec: ScatteringSpec, k: float, r_x: float) -> complex:
     adaptive Gauss-Legendre bisection of the variance profiles
     (_refine_partition), one refinement per 64 radians of k |r_x| (at most
     200) so that a long lag does not run into one refinement's panel limit.
-    An error estimate above 1e-9, or one that is not a number, raises.
+    An error estimate above 1e-9 raises; so does a phase k r_x that is not finite.
     """
-    r_x = _check_lag(k, r_x, "r_x")
+    phase = _phase(k, r_x)
 
     def weight(theta):
-        return np.exp(1j * k * r_x * np.cos(theta))
+        return np.exp(1j * phase * np.cos(theta))
 
-    pieces = max(1, math.ceil(min(200.0, k * abs(r_x) / 64.0)))
+    pieces = max(1, math.ceil(min(200.0, abs(phase) / 64.0)))
     edges = np.linspace(0.0, math.pi, pieces + 1)
     parts = [_refine_partition(spec, a, b, weight) for a, b in zip(edges, edges[1:])]
     values = np.concatenate([v for v, _ in parts])
@@ -214,9 +221,8 @@ def acf(spec: ScatteringSpec, k: float, r_x: float) -> complex:
     The isotropic model has the closed form J0(k * r_x); mixtures fall back to
     quadrature (absolute error <= 1e-9).
     """
-    r_x = _check_lag(k, r_x, "r_x")
     if spec.is_isotropic:
-        return complex(bessel_j0(k * r_x))
+        return complex(bessel_j0(_phase(k, r_x)))
     return acf_quadrature(spec, k, r_x)
 
 
@@ -232,6 +238,6 @@ def psd(spec: ScatteringSpec, k: float, k_x: float) -> float:
         return 0.0
     if abs(k_x) == k:
         return math.inf
-    theta = math.acos(min(1.0, max(-1.0, k_x / k)))
-    density = float(_raw_density(spec, theta))
-    return 2.0 * math.pi * density / math.sqrt(k * k - k_x * k_x)
+    # sqrt(k^2 - k_x^2) without forming k^2, which overflows past k ~ 1e154
+    gamma = math.sqrt(k - abs(k_x)) * math.sqrt(0.5 * k + 0.5 * abs(k_x)) * math.sqrt(2.0)
+    return 2.0 * math.pi * float(_raw_density(spec, math.acos(k_x / k))) / gamma

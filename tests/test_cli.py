@@ -1,5 +1,6 @@
 """Config parsing, CSV emission, and command-line behavior."""
 
+import csv
 import json
 import math
 import os
@@ -7,7 +8,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import holowdm
 from holowdm import cli
@@ -115,11 +119,49 @@ class TestParseConfig:
         assert cfg.noise_var_watts() == pytest.approx(10 ** 0.3)
 
 
+def _format_cell(value) -> str:
+    if isinstance(value, (bool, np.bool_)):
+        raise TypeError("boolean cells are not part of any table schema")
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        return format(float(value), ".17g")
+    return str(value)
+
+
+def _reference_csv(table: Table, path) -> None:
+    """The per-cell emitter that emit_csv replaced: one cell, then one row, at a time."""
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(table.columns)
+        for row in table.rows:
+            writer.writerow([_format_cell(v) for v in row])
+
+
+_FLOATS = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1.7976931348623157e308]),
+    st.floats(),
+)
+_INTS = st.one_of(st.sampled_from([-1, -(2**63) - 1, 2**63, 2**64 + 1]), st.integers())
+_LABELS = st.one_of(
+    st.sampled_from(["", "a,b", 'q"t', "x\ny"]),
+    st.text(alphabet=' ,"\n\r\tab', max_size=6),
+)
+
+
+@st.composite
+def _tables(draw) -> Table:
+    n = draw(st.integers(0, 12))
+    kinds = draw(st.lists(st.sampled_from([_FLOATS, _INTS, _LABELS]), min_size=1, max_size=4))
+    data = tuple(draw(st.lists(kind, min_size=n, max_size=n)) for kind in kinds)
+    return Table(tuple(f"c{i}" for i in range(len(data))), data)
+
+
 class TestEmitCsv:
     def test_schema_and_formatting(self, tmp_path):
         table = Table(
-            columns=("index", "model", "normalized_eigenvalue"),
-            rows=[(0, "iid", 1.0 / 3.0), (1, "iid", 0.5)],
+            ("index", "model", "normalized_eigenvalue"),
+            ([0, 1], ["iid", "iid"], [1.0 / 3.0, 0.5]),
         )
         path = tmp_path / "eigs.csv"
         emit_csv(table, path)
@@ -132,18 +174,52 @@ class TestEmitCsv:
 
     def test_seventeen_digits_round_trip(self, tmp_path):
         value = 0.1 + 0.2
-        table = Table(columns=("p_dbw", "model", "capacity_bits_per_s_per_hz"),
-                      rows=[(0.0, "iid", value)])
+        table = Table(("p_dbw", "model", "capacity_bits_per_s_per_hz"), ([0.0], ["iid"], [value]))
         path = tmp_path / "capacity.csv"
         emit_csv(table, path)
         cell = path.read_text().splitlines()[1].split(",")[2]
         assert float(cell) == value
 
     def test_io_error_mentions_path(self, tmp_path):
-        table = Table(columns=("a",), rows=[(1,)])
+        table = Table(("a",), ([1],))
         missing_dir = tmp_path / "not" / "there" / "x.csv"
         with pytest.raises(OSError, match="x.csv"):
             emit_csv(table, missing_dir)
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(_tables())
+    def test_columns_write_the_bytes_of_the_per_cell_emitter(self, tmp_path, table):
+        emit_csv(table, tmp_path / "got.csv")
+        _reference_csv(table, tmp_path / "want.csv")
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+    @pytest.mark.parametrize(
+        "values",
+        [[True, False], [np.float64(0.5)], [1, 2.5], [None], [1, True]],
+        ids=["bool", "numpy-float", "int-and-float", "none", "int-and-bool"],
+    )
+    def test_column_of_another_type_names_the_column(self, tmp_path, values):
+        table = Table(("index", "flag"), (list(range(len(values))), values))
+        path = tmp_path / "t.csv"
+        with pytest.raises(TypeError, match="'flag'"):
+            emit_csv(table, path)
+        assert not path.exists()
+
+    def test_table_without_rows_writes_its_header(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        emit_csv(Table(("a", "b"), ([], [])), path)
+        assert path.read_bytes() == b"a,b\n"
+
+    def test_rows_are_the_columns_read_across(self, tmp_path):
+        table = Table(("x", "model"), (range(2), ["iid", "iid"]))
+        assert table.rows == [(0, "iid"), (1, "iid")]
+        ragged = Table(("x", "model"), ([0, 1], ["iid"]))
+        with pytest.raises(ValueError):
+            _ = ragged.rows
+        for bad in (ragged, Table(("x",), ([0], ["iid"]))):
+            with pytest.raises(ValueError):
+                emit_csv(bad, tmp_path / "bad.csv")
 
 
 SMALL_CONFIG = {
@@ -255,6 +331,15 @@ class TestMain:
         assert (out1 / "capacity.csv").read_bytes() != (out2 / "capacity.csv").read_bytes()
 
 
+def _package_env(**extra) -> dict:
+    """The environment in which a child interpreter finds the holowdm this
+    suite imports, installed or from src/."""
+    package_root = str(Path(holowdm.__file__).resolve().parents[1])
+    return {**os.environ, **extra, "PYTHONPATH": os.pathsep.join(
+        p for p in (package_root, os.environ.get("PYTHONPATH")) if p
+    )}
+
+
 # Runs `holowdm all` and a mixture ACF in a fresh interpreter, then prints the
 # scipy subpackages they imported that they should not need.
 _IMPORT_PROBE = """
@@ -273,14 +358,9 @@ print(json.dumps([code, sorted(
 def test_run_imports_neither_optimize_nor_integrate(tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"L_s_over_lambda": 8, "L_r_over_lambda": 8, "realizations": 4}))
-    # the interpreter finds the holowdm this suite imports, installed or from src/
-    package_root = str(Path(holowdm.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (package_root, os.environ.get("PYTHONPATH")) if p
-    )}
     result = subprocess.run(
         [sys.executable, "-c", _IMPORT_PROBE, str(config), str(tmp_path / "out")],
-        capture_output=True, text=True, env=env, check=True, timeout=120,
+        capture_output=True, text=True, env=_package_env(), check=True, timeout=120,
     )
     code, leaked = json.loads(result.stdout.splitlines()[-1])
     assert code == 0
@@ -288,3 +368,37 @@ def test_run_imports_neither_optimize_nor_integrate(tmp_path):
         "capacity.csv", "dof.csv", "eigs.csv", "psf.csv",
     ]
     assert leaked == []
+
+
+def _csv_rows(path: Path) -> list[list[str]]:
+    with open(path, newline="") as handle:
+        return list(csv.reader(handle))
+
+
+def test_blas_thread_count_moves_no_number_past_the_bound(tmp_path):
+    # OpenBLAS splits its work differently over 1 and 2 threads, which moved
+    # capacity.csv by up to 2.6e-16 relative; psf.csv (a closed-form density)
+    # and dof.csv (mode counts) kept their bytes
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"realizations": 2, "power_grid_dbw": [0, 30]}))
+    outs = []
+    for threads in ("1", "2"):
+        env = _package_env(OPENBLAS_NUM_THREADS=threads)
+        for var in ("OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            env.pop(var, None)
+        outs.append(tmp_path / f"threads{threads}")
+        subprocess.run(
+            [sys.executable, "-m", "holowdm", "all", "--config", str(config),
+             "--out", str(outs[-1])],
+            capture_output=True, env=env, check=True, timeout=300,
+        )
+    one, two = outs
+    for name in ("psf.csv", "dof.csv"):
+        assert (one / name).read_bytes() == (two / name).read_bytes()
+    for name in ("eigs.csv", "capacity.csv"):
+        rows_one, rows_two = _csv_rows(one / name), _csv_rows(two / name)
+        assert [r[:2] for r in rows_one] == [r[:2] for r in rows_two]
+        np.testing.assert_allclose(
+            [float(r[2]) for r in rows_one[1:]], [float(r[2]) for r in rows_two[1:]],
+            rtol=1e-12, atol=0.0,
+        )

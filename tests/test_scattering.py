@@ -7,6 +7,7 @@ The two-cluster fixture mirrors the reference experiment: mean angles 30 and
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate
@@ -152,13 +153,21 @@ class TestAcf:
             assert abs(acf_quadrature(spec, K, r) - _quad_acf(spec, K, r)) <= 1e-12
 
     def test_quadrature_refuses_an_unresolved_lag(self, two_cluster_spec):
-        # at 1e4 m the 200 refinements are too few for the oscillation; at
-        # 1e308 m the phase k r_x overflows and every panel value is NaN
-        for r in (1e4, 1e308):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", RuntimeWarning)
-                with pytest.raises(RuntimeError, match="ACF quadrature error"):
-                    acf_quadrature(two_cluster_spec, K, r)
+        # at 1e4 m the 200 refinements are too few for the oscillation
+        with pytest.raises(RuntimeError, match="ACF quadrature error"):
+            acf_quadrature(two_cluster_spec, K, 1e4)
+
+    @pytest.mark.parametrize("function", [acf_quadrature, acf])
+    @pytest.mark.parametrize("spec_name", ["isotropic", "mixture"])
+    @pytest.mark.parametrize("r", [1e308, -1e308])
+    def test_lag_whose_phase_overflows_names_r_x(self, two_cluster_spec, function, spec_name, r):
+        # k r_x overflows at 1e308 m: refused before any weight is formed,
+        # which would be NaN, with numpy's invalid-value warning
+        spec = two_cluster_spec if spec_name == "mixture" else ScatteringSpec.isotropic()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="r_x"):
+                function(spec, K, r)
 
     def test_hermitian_symmetry(self, two_cluster_spec):
         for spec in (ScatteringSpec.isotropic(), two_cluster_spec):
@@ -221,6 +230,17 @@ class TestPsd:
     def test_uniform_cluster_broadside(self):
         spec = ScatteringSpec.mixture((Cluster(1.0, 0.9, 1.0),))
         assert psd(spec, K, 0.0) == pytest.approx(1.0 / K, rel=1e-13)
+
+    @pytest.mark.parametrize("k, k_x", [(1e200, 1e199), (1e200, -0.6e200), (1.7e308, 1e308),
+                                        (1e-300, 0.5e-300)])
+    def test_far_from_unit_wavenumbers(self, k, k_x):
+        # sqrt(k^2 - k_x^2) is formed without k^2, which overflows or
+        # underflows at these k; mpmath gives the isotropic closed form
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = psd(ScatteringSpec.isotropic(), k, k_x)
+        expected = float(2 / mpmath.sqrt(mpmath.mpf(k) ** 2 - mpmath.mpf(k_x) ** 2))
+        assert got == pytest.approx(expected, rel=1e-15, abs=0.0)
 
     def test_isotropic_closed_form_inside(self):
         for k_x in (0.3 * K, -0.77 * K):
