@@ -56,7 +56,6 @@ from .wavenumber import (
     WavenumberGrid,
     angular_partition,
     build_grid,
-    dispersion,
     variance_profile,
 )
 

@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+import ctypes
 import math
+import multiprocessing
+import os
 from collections.abc import Iterable
+from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal
@@ -29,6 +34,11 @@ __all__ = [
 # Relative variance at or below which a mode is dropped from the capacity
 # eigen-solve.
 _NEGLIGIBLE_VARIANCE = 1e-15
+
+# _solve_work above which the realizations run on forked workers: about
+# 0.15 s of serial 256-mode solves on a 2-core x86 host, several times the
+# 20-45 ms a fork pool takes to start there.
+_POOL_WORK = 2e8
 
 
 def _check_hermitian(A) -> np.ndarray:
@@ -248,14 +258,63 @@ def realization_seeds(base_seed: int, count: int) -> np.ndarray:
     return np.random.SeedSequence(int(base_seed)).generate_state(count, dtype=np.uint64)
 
 
-def worker_count() -> int:
-    """Monte Carlo workers: always 1.
+@cache
+def _openblas_thread_calls():
+    """The get and set functions of numpy's OpenBLAS thread count, or None.
 
-    Realizations run one after another in one process.  BLAS threads do not
-    speed up the 256-mode solves of the default study, and Python threads
-    contend with each other over them.
+    numpy's wheels link scipy-openblas with 64-bit integers, whose symbols
+    carry the scipy_ prefix and the 64_ suffix; another BLAS has no such
+    symbols, and then the Monte Carlo runs in-process at the caller's threads.
     """
-    return 1
+    try:
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+        get = lib.scipy_openblas_get_num_threads64_
+        set_ = lib.scipy_openblas_set_num_threads64_
+    except (AttributeError, OSError):
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_.argtypes, set_.restype = [ctypes.c_int], None
+    return get, set_
+
+
+def _pin_one_blas_thread() -> None:
+    """Set numpy's OpenBLAS to one thread; the initializer of pool workers."""
+    calls = _openblas_thread_calls()
+    if calls is not None:
+        calls[1](1)
+
+
+@contextmanager
+def _one_blas_thread():
+    """Hold numpy's OpenBLAS to one thread, then restore the caller's count."""
+    calls = _openblas_thread_calls()
+    if calls is None:
+        yield
+        return
+    get, set_ = calls
+    before = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(before)
+
+
+def worker_count() -> int:
+    """Monte Carlo worker processes: the CPUs this process may run on.
+
+    The workers are forked, each held to one BLAS thread, so the count is 1,
+    the in-process path, where the fork start method, os.sched_getaffinity or
+    numpy's OpenBLAS thread control (_openblas_thread_calls) is missing.  No
+    setting or environment variable changes it.
+    """
+    if (
+        _openblas_thread_calls() is None
+        or "fork" not in multiprocessing.get_all_start_methods()
+        or not hasattr(os, "sched_getaffinity")
+    ):
+        return 1
+    return len(os.sched_getaffinity(0))
 
 
 @dataclass(eq=False)
@@ -285,10 +344,38 @@ def _capacity_bits(gains: np.ndarray, powers_w: np.ndarray, noise_var: float) ->
     return bits
 
 
+def _plan(spectrum: CorrelationModel) -> tuple:
+    """What _capacity_block needs of one diagonal model: its side sizes, the
+    Wishart scale a b (None unless both sides are constant), the kept rows
+    and columns, and the square roots of their variances."""
+    a, b = _common_variance(spectrum.R_r), _common_variance(spectrum.R_s)
+    rows = _significant_modes(spectrum.R_r)
+    cols = _significant_modes(spectrum.R_s)
+    return (
+        spectrum.R_r.size,
+        spectrum.R_s.size,
+        a * b if a is not None and b is not None else None,
+        rows,
+        cols,
+        spectrum.R_r_sqrt[rows][:, None],
+        spectrum.R_s_sqrt[cols],
+    )
+
+
+def _solve_work(plans: list[tuple], realizations: int) -> int:
+    """Realizations times n_r n_s min(n_r, n_s) over the kept modes of each
+    dense model: the order of the Gram products and eigen-solves to come."""
+    work = 0
+    for _, _, scale, _, _, sr, ss in plans:
+        if scale is None:
+            work += sr.size * ss.size * min(sr.size, ss.size)
+    return realizations * work
+
+
 def _capacity_block(
-    spectra: list[CorrelationModel], seeds, powers_w: np.ndarray, noise_var: float
+    plans: list[tuple], seeds, powers_w: np.ndarray, noise_var: float
 ) -> np.ndarray:
-    """Capacities of diagonal models, shape (models, seeds, powers).
+    """Capacities of diagonal models, one _plan each, shape (models, seeds, powers).
 
     Each seed gives one realization of every model.  A model whose sides are
     constant vectors a and b takes a b times the Wishart gains of
@@ -296,21 +383,7 @@ def _capacity_block(
     drawn by draw_w, by sqrt(a) and sqrt(b) on a copy, as draw_channel would;
     only its modes above 1e-15 of its largest variance are kept.
     """
-    plans = []
-    for spectrum in spectra:
-        a, b = _common_variance(spectrum.R_r), _common_variance(spectrum.R_s)
-        rows = _significant_modes(spectrum.R_r)
-        cols = _significant_modes(spectrum.R_s)
-        plans.append((
-            spectrum.R_r.size,
-            spectrum.R_s.size,
-            a * b if a is not None and b is not None else None,
-            rows,
-            cols,
-            spectrum.R_r_sqrt[rows][:, None],
-            spectrum.R_s_sqrt[cols],
-        ))
-    capacity = np.zeros((len(spectra), len(seeds), powers_w.size))
+    capacity = np.zeros((len(plans), len(seeds), powers_w.size))
     for i, seed in enumerate(seeds):
         seed = int(seed)
         draws = {}
@@ -328,6 +401,27 @@ def _capacity_block(
             if gains.max(initial=0.0) > 0.0:
                 capacity[m, i] = _capacity_bits(gains, powers_w, noise_var)
     return capacity
+
+
+def _pooled_capacity(
+    plans: list[tuple], seeds, powers_w: np.ndarray, noise_var: float, workers: int
+) -> np.ndarray:
+    """_capacity_block over contiguous seed blocks, one per forked worker,
+    joined along the seed axis in index order.
+
+    Each worker runs at one BLAS thread.  The pool lives for this call: it is
+    closed and joined before the return, and terminated and joined when a
+    worker raises, whose exception propagates.
+    """
+    blocks = np.array_split(seeds, workers)
+    pool = multiprocessing.get_context("fork").Pool(workers, initializer=_pin_one_blas_thread)
+    with pool:
+        parts = pool.starmap(
+            _capacity_block, [(plans, block, powers_w, noise_var) for block in blocks]
+        )
+        pool.close()
+        pool.join()
+    return np.concatenate(parts, axis=1)
 
 
 def ergodic_capacities(
@@ -359,6 +453,16 @@ def ergodic_capacities(
     and one breakpoint sum; each cell is bitwise what waterfill gives at that
     power alone.
 
+    numpy's OpenBLAS is held to one thread from the spectra to the last
+    realization, and the caller's thread count is restored on return, so the
+    bits do not depend on the caller's BLAS threads.  When worker_count() is
+    above 1 and _solve_work, the order of the dense solves, is above
+    _POOL_WORK, the seeds are split into contiguous blocks that run on forked
+    workers (_pooled_capacity); otherwise they run in this process.  Every
+    realization depends on its seed alone, and the blocks are joined in seed
+    order before the mean and standard error, so both paths give the same
+    bits for any worker count.
+
     A channel whose gains are all zero, as when a side has no non-negligible
     variance, carries 0 bits at every power.  realizations must be a positive
     integer and base_seed an integer in [0, 2**64); anything else raises a
@@ -369,10 +473,14 @@ def ergodic_capacities(
         raise ValueError("power grid must not be empty")
     check_monte_carlo_args(realizations, base_seed)
     powers_w = np.array([_watts("power_grid_dbw", p) for p in power_grid_dbw])
-    spectra = [model.angular() for model in models]
-    capacity = _capacity_block(
-        spectra, realization_seeds(base_seed, realizations), powers_w, noise_var
-    )
+    seeds = realization_seeds(base_seed, realizations)
+    with _one_blas_thread():
+        plans = [_plan(model.angular()) for model in models]
+        workers = min(worker_count(), realizations)
+        if workers > 1 and _solve_work(plans, realizations) > _POOL_WORK:
+            capacity = _pooled_capacity(plans, seeds, powers_w, noise_var, workers)
+        else:
+            capacity = _capacity_block(plans, seeds, powers_w, noise_var)
     results = []
     for per_model in capacity:
         if realizations > 1:

@@ -23,7 +23,6 @@ __all__ = [
     "PhysicalConfig",
     "WavenumberGrid",
     "VarianceProfile",
-    "dispersion",
     "build_grid",
     "angular_partition",
     "variance_profile",
@@ -110,23 +109,6 @@ class VarianceProfile:
             raise ValueError("variance vector does not match the grid size")
         if np.any(self.variances < 0.0):
             raise ValueError("variances must be non-negative")
-
-
-def dispersion(k: float, k_x: float):
-    """Longitudinal wavenumber sqrt(k^2 - k_x^2) of a propagating plane wave.
-
-    Only the visible region |k_x| <= k is admitted; evanescent arguments raise.
-    """
-    k = float(k)
-    k_x_arr = np.asarray(k_x, dtype=float)
-    if not (math.isfinite(k) and k > 0.0):
-        raise ValueError(f"k must be positive and finite, got {k}")
-    if not np.all(np.isfinite(k_x_arr)):
-        raise ValueError("k_x must be finite")
-    if np.any(np.abs(k_x_arr) > k):
-        raise ValueError("evanescent region |k_x| > k is out of scope")
-    out = np.sqrt(np.maximum(k * k - k_x_arr * k_x_arr, 0.0))
-    return out if isinstance(k_x, np.ndarray) else float(out)
 
 
 def build_grid(cfg: PhysicalConfig, side: str) -> WavenumberGrid:

@@ -375,6 +375,28 @@ def _csv_rows(path: Path) -> list[list[str]]:
         return list(csv.reader(handle))
 
 
+def test_capacity_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # the default geometry at 20 realizations is above the pool's work
+    # threshold, and every path runs the Monte Carlo at one BLAS thread
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"realizations": 20, "power_grid_dbw": [0, 30]}))
+    written = []
+    for threads in (None, "1", "2"):
+        env = _package_env()
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            env.pop(var, None)
+        if threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = threads
+        out = tmp_path / f"threads{threads}"
+        subprocess.run(
+            [sys.executable, "-m", "holowdm", "capacity", "--config", str(config),
+             "--out", str(out)],
+            capture_output=True, env=env, check=True, timeout=300,
+        )
+        written.append((out / "capacity.csv").read_bytes())
+    assert written[0] == written[1] == written[2]
+
+
 def test_blas_thread_count_moves_no_number_past_the_bound(tmp_path):
     # OpenBLAS splits its work differently over 1 and 2 threads, which moved
     # capacity.csv by up to 2.6e-16 relative; psf.csv (a closed-form density)

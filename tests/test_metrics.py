@@ -1,6 +1,7 @@
 """Eigen-analysis, DoF, water-filling, and ergodic-capacity contracts."""
 
 import math
+import multiprocessing
 import warnings
 from dataclasses import replace
 
@@ -256,14 +257,6 @@ class TestCapacity:
         slopes = np.diff(c) / np.diff(watts)
         assert np.all(np.diff(slopes) <= 1e-9)
 
-    def test_worker_count_defaults_to_one(self, monkeypatch):
-        # HOLOWDM_THREADS is not read: realizations always run serially
-        monkeypatch.delenv("HOLOWDM_THREADS", raising=False)
-        assert worker_count() == 1
-        for value in ("0", "4", "soup"):
-            monkeypatch.setenv("HOLOWDM_THREADS", value)
-            assert worker_count() == 1
-
     def test_realization_seeds_deterministic(self):
         a = realization_seeds(123, 10)
         b = realization_seeds(123, 10)
@@ -508,7 +501,11 @@ def _per_model_loop(model, grid, noise_var, realizations, base_seed):
         if a is not None and b is not None:
             gains = (a * b) * metrics._wishart_gains(n_r, n_s, int(seed))
         else:
-            gains = metrics._mode_gains(draw_channel(spectrum, int(seed))[rows][:, cols])
+            # at the library's one BLAS thread: eigvalsh rounds differently
+            # over two
+            with metrics._one_blas_thread():
+                H = draw_channel(spectrum, int(seed))[rows][:, cols]
+                gains = metrics._mode_gains(H)
         if gains.max(initial=0.0) <= 0.0:
             continue
         for j, p_dbw in enumerate(grid):
@@ -614,3 +611,118 @@ class TestOnePassCapacity:
             assert allocation.sum() == pytest.approx(p, rel=1e-15)
             bits = metrics._capacity_bits(gains, np.array([p]), noise_var)
             assert np.isfinite(bits).all() and bits[0] > 0.0
+
+
+def _blas_threads() -> int:
+    return metrics._openblas_thread_calls()[0]()
+
+
+@pytest.fixture
+def two_blas_threads():
+    """The caller runs numpy's OpenBLAS at 2 threads, restored afterwards."""
+    if metrics._openblas_thread_calls() is None:
+        pytest.skip("numpy's OpenBLAS thread control is not available")
+    get, set_ = metrics._openblas_thread_calls()
+    before = get()
+    set_(2)
+    yield
+    set_(before)
+
+
+def _pool_models():
+    cfg = replace(default_config(), physical=PhysicalConfig(LAMBDA, 8 * LAMBDA, 6 * LAMBDA, 0.0))
+    return [correlation_for(cfg, name) for name in MODEL_NAMES] + [
+        # all gains zero: a constant side of zeros, and a dense side whose
+        # other side keeps no mode
+        CorrelationModel(np.zeros(3), np.ones(3)),
+        CorrelationModel(np.array([1.0, 2.0, 0.0]), np.zeros(3)),
+    ]
+
+
+def _force_pool(monkeypatch, workers):
+    """Pool above a work of 0 on `workers` workers; returns the pool calls."""
+    calls = []
+    pooled = metrics._pooled_capacity
+
+    def counting(*args):
+        calls.append(args[-1])
+        return pooled(*args)
+
+    monkeypatch.setattr(metrics, "worker_count", lambda: workers)
+    monkeypatch.setattr(metrics, "_POOL_WORK", 0)
+    monkeypatch.setattr(metrics, "_pooled_capacity", counting)
+    return calls
+
+
+class TestWorkerPool:
+    def test_worker_count_follows_cpu_affinity(self, monkeypatch):
+        if metrics._openblas_thread_calls() is None:
+            pytest.skip("numpy's OpenBLAS thread control is not available")
+        for cpus in ({0}, {0, 1, 2}, set(range(7))):
+            monkeypatch.setattr(metrics.os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+            assert worker_count() == len(cpus)
+            # HOLOWDM_THREADS is not read
+            for value in ("1", "4", "soup"):
+                monkeypatch.setenv("HOLOWDM_THREADS", value)
+                assert worker_count() == len(cpus)
+
+    def test_worker_count_is_one_without_the_blas_pin_or_fork(self, monkeypatch):
+        monkeypatch.setattr(metrics.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+        with monkeypatch.context() as patch:
+            patch.setattr(metrics, "_openblas_thread_calls", lambda: None)
+            assert worker_count() == 1
+        with monkeypatch.context() as patch:
+            patch.setattr(metrics.multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+            assert worker_count() == 1
+
+    @pytest.mark.filterwarnings("ignore:aperture shorter")
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_forced_pool_equals_in_process_bitwise(self, monkeypatch, workers):
+        # 2 realizations give fewer seeds than workers and 7 uneven blocks;
+        # one realization is one block, which runs in-process
+        models = _pool_models()
+        grid = (-10.0, 0.0, 30.0)
+        for realizations in (1, 2, 7):
+            with monkeypatch.context() as patch:
+                patch.setattr(metrics, "worker_count", lambda: 1)
+                alone = ergodic_capacities(models, grid, 1.0, realizations, 17)
+            with monkeypatch.context() as patch:
+                calls = _force_pool(patch, workers)
+                pooled = ergodic_capacities(models, grid, 1.0, realizations, 17)
+            assert calls == ([min(workers, realizations)] if realizations > 1 else [])
+            assert multiprocessing.active_children() == []
+            for got, want in zip(pooled, alone, strict=True):
+                assert got.capacity_bits.tobytes() == want.capacity_bits.tobytes()
+                assert got.stderr_bits.tobytes() == want.stderr_bits.tobytes()
+            assert np.all(alone[-1].capacity_bits == 0.0)
+            assert np.all(alone[-2].capacity_bits == 0.0)
+            assert np.all(alone[0].capacity_bits > 0.0)
+
+    @pytest.mark.filterwarnings("ignore:aperture shorter")
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_one_blas_thread_held_and_restored(self, monkeypatch, two_blas_threads, workers):
+        models = _pool_models()[:3]
+        seen = []
+        mode_gains = metrics._mode_gains
+
+        def recording(H):
+            seen.append(_blas_threads())
+            return mode_gains(H)
+
+        monkeypatch.setattr(metrics, "_mode_gains", recording)
+        calls = _force_pool(monkeypatch, workers)
+        ergodic_capacities(models, (0.0,), 1.0, 4, 3)
+        assert _blas_threads() == 2
+        assert calls == ([2] if workers == 2 else [])
+        if workers == 1:
+            assert set(seen) == {1}
+
+        # a worker reports its thread count through the error it raises
+        def failing(H):
+            raise RuntimeError(f"blas threads {_blas_threads()}")
+
+        monkeypatch.setattr(metrics, "_mode_gains", failing)
+        with pytest.raises(RuntimeError, match="blas threads 1"):
+            ergodic_capacities(models, (0.0,), 1.0, 4, 3)
+        assert _blas_threads() == 2
+        assert multiprocessing.active_children() == []

@@ -16,7 +16,6 @@ from holowdm.wavenumber import (
     PhysicalConfig,
     angular_partition,
     build_grid,
-    dispersion,
     variance_profile,
 )
 
@@ -64,32 +63,6 @@ class TestPhysicalConfig:
         assert cfg128.mode_count("receiver") == 256
         with pytest.raises(ValueError):
             cfg128.mode_count("sideways")
-
-
-class TestDispersion:
-    def test_broadside(self):
-        k = 2 * math.pi / LAMBDA
-        assert dispersion(k, 0.0) == k
-
-    def test_endfire(self):
-        k = 2 * math.pi / LAMBDA
-        assert dispersion(k, k) == 0.0
-
-    def test_three_four_five(self):
-        k = 2 * math.pi / 0.01
-        assert dispersion(k, 0.6 * k) == pytest.approx(0.8 * k, rel=1e-14)
-        assert 0.8 * k == pytest.approx(502.6548245743669, rel=1e-12)
-
-    def test_evanescent_rejected(self):
-        k = 2 * math.pi / LAMBDA
-        with pytest.raises(ValueError):
-            dispersion(k, 1.0000001 * k)
-
-    def test_vectorized(self):
-        k = 2 * math.pi / LAMBDA
-        k_x = np.linspace(-k, k, 11)
-        out = dispersion(k, k_x)
-        assert out.shape == k_x.shape and np.all(out >= 0.0)
 
 
 class TestBuildGrid:
