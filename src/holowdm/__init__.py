@@ -38,9 +38,7 @@ from .scattering import (
     ISOTROPIC_DENSITY,
     Cluster,
     ScatteringSpec,
-    acf,
     acf_quadrature,
-    psd,
     psf_density,
 )
 from .specfun import (
@@ -53,8 +51,6 @@ from .specfun import (
 from .wavenumber import (
     PhysicalConfig,
     VarianceProfile,
-    WavenumberGrid,
-    angular_partition,
     build_grid,
     variance_profile,
 )

@@ -211,7 +211,7 @@ def build_wdm_correlation(
     profile_s: VarianceProfile, profile_r: VarianceProfile
 ) -> CorrelationModel:
     """Diagonal correlation from partition masses, each side scaled to tr(R) = n."""
-    if profile_s.grid.side != "source" or profile_r.grid.side != "receiver":
+    if profile_s.side != "source" or profile_r.side != "receiver":
         raise ValueError("profiles must be (source, receiver) in that order")
     return CorrelationModel(_to_trace_n(profile_s.variances), _to_trace_n(profile_r.variances))
 

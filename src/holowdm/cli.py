@@ -73,7 +73,11 @@ def _parse_clusters(raw) -> ScatteringSpec:
         if not (0.0 < circ_var <= 1.0):
             raise ValueError(f"clusters[{i}].circ_var must lie in (0, 1], got {circ_var}")
         weight = _positive(f"clusters[{i}].weight", entry["weight"])
-        clusters.append(Cluster(weight, math.radians(mean_deg), circ_var))
+        try:
+            clusters.append(Cluster(weight, math.radians(mean_deg), circ_var))
+        except ValueError as exc:
+            # the concentration solve is the one cluster rule left unchecked above
+            raise ValueError(f"clusters[{i}].circ_var: {exc}") from None
     try:
         return ScatteringSpec.mixture(clusters)
     except ValueError as exc:

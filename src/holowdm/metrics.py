@@ -277,13 +277,6 @@ def _openblas_thread_calls():
     return get, set_
 
 
-def _pin_one_blas_thread() -> None:
-    """Set numpy's OpenBLAS to one thread; the initializer of pool workers."""
-    calls = _openblas_thread_calls()
-    if calls is not None:
-        calls[1](1)
-
-
 @contextmanager
 def _one_blas_thread():
     """Hold numpy's OpenBLAS to one thread, then restore the caller's count."""
@@ -409,12 +402,13 @@ def _pooled_capacity(
     """_capacity_block over contiguous seed blocks, one per forked worker,
     joined along the seed axis in index order.
 
-    Each worker runs at one BLAS thread.  The pool lives for this call: it is
+    Each worker runs at one BLAS thread: the caller holds that setting
+    (_one_blas_thread) when it forks them.  The pool lives for this call: it is
     closed and joined before the return, and terminated and joined when a
     worker raises, whose exception propagates.
     """
     blocks = np.array_split(seeds, workers)
-    pool = multiprocessing.get_context("fork").Pool(workers, initializer=_pin_one_blas_thread)
+    pool = multiprocessing.get_context("fork").Pool(workers)
     with pool:
         parts = pool.starmap(
             _capacity_block, [(plans, block, powers_w, noise_var) for block in blocks]

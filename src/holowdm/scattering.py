@@ -1,4 +1,4 @@
-"""Angular scattering models: vMF mixtures, their spatial ACF and wavenumber PSD.
+"""Angular scattering models: vMF mixtures, their density and its quadrature.
 
 Directions are forward-traveling only, theta in [0, pi).  A scattering spec is
 either isotropic (uniform density 1/pi over the half circle) or a weighted
@@ -15,16 +15,14 @@ from functools import cache
 
 import numpy as np
 
-from .specfun import bessel_i0_scaled, bessel_j0, solve_concentration
+from .specfun import bessel_i0_scaled, solve_concentration
 
 __all__ = [
     "ISOTROPIC_DENSITY",
     "Cluster",
     "ScatteringSpec",
     "psf_density",
-    "acf",
     "acf_quadrature",
-    "psd",
 ]
 
 ISOTROPIC_DENSITY = 1.0 / math.pi
@@ -109,17 +107,10 @@ def psf_density(spec: ScatteringSpec, theta):
     return out if isinstance(theta, np.ndarray) else float(out)
 
 
-def _check_lag(k: float, x, name: str) -> float:
+def _phase(k: float, r_x) -> float:
     if not (math.isfinite(k) and k > 0.0):
         raise ValueError(f"k must be positive and finite, got {k}")
-    x = float(x)
-    if not math.isfinite(x):
-        raise ValueError(f"{name} must be finite, got {x}")
-    return x
-
-
-def _phase(k: float, r_x) -> float:
-    phase = k * _check_lag(k, r_x, "r_x")
+    phase = k * float(r_x)
     if not math.isfinite(phase):
         raise ValueError(f"r_x must keep the phase k * r_x finite, got r_x = {r_x} at k = {k}")
     return phase
@@ -213,31 +204,3 @@ def acf_quadrature(spec: ScatteringSpec, k: float, r_x: float) -> complex:
     if not err <= 1e-9:
         raise RuntimeError(f"ACF quadrature error {err:.3e} at r_x={r_x}")
     return complex(math.fsum(values.real), math.fsum(values.imag))
-
-
-def acf(spec: ScatteringSpec, k: float, r_x: float) -> complex:
-    """Spatial autocorrelation of the channel along the aperture.
-
-    The isotropic model has the closed form J0(k * r_x); mixtures fall back to
-    quadrature (absolute error <= 1e-9).
-    """
-    if spec.is_isotropic:
-        return complex(bessel_j0(_phase(k, r_x)))
-    return acf_quadrature(spec, k, r_x)
-
-
-def psd(spec: ScatteringSpec, k: float, k_x: float) -> float:
-    """Wavenumber power spectral density on the visible region |k_x| <= k.
-
-    Zero outside the visible region; the edge |k_x| = k is an integrable
-    inverse-square-root singularity and returns inf as a sentinel.  Consumers
-    integrate in the angular variable, never across the edge in k_x.
-    """
-    k_x = _check_lag(k, k_x, "k_x")
-    if abs(k_x) > k:
-        return 0.0
-    if abs(k_x) == k:
-        return math.inf
-    # sqrt(k^2 - k_x^2) without forming k^2, which overflows past k ~ 1e154
-    gamma = math.sqrt(k - abs(k_x)) * math.sqrt(0.5 * k + 0.5 * abs(k_x)) * math.sqrt(2.0)
-    return 2.0 * math.pi * float(_raw_density(spec, math.acos(k_x / k))) / gamma

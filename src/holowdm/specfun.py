@@ -84,12 +84,28 @@ def bessel_ratio_i1_i0(alpha: float) -> float:
     return float(special.i1e(alpha) / special.i0e(alpha))
 
 
+def _one_minus_ratio_sq(alpha: float) -> float:
+    """1 - (I1(alpha)/I0(alpha))^2 for alpha >= 0, without cancellation.
+
+    Formed from the ratio, it cancels to 3e-16 / value relative.  So from
+    alpha = 2048 on it is d (2 S0 - d) / S0^2, with S0 and S1 the series of
+    e^-alpha sqrt(2 pi alpha) I0 and I1 (Abramowitz & Stegun 9.7.1) and
+    d = S0 - S1 summed term by term; its first omitted term is 6e-14 of d there.
+    """
+    if alpha < 2048.0:
+        return 1.0 - bessel_ratio_i1_i0(alpha) ** 2
+    t = 1.0 / alpha
+    s0 = 1.0 + t * (1 / 8 + t * (9 / 128 + t * (225 / 3072)))
+    d = t * (1 / 2 + t * (3 / 16 + t * (45 / 256 + t * (525 / 2048))))
+    return d * (2.0 * s0 - d) / (s0 * s0)
+
+
 def solve_concentration(nu_sq: float) -> float:
     """Invert nu^2 = 1 - (I1(alpha)/I0(alpha))^2 for the concentration alpha.
 
-    nu_sq must lie in (0, 1]; nu_sq = 1 maps to alpha = 0 exactly.  nu_sq = 0
-    is rejected because the concentration diverges there.  The returned root
-    satisfies |1 - ratio(alpha)^2 - nu_sq| <= 1e-10.
+    nu_sq must lie in (0, 1]; nu_sq = 1 maps to alpha = 0 exactly.  nu_sq = 0,
+    where the root diverges, and nu_sq below 1.7e-18, where it lies past
+    5.8e17, are rejected.  The root satisfies |1 - ratio^2 - nu_sq| <= 1e-10 nu_sq.
     """
     nu_sq = _as_finite_float("nu_sq", nu_sq)
     if not (0.0 < nu_sq <= 1.0):
@@ -98,7 +114,7 @@ def solve_concentration(nu_sq: float) -> float:
         return 0.0
 
     def gap(alpha: float) -> float:
-        return (1.0 - bessel_ratio_i1_i0(alpha) ** 2) - nu_sq
+        return _one_minus_ratio_sq(alpha) - nu_sq
 
     # The map alpha -> 1 - ratio(alpha)^2 decreases monotonically from 1
     # toward 0 (asymptotically ~ 1/alpha), so doubling always brackets.
@@ -109,8 +125,8 @@ def solve_concentration(nu_sq: float) -> float:
             raise ValueError(f"failed to bracket concentration for nu_sq={nu_sq}")
     alpha = _brentq(gap, 0.0, hi, xtol=1e-12, rtol=4 * 2.3e-16, maxiter=200)
     residual = abs(gap(alpha))
-    if residual > 1e-10:
-        raise RuntimeError(f"concentration solve residual {residual:.3e} exceeds 1e-10")
+    if residual > 1e-10 * nu_sq:
+        raise RuntimeError(f"concentration solve residual {residual:.3e} exceeds 1e-10 nu_sq")
     return alpha
 
 

@@ -1,4 +1,4 @@
-"""Discrete wavenumber grids, angular partitions, and per-index variance profiles.
+"""Discrete wavenumber grids and their per-index variance profiles.
 
 The propagating plane-wave directions of a line aperture of length L discretize
 into the integers m with |2 pi m / L| <= k; there are floor(2L/lambda) of them.
@@ -21,10 +21,8 @@ from .scattering import ScatteringSpec
 __all__ = [
     "SIDES",
     "PhysicalConfig",
-    "WavenumberGrid",
     "VarianceProfile",
     "build_grid",
-    "angular_partition",
     "variance_profile",
 ]
 
@@ -85,34 +83,26 @@ class PhysicalConfig:
 
 
 @dataclass(eq=False)
-class WavenumberGrid:
-    """Ordered propagating-mode indices of one side."""
-
-    indices: np.ndarray
-    side: str
-    n: int
-
-
-@dataclass(eq=False)
 class VarianceProfile:
-    """Raw scattering mass of each grid index's angular partition.
+    """Raw scattering mass of the angular partition of each index of one side.
 
     One minus their sum is the mass outside [0, pi]; only
     channel.build_wdm_correlation scales a side, to tr R = n.
     """
 
-    grid: WavenumberGrid
+    indices: np.ndarray
+    side: str
     variances: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.variances.shape != (self.grid.n,):
-            raise ValueError("variance vector does not match the grid size")
+        if self.variances.shape != self.indices.shape:
+            raise ValueError("variance vector does not match the index count")
         if np.any(self.variances < 0.0):
             raise ValueError("variances must be non-negative")
 
 
-def build_grid(cfg: PhysicalConfig, side: str) -> WavenumberGrid:
-    """Propagating-mode index set for one side.
+def build_grid(cfg: PhysicalConfig, side: str) -> np.ndarray:
+    """Ordered propagating-mode indices of one side.
 
     The n = floor(2L/lambda) integers of smallest magnitude, ties between +m
     and -m resolved toward the negative index: {-(n // 2), ..., n - n // 2 - 1}.
@@ -120,8 +110,7 @@ def build_grid(cfg: PhysicalConfig, side: str) -> WavenumberGrid:
     {-L/lambda, ..., L/lambda - 1}, whose angular partitions tile [0, pi].
     """
     n = cfg.mode_count(side)
-    indices = np.arange(-(n // 2), n - n // 2, dtype=np.int64)
-    return WavenumberGrid(indices=indices, side=side, n=n)
+    return np.arange(-(n // 2), n - n // 2, dtype=np.int64)
 
 
 def _partition_bounds(cfg: PhysicalConfig, side: str, indices: np.ndarray):
@@ -129,15 +118,6 @@ def _partition_bounds(cfg: PhysicalConfig, side: str, indices: np.ndarray):
     lo = np.arccos(np.clip(ratio * (indices + 1), -1.0, 1.0))
     hi = np.arccos(np.clip(ratio * indices, -1.0, 1.0))
     return lo, hi
-
-
-def angular_partition(cfg: PhysicalConfig, side: str, n: int) -> tuple[float, float]:
-    """Angular interval (theta_lo, theta_hi) owned by grid index n."""
-    grid = build_grid(cfg, side)
-    if int(n) not in grid.indices:
-        raise ValueError(f"index {n} is not in the {side} grid")
-    lo, hi = _partition_bounds(cfg, side, np.array([int(n)], dtype=np.int64))
-    return float(lo[0]), float(hi[0])
 
 
 def variance_profile(cfg: PhysicalConfig, spec: ScatteringSpec, side: str) -> VarianceProfile:
@@ -152,8 +132,8 @@ def variance_profile(cfg: PhysicalConfig, spec: ScatteringSpec, side: str) -> Va
     Entries are independent of each other and of any evaluation parallelism
     a caller might add.
     """
-    grid = build_grid(cfg, side)
-    lo, hi = _partition_bounds(cfg, side, grid.indices)
+    indices = build_grid(cfg, side)
+    lo, hi = _partition_bounds(cfg, side, indices)
     variances, estimate = scattering._gauss_pair(spec, lo, hi)
     means = np.array([c.mean_angle for c in spec.clusters])
     holds_mean = ((lo[:, None] <= means) & (means <= hi[:, None])).any(axis=1)
@@ -162,10 +142,10 @@ def variance_profile(cfg: PhysicalConfig, spec: ScatteringSpec, side: str) -> Va
         values, err = scattering._refine_partition(spec, lo[i], hi[i])
         if err > 1e-10:
             raise RuntimeError(
-                f"partition quadrature error {err:.3e} at {side} index {grid.indices[i]}"
+                f"partition quadrature error {err:.3e} at {side} index {indices[i]}"
             )
         variances[i] = math.fsum(values)
     variances = np.maximum(variances, 0.0)
     if float(variances.sum()) <= 0.0:
         raise RuntimeError(f"scattering density carries no mass on the {side} partitions")
-    return VarianceProfile(grid=grid, variances=variances)
+    return VarianceProfile(indices=indices, side=side, variances=variances)

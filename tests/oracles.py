@@ -1,14 +1,20 @@
-"""Series/asymptotic special-function evaluators: independent test oracles.
+"""Independent test oracles: special-function evaluators and the PSD.
 
 The production functions in holowdm.specfun delegate to scipy.special; these
 plain Maclaurin sums and large-argument expansions, configured through
 :class:`BesselEvalPolicy`, are the cross-check path the tests compare them
-against on logarithmic grids.
+against on logarithmic grids.  :func:`psd` is the paper's wavenumber-domain
+characterization of a scattering spec, which the tests transform back to its
+spatial ACF.
+
+It needs nothing beyond holowdm and the standard library, so the acceptance
+tests can import it where mpmath is not installed.
 """
 
 import math
 from dataclasses import dataclass
 
+from holowdm.scattering import psf_density
 from holowdm.specfun import _as_finite_float
 
 
@@ -167,3 +173,12 @@ def ratio_reference(alpha: float, policy: BesselEvalPolicy | None = None) -> flo
     if alpha <= policy.series_cutoff:
         return i1_reference(alpha, policy) / i0_reference(alpha, policy)
     return _i_asymptotic_factor(1, alpha, policy) / _i_asymptotic_factor(0, alpha, policy)
+
+
+def psd(spec, k: float, k_x: float) -> float:
+    """Wavenumber power spectral density of spec inside the visible region |k_x| < k.
+
+    2 pi p(theta) / sqrt(k^2 - k_x^2) at the direction theta = arccos(k_x / k),
+    for the angular density p of holowdm.scattering.psf_density.
+    """
+    return 2.0 * math.pi * psf_density(spec, math.acos(k_x / k)) / math.sqrt(k * k - k_x * k_x)

@@ -101,7 +101,7 @@ class TestWdmCorrelation:
     def test_massless_side_rejected(self):
         ps, pr = profiles(config(8), ScatteringSpec.isotropic())
         with pytest.raises(ValueError, match="non-positive trace"):
-            build_wdm_correlation(replace(ps, variances=np.zeros(ps.grid.n)), pr)
+            build_wdm_correlation(replace(ps, variances=np.zeros(ps.indices.size)), pr)
 
     def test_sqrt_is_elementwise(self, wdm_iso_small):
         assert np.allclose(

@@ -59,6 +59,13 @@ class TestParseConfig:
         text = json.dumps({"clusters": [{"mean_deg": 30, "circ_var": 0.0, "weight": 1.0}]})
         with pytest.raises(ValueError, match=r"clusters\[0\].circ_var"):
             parse_config(text)
+        # inside (0, 1], but the concentration's root lies past 5.8e17
+        text = json.dumps({"clusters": [
+            {"mean_deg": 30, "circ_var": 0.01, "weight": 0.5},
+            {"mean_deg": 60, "circ_var": 1e-19, "weight": 0.5},
+        ]})
+        with pytest.raises(ValueError, match=r"clusters\[1\]\.circ_var: failed to bracket"):
+            parse_config(text)
 
     def test_negative_length_names_key(self):
         with pytest.raises(ValueError, match="L_s_over_lambda"):

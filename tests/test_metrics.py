@@ -79,11 +79,11 @@ class TestDof:
 
     def test_two_equal_atoms(self):
         ps, pr = iso_profiles(8)
-        atoms = np.zeros(ps.grid.n)
+        atoms = np.zeros(ps.indices.size)
         atoms[0] = atoms[1] = 0.5
         ps.variances = atoms.copy()
         pr.variances = atoms.copy()
-        result = dof(ps, pr, 0.003, isotropic=False, n_s=ps.grid.n, n_r=pr.grid.n)
+        result = dof(ps, pr, 0.003, isotropic=False, n_s=ps.indices.size, n_r=pr.indices.size)
         assert result.dof == 2 and result.per_side == (2, 2)
 
     @pytest.mark.parametrize("scale", [2.0, 0.5])

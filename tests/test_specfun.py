@@ -7,6 +7,7 @@ the production code path.
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -194,10 +195,25 @@ class TestSolveConcentration:
         assert bessel_ratio_i1_i0(alpha) == pytest.approx(math.sqrt(0.5), abs=1e-10)
         assert abs(1.0 - bessel_ratio_i1_i0(alpha) ** 2 - 0.5) <= 1e-10
 
-    @pytest.mark.parametrize("bad", [0.0, -0.1, 1.0 + 1e-9, float("nan")])
+    # below 1.7e-18 the root lies past 5.8e17, out of the bracket's reach
+    @pytest.mark.parametrize("bad", [0.0, -0.1, 1.0 + 1e-9, float("nan"), 1.7e-18, 5e-324])
     def test_domain_errors(self, bad):
         with pytest.raises(ValueError):
             solve_concentration(bad)
+
+    def test_small_variances_against_mpmath(self):
+        # Formed from the ratio, 1 - ratio^2 cancels to 3e-16 / nu_sq
+        # relative, which put alpha 1.4% off at 1e-15 and 94% off at 1e-17.
+        # The grid steps across the switch to the expansions at alpha = 2048
+        # (nu_sq 4.9e-4), where the ratio's cancellation is largest.
+        grid = [*np.logspace(-17, -2, 31), 1.8e-18, 1e-4, 2e-4, 4.8e-4, 4.9e-4, 5e-4]
+        for nu_sq in grid:
+            with mpmath.workdps(60):
+                nu = mpmath.mpf(nu_sq)
+                want = mpmath.findroot(
+                    lambda a: 1 - (mpmath.besseli(1, a) / mpmath.besseli(0, a)) ** 2 - nu, 1 / nu
+                )
+            assert solve_concentration(nu_sq) == pytest.approx(float(want), rel=1e-12, abs=0)
 
     @settings(max_examples=60)
     @given(st.floats(min_value=1e-4, max_value=1.0))
@@ -211,9 +227,9 @@ class TestBrentPort:
 
     @staticmethod
     def scipy_concentration(nu_sq):
-        # solve_concentration's bracket and call, with scipy's root finder
+        # solve_concentration's gap, bracket and call, with scipy's root finder
         def gap(alpha):
-            return (1.0 - bessel_ratio_i1_i0(alpha) ** 2) - nu_sq
+            return specfun._one_minus_ratio_sq(alpha) - nu_sq
 
         hi = 2.0
         while gap(hi) > 0.0:

@@ -1,4 +1,4 @@
-"""Grid construction, angular partitions, and variance profiles."""
+"""Grid construction and variance profiles."""
 
 import math
 from functools import cache
@@ -14,7 +14,6 @@ from holowdm import scattering
 from holowdm.scattering import Cluster, ScatteringSpec, psf_density
 from holowdm.wavenumber import (
     PhysicalConfig,
-    angular_partition,
     build_grid,
     variance_profile,
 )
@@ -67,20 +66,18 @@ class TestPhysicalConfig:
 
 class TestBuildGrid:
     def test_reference_length(self, cfg128):
-        grid = build_grid(cfg128, "source")
-        assert grid.n == 256
-        assert grid.indices[0] == -128 and grid.indices[-1] == 127
-        assert np.array_equal(grid.indices, np.arange(-128, 128))
+        indices = build_grid(cfg128, "source")
+        assert indices.size == 256
+        assert indices[0] == -128 and indices[-1] == 127
+        assert np.array_equal(indices, np.arange(-128, 128))
 
     @pytest.mark.filterwarnings("ignore:aperture shorter")
     def test_sub_wavelength(self):
-        grid = build_grid(config(0.6), "source")
-        assert grid.n == 1 and list(grid.indices) == [0]
+        assert list(build_grid(config(0.6), "source")) == [0]
 
     @pytest.mark.filterwarnings("ignore:aperture shorter")
     def test_fractional_ratio(self):
-        grid = build_grid(config(2.5), "receiver")
-        assert grid.n == 5 and list(grid.indices) == [-2, -1, 0, 1, 2]
+        assert list(build_grid(config(2.5), "receiver")) == [-2, -1, 0, 1, 2]
 
     @pytest.mark.filterwarnings("ignore:aperture shorter")
     def test_too_short_for_any_mode(self):
@@ -90,9 +87,7 @@ class TestBuildGrid:
     @pytest.mark.filterwarnings("ignore:aperture shorter")
     @given(st.integers(min_value=1, max_value=256))
     def test_integer_ratio_exact_index_set(self, q):
-        grid = build_grid(config(q), "source")
-        assert grid.n == 2 * q
-        assert np.array_equal(grid.indices, np.arange(-q, q))
+        assert np.array_equal(build_grid(config(q), "source"), np.arange(-q, q))
 
     @pytest.mark.filterwarnings("ignore:aperture shorter")
     @given(st.floats(min_value=0.5, max_value=300.0))
@@ -103,66 +98,42 @@ class TestBuildGrid:
     @example(127.5 + 1e-10)
     def test_cardinality_and_visibility(self, ratio):
         cfg = config(ratio)
-        grid = build_grid(cfg, "source")
-        assert grid.n == math.floor(2 * cfg.L_s / cfg.wavelength + 1e-9)
+        indices = build_grid(cfg, "source")
+        assert indices.size == math.floor(2 * cfg.L_s / cfg.wavelength + 1e-9)
         # every retained index is a propagating direction
-        assert np.all(np.abs(2 * math.pi * grid.indices / cfg.L_s) <= cfg.k * (1 + 1e-9))
+        assert np.all(np.abs(2 * math.pi * indices / cfg.L_s) <= cfg.k * (1 + 1e-9))
         # the selection rule the closed form replaces: the n visible indices
         # of smallest magnitude, ties toward the negative one
         m_hi = math.floor(cfg.L_s / cfg.wavelength * (1.0 + 1e-12) + 1e-9)
         candidates = sorted(range(-m_hi, m_hi + 1), key=lambda m: (abs(m), m))
-        assert np.array_equal(grid.indices, sorted(candidates[:grid.n]))
-
-
-class TestAngularPartition:
-    def test_center_partition(self, cfg128):
-        lo, hi = angular_partition(cfg128, "source", 0)
-        assert lo == pytest.approx(math.acos(1.0 / 128.0), rel=1e-15)
-        assert hi == pytest.approx(math.pi / 2, rel=1e-15)
-
-    def test_lowest_partition_reaches_pi(self, cfg128):
-        lo, hi = angular_partition(cfg128, "source", -128)
-        assert lo == pytest.approx(math.acos(-127.0 / 128.0), rel=1e-15)
-        assert hi == pytest.approx(math.pi, rel=1e-15)
-
-    def test_highest_partition_reaches_zero(self, cfg128):
-        lo, hi = angular_partition(cfg128, "source", 127)
-        assert lo == 0.0
-        assert hi == pytest.approx(math.acos(127.0 / 128.0), rel=1e-15)
-
-    def test_index_outside_grid(self, cfg128):
-        with pytest.raises(ValueError):
-            angular_partition(cfg128, "source", 128)
-
-    @pytest.mark.filterwarnings("ignore:aperture shorter")
-    @pytest.mark.parametrize("q", [1, 2, 7, 128])
-    def test_partitions_tile_half_circle(self, q):
-        cfg = config(q)
-        grid = build_grid(cfg, "receiver")
-        total = 0.0
-        previous_hi = 0.0
-        for n in grid.indices[::-1]:  # descending index = ascending angle
-            lo, hi = angular_partition(cfg, "receiver", int(n))
-            assert lo == pytest.approx(previous_hi, abs=1e-12)
-            total += hi - lo
-            previous_hi = hi
-        assert total == pytest.approx(math.pi, abs=1e-12)
+        assert np.array_equal(indices, sorted(candidates[:indices.size]))
 
 
 class TestVarianceProfile:
-    def test_isotropic_closed_form(self, cfg128):
-        profile = variance_profile(cfg128, ScatteringSpec.isotropic(), "receiver")
-        idx = profile.grid.indices
+    @pytest.mark.filterwarnings("ignore:aperture shorter")
+    @pytest.mark.parametrize("side", ["source", "receiver"])
+    @pytest.mark.parametrize("ratio", [1, 2, 7, 16.5, 128])
+    def test_isotropic_closed_form(self, ratio, side):
+        # index m owns the directions between arccos((m + 1) lambda / L) and
+        # arccos(m lambda / L), so the centre partition ends at pi / 2 and
+        # the outermost ones at 0 and, for integer L/lambda, pi
+        cfg = config(ratio, 8) if side == "source" else config(8, ratio)
+        profile = variance_profile(cfg, ScatteringSpec.isotropic(), side)
+        idx = profile.indices
+        assert profile.side == side
         expected = (
-            np.arccos(np.clip(idx / 128.0, -1, 1))
-            - np.arccos(np.clip((idx + 1) / 128.0, -1, 1))
+            np.arccos(np.clip(idx / ratio, -1, 1)) - np.arccos(np.clip((idx + 1) / ratio, -1, 1))
         ) / math.pi
-        assert np.allclose(profile.variances, expected, atol=1e-13)
-        assert profile.variances.sum() == pytest.approx(1.0, abs=1e-10)
+        assert np.allclose(profile.variances, expected, rtol=0, atol=1e-13)
+        # the partitions tile [0, pi] at integer L/lambda; at 16.5 the
+        # sliver from arccos(-16 / 16.5) to pi belongs to no index
+        sliver = math.pi - math.acos(max(-1.0, idx[0] / ratio))
+        assert (sliver == 0.0) == (ratio == int(ratio))
+        assert profile.variances.sum() == pytest.approx(1.0 - sliver / math.pi, abs=1e-12)
 
     def test_isotropic_center_entry(self, cfg128):
         profile = variance_profile(cfg128, ScatteringSpec.isotropic(), "receiver")
-        center = profile.variances[profile.grid.indices == 0][0]
+        center = profile.variances[profile.indices == 0][0]
         assert center == pytest.approx((math.pi / 2 - math.acos(1 / 128)) / math.pi, rel=1e-12)
         # first-order arccos expansion puts it near 1/(128 pi)
         assert center == pytest.approx(1.0 / (128 * math.pi), rel=2e-5)
@@ -170,7 +141,7 @@ class TestVarianceProfile:
     def test_isotropic_mirror_symmetry(self, cfg128):
         profile = variance_profile(cfg128, ScatteringSpec.isotropic(), "source")
         v = profile.variances
-        idx = profile.grid.indices
+        idx = profile.indices
         for n in (0, 3, 77, 127):
             assert v[idx == n][0] == pytest.approx(v[idx == -n - 1][0], rel=1e-12)
 
@@ -207,12 +178,18 @@ class TestVarianceProfile:
             variance_profile(config(8), ScatteringSpec.isotropic(), "source")
 
 
+def _partition(cfg, side, m):
+    """Directions owned by index m: arccos((m + 1) lambda / L) to arccos(m lambda / L)."""
+    step = cfg.wavelength / cfg.aperture(side)
+    return tuple(math.acos(min(1.0, max(-1.0, step * j))) for j in (m + 1, m))
+
+
 def _quad_reference(cfg, spec, side):
     """Unnormalized profile by one adaptive quadrature per partition."""
     means = [c.mean_angle for c in spec.clusters]
     values = []
-    for n in build_grid(cfg, side).indices:
-        lo, hi = angular_partition(cfg, side, int(n))
+    for n in build_grid(cfg, side):
+        lo, hi = _partition(cfg, side, int(n))
         value, _ = integrate.quad(
             lambda t: psf_density(spec, t), lo, hi, epsabs=1e-13, epsrel=1e-12,
             limit=200, points=[m for m in means if lo < m < hi] or None,
@@ -241,8 +218,8 @@ def _mpmath_reference(ratio, spec):
             return mpmath.fsum(s * mpmath.exp(k * mpmath.cos(t - m)) for k, m, s in terms)
 
         values = []
-        for n in build_grid(cfg, "source").indices:
-            lo, hi = angular_partition(cfg, "source", int(n))
+        for n in build_grid(cfg, "source"):
+            lo, hi = _partition(cfg, "source", int(n))
             points = [lo, *(m for _, m, _ in terms if lo < m < hi), hi]
             values.append(float(mpmath.quad(density, [mpmath.mpf(p) for p in points])))
     return np.array(values)
@@ -292,8 +269,7 @@ class TestPartitionQuadrature:
         monkeypatch.setattr(scattering, "_refine_partition", counting)
         cfg = config(8)
         variance_profile(cfg, mixture, "receiver")
-        indices = build_grid(cfg, "receiver").indices
-        bounds = [angular_partition(cfg, "receiver", int(n)) for n in indices]
+        bounds = [_partition(cfg, "receiver", int(n)) for n in build_grid(cfg, "receiver")]
         holding = sum(
             any(lo <= c.mean_angle <= hi for c in mixture.clusters) for lo, hi in bounds
         )
