@@ -30,7 +30,6 @@ __all__ = [
     "draw_channel",
 ]
 
-_HERMITIAN_TOL = 1e-12
 _EIG_CLAMP_TOL = 1e-10
 _MATRICES = ("R_s", "R_r", "R_s_sqrt", "R_r_sqrt")
 
@@ -39,13 +38,13 @@ _MATRICES = ("R_s", "R_r", "R_s_sqrt", "R_r_sqrt")
 class CorrelationModel:
     """Per-side correlations with square roots computed on first use.
 
-    A diagonal side (WDM and i.i.d.) is stored as its 1-D variance vector and
-    acts on W as a per-row or per-column scale; a dense side (Jakes) is a
-    Hermitian matrix.  R_s_sqrt and R_r_sqrt have the same form as their side
-    and are cached, so the Hermitian square root of a dense side is taken
-    once, and only if a channel is drawn; sides that are one array share
-    one root.  dense() gives the n x n matrix of any of the four, and
-    angular() the diagonal model of the eigenvalues.
+    A side is one of two kinds.  A diagonal side (WDM and i.i.d.) is its 1-D
+    variance vector; a dense side (Jakes) is a real symmetric Toeplitz
+    matrix, and any other matrix is rejected.  R_s_sqrt and R_r_sqrt have
+    the same form as their side and are cached, so the square root of a
+    dense side is taken once, and only if a channel is drawn; sides that are
+    one array share one root.  dense() gives the n x n matrix of any of the
+    four, and angular() the diagonal model of the eigenvalues.
     """
 
     R_s: np.ndarray
@@ -87,9 +86,8 @@ class CorrelationModel:
         distributed singular values.  Each dense side is replaced by its
         eigenvalues (ascending, clipped at 0); a diagonal model is its own
         angular form and is returned as is.  No square root is taken, a
-        real symmetric Toeplitz side (Jakes) is solved as two half-size
-        eigenproblems, and sides that are one array (square Jakes) are
-        solved once.
+        dense side is solved as two half-size eigenproblems, and sides that
+        are one array (square Jakes) are solved once.
         """
         if self.diagonal:
             return self
@@ -105,25 +103,20 @@ def _check_correlation(name: str, R) -> np.ndarray:
         if not (np.isrealobj(R) and np.all(np.isfinite(R)) and np.all(R >= 0.0)):
             raise ValueError(f"{name} variances must be real, finite and non-negative")
         return R
-    if R.ndim != 2 or R.shape[0] != R.shape[1]:
+    if R.ndim != 2 or not _symmetric_toeplitz(R):
         raise ValueError(
-            f"{name} must be a variance vector or a square matrix, got shape {R.shape}"
+            f"{name} must be a variance vector or a real symmetric Toeplitz matrix, "
+            f"got shape {R.shape}"
         )
-    if _symmetric_toeplitz(R):
-        # exactly symmetric, so the Hermitian check below would pass it
-        return R
-    scale = max(1.0, float(np.abs(R).max()))
-    if float(np.abs(R - R.conj().T).max()) > _HERMITIAN_TOL * scale:
-        raise ValueError(f"{name} is not Hermitian within tolerance")
     return R
 
 
 def _symmetric_toeplitz(R: np.ndarray) -> bool:
-    """Whether a square R is real and exactly symmetric Toeplitz.
+    """Whether a 2-D R is non-empty, real and exactly symmetric Toeplitz.
 
-    Its first row is then its first column, and every entry repeats the one
-    above and to its left.  Apart from that one column, both tests read
-    whole rows, in place of the strided transpose of the Hermitian check.
+    Its first row is then its first column, so R is square, and every entry
+    repeats the one above and to its left.  Apart from that one column, both
+    tests read whole rows, so no strided transpose is formed.
     """
     return (
         R.size > 0
@@ -174,7 +167,7 @@ def _toeplitz_eigenvalues(t: np.ndarray) -> np.ndarray:
 def _clipped_eigenvalues(name: str, w: np.ndarray, R: np.ndarray) -> np.ndarray:
     # Eigenvalues of a valid correlation matrix are non-negative up to
     # roundoff; anything below -1e-10 * trace means bad input.
-    trace = float(np.trace(R).real)
+    trace = float(np.trace(R))
     if w.min() < -_EIG_CLAMP_TOL * max(trace, 1.0):
         raise ValueError(f"{name} has a significantly negative eigenvalue ({w.min():.3e})")
     return np.clip(w, 0.0, None)
@@ -183,7 +176,7 @@ def _clipped_eigenvalues(name: str, w: np.ndarray, R: np.ndarray) -> np.ndarray:
 def _hermitian_sqrt(name: str, R: np.ndarray) -> np.ndarray:
     w, v = np.linalg.eigh(R)
     w = _clipped_eigenvalues(name, w, R)
-    return (v * np.sqrt(w)) @ v.conj().T
+    return (v * np.sqrt(w)) @ v.T
 
 
 def _side_sqrt(name: str, R: np.ndarray) -> np.ndarray:
@@ -193,11 +186,7 @@ def _side_sqrt(name: str, R: np.ndarray) -> np.ndarray:
 def _side_spectrum(name: str, R: np.ndarray) -> np.ndarray:
     if R.ndim == 1:
         return R
-    if _symmetric_toeplitz(R):
-        w = _toeplitz_eigenvalues(R[0])
-    else:
-        w = np.linalg.eigvalsh(R)
-    return _clipped_eigenvalues(name, w, R)
+    return _clipped_eigenvalues(name, _toeplitz_eigenvalues(R[0]), R)
 
 
 def _to_trace_n(R: np.ndarray) -> np.ndarray:
@@ -267,16 +256,5 @@ def draw_channel(model: CorrelationModel, seed) -> np.ndarray:
 
     The same seed reproduces the same H bitwise.
     """
-    H = draw_w(model.R_r.shape[0], model.R_s.shape[0], seed)
-    # a diagonal side scales rows or columns in place, which is equal bitwise
-    # to the dense product: every off-diagonal term is an exact zero
-    sr, ss = model.R_r_sqrt, model.R_s_sqrt
-    if sr.ndim == 1:
-        H *= sr[:, None]
-    else:
-        H = sr @ H
-    if ss.ndim == 1:
-        H *= ss
-    else:
-        H = H @ ss
-    return H
+    W = draw_w(model.R_r.shape[0], model.R_s.shape[0], seed)
+    return model.dense("R_r_sqrt") @ W @ model.dense("R_s_sqrt")

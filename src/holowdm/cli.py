@@ -88,20 +88,27 @@ def _parse_clusters(raw) -> ScatteringSpec:
 def _physical(raw: dict, default: PhysicalConfig) -> PhysicalConfig:
     """The geometry from the keys in wavelengths, each omitted one at its default.
 
-    A side too short to carry a mode raises here, naming its key, before any
-    experiment runs.
+    A length or a wavenumber past the range of a double, and a side too short
+    to carry a mode, raise here, naming the key, before any experiment runs.
     """
     wavelength = _positive("lambda_m", raw.get("lambda_m", default.wavelength))
 
     def length(key: str, meters: float) -> float:
-        return _positive(key, raw.get(key, meters / default.wavelength)) * wavelength
+        value = _positive(key, raw.get(key, meters / default.wavelength)) * wavelength
+        if not 0.0 < value < math.inf:
+            raise ValueError(f"{key} * lambda_m must be a positive finite length, got {value}")
+        return value
 
     L_s = length("L_s_over_lambda", default.L_s)
     L_r = length("L_r_over_lambda", default.L_r)
     d = _number("d_m", raw.get("d_m", default.d))
     if not (math.isfinite(d) and d >= 0.0):
         raise ValueError(f"d_m must be non-negative, got {d}")
-    phys = PhysicalConfig(wavelength, L_s, L_r, d)
+    try:
+        phys = PhysicalConfig(wavelength, L_s, L_r, d)
+    except ValueError as exc:
+        # the lengths and d are checked above, which leaves k = 2 pi / lambda
+        raise ValueError(f"lambda_m: {exc}") from None
     for key, side in (("L_s_over_lambda", "source"), ("L_r_over_lambda", "receiver")):
         try:
             phys.mode_count(side)
@@ -206,15 +213,15 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
 
-    text = ""
-    if args.config is not None:
-        if not args.config.is_file():
-            print(f"holowdm: config file not found: {args.config}", file=sys.stderr)
-            return 2
-        text = args.config.read_text()
     try:
+        text = "" if args.config is None else args.config.read_text(encoding="utf-8")
         cfg = parse_config(text)
+    except OSError as exc:
+        print(f"holowdm: config file not found or unreadable: {args.config}: {exc.strerror}",
+              file=sys.stderr)
+        return 2
     except ValueError as exc:
+        # a file that is not UTF-8 lands here too: UnicodeDecodeError is a ValueError
         print(f"holowdm: invalid config: {exc}", file=sys.stderr)
         return 2
 

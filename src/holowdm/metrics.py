@@ -373,8 +373,9 @@ def _capacity_block(
     Each seed gives one realization of every model.  A model whose sides are
     constant vectors a and b takes a b times the Wishart gains of
     _wishart_gains.  Every other model scales one W per seed and side shape,
-    drawn by draw_w, by sqrt(a) and sqrt(b) on a copy, as draw_channel would;
-    only its modes above 1e-15 of its largest variance are kept.
+    drawn by draw_w, by sqrt(a) and sqrt(b) on a copy, which gives the bits
+    of the dense product of draw_channel; only its modes above 1e-15 of its
+    largest variance are kept.
     """
     capacity = np.zeros((len(plans), len(seeds), powers_w.size))
     for i, seed in enumerate(seeds):

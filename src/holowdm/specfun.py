@@ -33,15 +33,20 @@ def _as_finite_float(name: str, value) -> float:
     return x
 
 
+def _non_negative(name: str, value) -> float:
+    x = _as_finite_float(name, value)
+    if x < 0.0:
+        raise ValueError(f"{name} must be non-negative, got {x}")
+    return x
+
+
 def bessel_i0(x: float) -> float:
     """Modified Bessel function of the first kind, order 0.
 
     Overflows to inf past x ~ 709; callers needing large arguments should use
     the scaled variant or :func:`bessel_ratio_i1_i0`.
     """
-    x = _as_finite_float("x", x)
-    if x < 0.0:
-        raise ValueError(f"x must be non-negative, got {x}")
+    x = _non_negative("x", x)
     # the rational approximation can land a couple of ulp under the true
     # value near x = 0; I0 >= 1 holds identically
     return max(1.0, float(special.i0(x)))
@@ -49,17 +54,13 @@ def bessel_i0(x: float) -> float:
 
 def bessel_i1(x: float) -> float:
     """Modified Bessel function of the first kind, order 1."""
-    x = _as_finite_float("x", x)
-    if x < 0.0:
-        raise ValueError(f"x must be non-negative, got {x}")
+    x = _non_negative("x", x)
     return float(special.i1(x))
 
 
 def bessel_i0_scaled(x: float) -> float:
     """exp(-x) * I0(x); overflow-free for any x >= 0."""
-    x = _as_finite_float("x", x)
-    if x < 0.0:
-        raise ValueError(f"x must be non-negative, got {x}")
+    x = _non_negative("x", x)
     return float(special.i0e(x))
 
 
@@ -78,9 +79,7 @@ def bessel_ratio_i1_i0(alpha: float) -> float:
     Computed from the exponentially scaled Bessel functions, so there is no
     overflow at any alpha (tested up to 1e8 and beyond).
     """
-    alpha = _as_finite_float("alpha", alpha)
-    if alpha < 0.0:
-        raise ValueError(f"alpha must be non-negative, got {alpha}")
+    alpha = _non_negative("alpha", alpha)
     return float(special.i1e(alpha) / special.i0e(alpha))
 
 

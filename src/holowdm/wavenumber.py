@@ -60,6 +60,8 @@ class PhysicalConfig:
                 raise ValueError(f"{name} must be positive and finite, got {value}")
         if not (math.isfinite(self.d) and self.d >= 0.0):
             raise ValueError(f"d must be non-negative and finite, got {self.d}")
+        if math.isinf(self.k):
+            raise ValueError(f"k = 2 pi / wavelength overflows at wavelength {self.wavelength}")
         if min(self.L_s, self.L_r) / self.wavelength < 8.0:
             warnings.warn(
                 "aperture shorter than 8 wavelengths; the Fourier-series channel "
@@ -75,7 +77,10 @@ class PhysicalConfig:
         return self.L_s if _check_side(side) == "source" else self.L_r
 
     def mode_count(self, side: str) -> int:
-        ratio = 2.0 * self.aperture(side) / self.wavelength
+        # the bits of 2 L / lambda wherever 2 L is finite; scaling by 2 is exact
+        ratio = 2.0 * (self.aperture(side) / self.wavelength)
+        if math.isinf(ratio):
+            raise ValueError(f"{side} aperture of 2 L / lambda = {ratio} has no finite mode count")
         n = math.floor(ratio + _SNAP)
         if n < 1:
             raise ValueError(f"{side} aperture shorter than half a wavelength carries no modes")

@@ -21,6 +21,7 @@ from holowdm.specfun import bessel_j0
 from holowdm.wavenumber import PhysicalConfig, variance_profile
 
 LAMBDA = 0.01
+REJECTED = "{} must be a variance vector or a real symmetric Toeplitz matrix"
 
 
 def config(ratio):
@@ -269,7 +270,7 @@ class TestCorrelationStorage:
             CorrelationModel(np.ones(2), np.array([bad, 1.0]))
 
     def test_non_hermitian_dense_side_rejected(self):
-        with pytest.raises(ValueError, match="R_r is not Hermitian"):
+        with pytest.raises(ValueError, match=REJECTED.format("R_r")):
             CorrelationModel(np.eye(2), np.array([[1.0, 0.5], [0.0, 1.0]]))
 
     def test_angular_form(self, wdm_iso_small, jakes_model):
@@ -382,22 +383,28 @@ class TestToeplitzSpectrum:
             want = np.linalg.eigvalsh(getattr(model, side))
             assert_same_spectrum(getattr(angular, side), want)
 
-    @pytest.mark.parametrize("kind", ["complex", "real"])
-    def test_other_dense_sides_keep_the_dense_solve(self, kind):
+    @pytest.mark.parametrize("kind", ["complex", "real", "non-square", "empty", "3-d"])
+    def test_other_dense_sides_rejected(self, kind):
+        # only the two kinds of side the study builds are accepted: any other
+        # array, a Hermitian positive definite one too, is refused on either side
         rng = np.random.default_rng(5)
         A = rng.standard_normal((7, 7))
         if kind == "complex":
             A = A + 1j * rng.standard_normal((7, 7))
-        R = A @ A.conj().T
-        assert not channel._symmetric_toeplitz(R)
-        got = CorrelationModel(np.ones(1), R).angular().R_r
-        assert np.array_equal(got, np.linalg.eigvalsh(R))
+        R = {
+            "non-square": linalg.toeplitz(jakes_lags(3), jakes_lags(4)),
+            "empty": np.zeros((0, 0)),
+            "3-d": np.ones((2, 2, 2)),
+        }.get(kind, A @ A.conj().T)
+        for args, side in (((R, np.ones(1)), "R_s"), ((np.ones(1), R), "R_r")):
+            with pytest.raises(ValueError, match=REJECTED.format(side)):
+                CorrelationModel(*args)
 
     def test_first_row_not_first_column_rejected(self):
         # Toeplitz along every diagonal, but not symmetric
         R = linalg.toeplitz([1.0, 0.3, 0.1], [1.0, 0.2, 0.1])
         assert np.array_equal(R[1:, 1:], R[:-1, :-1])
-        with pytest.raises(ValueError, match="R_r is not Hermitian"):
+        with pytest.raises(ValueError, match=REJECTED.format("R_r")):
             CorrelationModel(np.ones(1), R)
 
     def test_predicate(self):

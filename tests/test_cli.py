@@ -67,6 +67,13 @@ class TestParseConfig:
         with pytest.raises(ValueError, match=r"clusters\[1\]\.circ_var: failed to bracket"):
             parse_config(text)
 
+    @pytest.mark.filterwarnings("ignore:aperture shorter")
+    def test_largest_wavelength_keeps_its_mode_count(self):
+        # 2 L overflows at L = 1e308 m, 2 (L / lambda) does not
+        raw = {"lambda_m": 1e308, "L_s_over_lambda": 1, "L_r_over_lambda": 1}
+        physical = parse_config(json.dumps(raw)).physical
+        assert physical.mode_count("source") == physical.mode_count("receiver") == 2
+
     def test_negative_length_names_key(self):
         with pytest.raises(ValueError, match="L_s_over_lambda"):
             parse_config('{"L_s_over_lambda": -2}')
@@ -257,24 +264,34 @@ class TestMain:
 
     @pytest.mark.filterwarnings("ignore:aperture shorter")
     def test_invalid_config_value(self, tmp_path, capsys):
-        # an aperture without modes fails here too, before any CSV is written
+        # an aperture without modes fails here too, before any CSV is written,
+        # and so does a file that is not UTF-8
         bad = tmp_path / "bad.json"
         out = tmp_path / "out"
-        for key, value in (("epsilon", 7), ("L_s_over_lambda", 0.4)):
-            bad.write_text(json.dumps({key: value}))
+        for text, named in (
+            (json.dumps({"epsilon": 7}).encode(), "epsilon"),
+            (json.dumps({"L_s_over_lambda": 0.4}).encode(), "L_s_over_lambda"),
+            (b"\xff\xfe{", "utf-8"),
+        ):
+            bad.write_bytes(text)
             code = main(["all", "--config", str(bad), "--out", str(out)])
             assert code == 2
-            assert key in capsys.readouterr().err
+            err = capsys.readouterr().err
+            assert err.startswith("holowdm: invalid config: ") and named in err
             assert not out.exists()
 
     @pytest.mark.parametrize(
         "key, value",
         [("power_grid_dbw", [4000]), ("power_grid_dbw", [-4000]),
-         ("noise_var_dbw", 4000), ("noise_var_dbw", -4000)],
+         ("noise_var_dbw", 4000), ("noise_var_dbw", -4000),
+         ("L_s_over_lambda", 1e308), ("lambda_m", 1e308), ("lambda_m", 1e-310),
+         ("L_r_over_lambda", 1e-323)],
     )
     def test_power_beyond_a_double_names_key(self, tmp_path, capsys, key, value):
         # 10^400 W overflows and 10^-400 W underflows to 0; both are refused
-        # up front rather than after psf, eigs and dof were written
+        # up front rather than after psf, eigs and dof were written.  So are
+        # 2 L / lambda and L = (L / lambda) lambda past a double, a length
+        # that underflows to 0, and a wavelength whose k = 2 pi / lambda is inf
         text = json.dumps({key: value})
         with pytest.raises(ValueError, match=key):
             parse_config(text)

@@ -52,6 +52,8 @@ class TestPhysicalConfig:
             PhysicalConfig(0.01, -1.0, 1.0)
         with pytest.raises(ValueError):
             PhysicalConfig(0.01, 1.0, 1.0, d=-0.5)
+        with pytest.raises(ValueError, match="k = 2 pi / wavelength overflows"):
+            PhysicalConfig(1e-310, 1.0, 1.0)
 
     def test_small_aperture_warns(self):
         with pytest.warns(UserWarning, match="8 wavelengths"):
@@ -62,6 +64,8 @@ class TestPhysicalConfig:
         assert cfg128.mode_count("receiver") == 256
         with pytest.raises(ValueError):
             cfg128.mode_count("sideways")
+        with pytest.raises(ValueError, match="no finite mode count"):
+            PhysicalConfig(1.0, 1e308, 1e308).mode_count("source")
 
 
 class TestBuildGrid:
