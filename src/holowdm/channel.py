@@ -38,13 +38,15 @@ _MATRICES = ("R_s", "R_r", "R_s_sqrt", "R_r_sqrt")
 class CorrelationModel:
     """Per-side correlations with square roots computed on first use.
 
-    A side is one of two kinds.  A diagonal side (WDM and i.i.d.) is its 1-D
-    variance vector; a dense side (Jakes) is a real symmetric Toeplitz
-    matrix, and any other matrix is rejected.  R_s_sqrt and R_r_sqrt have
-    the same form as their side and are cached, so the square root of a
-    dense side is taken once, and only if a channel is drawn; sides that are
-    one array share one root.  dense() gives the n x n matrix of any of the
-    four, and angular() the diagonal model of the eigenvalues.
+    A side is one of two kinds, and neither may be empty.  A diagonal side
+    (WDM and i.i.d.) is its real, finite, non-negative 1-D variance vector; a
+    dense side (Jakes) is a real 2-D array equal to the symmetric Toeplitz
+    view of its first row.  Any other side raises a ValueError naming R_s or
+    R_r.  R_s_sqrt and R_r_sqrt have the same form as their side and are
+    cached, so the square root of a dense side is taken once, and only if a
+    channel is drawn; sides that are one array share one root.  dense()
+    gives the n x n matrix of any of the four, and angular() the diagonal
+    model of the eigenvalues.
     """
 
     R_s: np.ndarray
@@ -98,31 +100,17 @@ class CorrelationModel:
 
 
 def _check_correlation(name: str, R) -> np.ndarray:
+    # the one admission rule: a non-empty real side that is a finite,
+    # non-negative variance vector or the symmetric Toeplitz view of its first row
     R = np.asarray(R)
-    if R.ndim == 1:
-        if not (np.isrealobj(R) and np.all(np.isfinite(R)) and np.all(R >= 0.0)):
-            raise ValueError(f"{name} variances must be real, finite and non-negative")
-        return R
-    if R.ndim != 2 or not _symmetric_toeplitz(R):
-        raise ValueError(
-            f"{name} must be a variance vector or a real symmetric Toeplitz matrix, "
-            f"got shape {R.shape}"
-        )
-    return R
-
-
-def _symmetric_toeplitz(R: np.ndarray) -> bool:
-    """Whether a 2-D R is non-empty, real and exactly symmetric Toeplitz.
-
-    Its first row is then its first column, so R is square, and every entry
-    repeats the one above and to its left.  Apart from that one column, both
-    tests read whole rows, so no strided transpose is formed.
-    """
-    return (
-        R.size > 0
-        and np.isrealobj(R)
-        and np.array_equal(R[0], R[:, 0])
-        and np.array_equal(R[1:, 1:], R[:-1, :-1])
+    if R.size and np.isrealobj(R):
+        if R.ndim == 1 and np.all(np.isfinite(R)) and np.all(R >= 0.0):
+            return R
+        if R.ndim == 2 and np.array_equal(R, _toeplitz_view(R[0])):
+            return R
+    raise ValueError(
+        f"{name} must be a non-empty variance vector (real, finite, non-negative) "
+        f"or a real symmetric Toeplitz matrix, got shape {R.shape}"
     )
 
 
@@ -222,8 +210,6 @@ def build_jakes_correlation(cfg: PhysicalConfig) -> CorrelationModel:
 
 def build_iid_correlation(n_s: int, n_r: int) -> CorrelationModel:
     """Identity correlation (i.i.d. Rayleigh fading), stored as unit vectors."""
-    if n_s < 1 or n_r < 1:
-        raise ValueError("sizes must be at least 1")
     return CorrelationModel(np.ones(n_s), np.ones(n_r))
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import cache, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from .metrics import _watts, check_monte_carlo_args, dof, ergodic_capacities
 # bound here for bench/tracing.py, which wraps it by this name
 from .metrics import ergodic_capacity  # noqa: F401
 from .scattering import Cluster, ScatteringSpec, psf_density
-from .wavenumber import PhysicalConfig, VarianceProfile, variance_profile
+from .wavenumber import SIDES, PhysicalConfig, VarianceProfile, variance_profile
 
 __all__ = [
     "MODEL_NAMES",
@@ -53,9 +53,7 @@ _SCATTERING_MODELS = ("isotropic", "non_isotropic")
 _PSF_GRID_POINTS = 1024
 
 
-@cache
 def _default_mixture() -> ScatteringSpec:
-    # cached, so that every default config shares one solve per concentration
     return ScatteringSpec.mixture(
         (
             Cluster(0.5, math.radians(30.0), 0.01),
@@ -84,6 +82,9 @@ class ExperimentConfig:
     noise_var_dbw: float = 0.0
 
     def __post_init__(self) -> None:
+        for side in SIDES:
+            # a side without modes is refused here, naming it, before any stage
+            self.physical.mode_count(side)
         if not self.models:
             raise ValueError("models must not be empty")
         for name in self.models:
@@ -132,8 +133,14 @@ def _shared_profile(phys: PhysicalConfig, spec: ScatteringSpec, side: str) -> Va
 
     The eigs, dof and capacity experiments all need the same four profiles;
     the cached variances are read-only because every caller shares them.
+    The grid has modes (ExperimentConfig checks), so the one ValueError left
+    is a cluster spec that puts no mass on it, which is refused naming
+    clusters.
     """
-    profile = variance_profile(phys, spec, side)
+    try:
+        profile = variance_profile(phys, spec, side)
+    except ValueError as exc:
+        raise ValueError(f"clusters: {exc}") from None
     profile.variances.flags.writeable = False
     return profile
 

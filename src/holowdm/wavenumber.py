@@ -66,7 +66,7 @@ class PhysicalConfig:
             warnings.warn(
                 "aperture shorter than 8 wavelengths; the Fourier-series channel "
                 "model degrades on electrically small lines",
-                stacklevel=2,
+                stacklevel=3,
             )
 
     @property
@@ -133,7 +133,9 @@ def variance_profile(cfg: PhysicalConfig, spec: ScatteringSpec, side: str) -> Va
     partition is refined by adaptive bisection with the same pair of rules
     (see scattering._refine_partition) when a cluster mean lies in it or on
     its boundary, or when the estimate exceeds max(1e-13, 1e-12 * |G20|); a
-    refined error above 1e-10 raises, and so does a profile without mass.
+    refined error above 1e-10 raises a RuntimeError.  A profile without mass,
+    as of a narrow cluster in the sliver near 0 or pi that the partitions
+    leave uncovered at non-integer L/lambda, raises a ValueError.
     Entries are independent of each other and of any evaluation parallelism
     a caller might add.
     """
@@ -152,5 +154,5 @@ def variance_profile(cfg: PhysicalConfig, spec: ScatteringSpec, side: str) -> Va
         variances[i] = math.fsum(values)
     variances = np.maximum(variances, 0.0)
     if float(variances.sum()) <= 0.0:
-        raise RuntimeError(f"scattering density carries no mass on the {side} partitions")
+        raise ValueError(f"scattering density carries no mass on the {side} partitions")
     return VarianceProfile(indices=indices, side=side, variances=variances)

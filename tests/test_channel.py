@@ -1,6 +1,7 @@
 """Correlation builders and channel synthesis."""
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -21,7 +22,7 @@ from holowdm.specfun import bessel_j0
 from holowdm.wavenumber import PhysicalConfig, variance_profile
 
 LAMBDA = 0.01
-REJECTED = "{} must be a variance vector or a real symmetric Toeplitz matrix"
+REJECTED = "{} must be a non-empty variance vector (real, finite, non-negative) or a real symmetric Toeplitz matrix"
 
 
 def config(ratio):
@@ -176,10 +177,6 @@ class TestIidCorrelation:
         kron = np.kron(model.dense("R_s"), model.dense("R_r"))
         assert np.trace(kron) == pytest.approx(3 * 5, rel=1e-14)
 
-    def test_size_validation(self):
-        with pytest.raises(ValueError):
-            build_iid_correlation(0, 4)
-
 
 class TestDrawChannel:
     def test_seed_determinism(self, wdm_iso_small):
@@ -261,17 +258,6 @@ class TestCorrelationStorage:
         assert jakes_model.dense("R_r") is jakes_model.R_r
         with pytest.raises(ValueError, match="name must be one of"):
             wdm_iso_small.dense("H")
-
-    @pytest.mark.parametrize("bad", [-0.5, np.nan])
-    def test_bad_variance_vector_names_its_side(self, bad):
-        with pytest.raises(ValueError, match="R_s"):
-            CorrelationModel(np.array([1.0, bad]), np.ones(2))
-        with pytest.raises(ValueError, match="R_r"):
-            CorrelationModel(np.ones(2), np.array([bad, 1.0]))
-
-    def test_non_hermitian_dense_side_rejected(self):
-        with pytest.raises(ValueError, match=REJECTED.format("R_r")):
-            CorrelationModel(np.eye(2), np.array([[1.0, 0.5], [0.0, 1.0]]))
 
     def test_angular_form(self, wdm_iso_small, jakes_model):
         assert wdm_iso_small.angular() is wdm_iso_small
@@ -383,36 +369,57 @@ class TestToeplitzSpectrum:
             want = np.linalg.eigvalsh(getattr(model, side))
             assert_same_spectrum(getattr(angular, side), want)
 
-    @pytest.mark.parametrize("kind", ["complex", "real", "non-square", "empty", "3-d"])
-    def test_other_dense_sides_rejected(self, kind):
-        # only the two kinds of side the study builds are accepted: any other
-        # array, a Hermitian positive definite one too, is refused on either side
-        rng = np.random.default_rng(5)
-        A = rng.standard_normal((7, 7))
-        if kind == "complex":
-            A = A + 1j * rng.standard_normal((7, 7))
-        R = {
-            "non-square": linalg.toeplitz(jakes_lags(3), jakes_lags(4)),
-            "empty": np.zeros((0, 0)),
-            "3-d": np.ones((2, 2, 2)),
-        }.get(kind, A @ A.conj().T)
-        for args, side in (((R, np.ones(1)), "R_s"), ((np.ones(1), R), "R_r")):
-            with pytest.raises(ValueError, match=REJECTED.format(side)):
-                CorrelationModel(*args)
 
-    def test_first_row_not_first_column_rejected(self):
-        # Toeplitz along every diagonal, but not symmetric
-        R = linalg.toeplitz([1.0, 0.3, 0.1], [1.0, 0.2, 0.1])
-        assert np.array_equal(R[1:, 1:], R[:-1, :-1])
-        with pytest.raises(ValueError, match=REJECTED.format("R_r")):
-            CorrelationModel(np.ones(1), R)
+def _symmetric_one_entry_off():
+    R = linalg.toeplitz(jakes_lags(6))
+    R[4, 2] += 1e-15
+    R[2, 4] += 1e-15
+    return R
 
-    def test_predicate(self):
-        R = linalg.toeplitz(jakes_lags(6))
-        assert channel._symmetric_toeplitz(R)
-        assert not channel._symmetric_toeplitz(R.astype(complex))
-        off = R.copy()
-        off[4, 2] += 1e-15
-        assert not channel._symmetric_toeplitz(off)
-        assert not channel._symmetric_toeplitz(np.zeros((0, 0)))
 
+def _hermitian_toeplitz():
+    c = jakes_lags(6).astype(complex)
+    c[1:] += 0.1j
+    return linalg.toeplitz(c)
+
+
+# case: (the side, whether it is admitted)
+ADMISSION = {
+    "jakes-view": (channel._toeplitz_view(jakes_lags(6)), True),
+    "dense-toeplitz": (linalg.toeplitz(jakes_lags(6)), True),
+    "identity": (np.eye(3), True),
+    "positive-vector": (np.array([0.5, 1.0, 1.5]), True),
+    "empty-vector": (np.ones(0), False),
+    "empty-matrix": (np.zeros((0, 0)), False),
+    "negative-vector": (np.array([1.0, -0.5]), False),
+    "nan-vector": (np.array([np.nan, 1.0]), False),
+    "complex-hermitian": (_hermitian_toeplitz(), False),
+    "complex-dtype-toeplitz": (linalg.toeplitz(jakes_lags(6)).astype(complex), False),
+    "symmetric-not-toeplitz": (_symmetric_one_entry_off(), False),
+    "first-row-not-first-column": (linalg.toeplitz([1.0, 0.3, 0.1], [1.0, 0.2, 0.1]), False),
+    "upper-triangular-toeplitz": (np.array([[1.0, 0.5], [0.0, 1.0]]), False),
+    "non-square-toeplitz": (linalg.toeplitz(jakes_lags(3), jakes_lags(4)), False),
+    "3-d": (np.ones((2, 2, 2)), False),
+}
+
+
+class TestSideAdmission:
+    """The one rule that admits a side, the same on R_s and on R_r."""
+
+    @pytest.mark.parametrize("side", ["R_s", "R_r"])
+    @pytest.mark.parametrize("case", list(ADMISSION))
+    def test_table(self, case, side):
+        R, admitted = ADMISSION[case]
+        sides = {"R_s": np.ones(2), "R_r": np.ones(2), side: R}
+        if admitted:
+            assert getattr(CorrelationModel(**sides), side) is R
+        else:
+            with pytest.raises(ValueError, match="^" + re.escape(REJECTED.format(side))):
+                CorrelationModel(**sides)
+
+    def test_empty_side_refused_before_any_stage(self):
+        # an empty side used to pass and fail later with an IndexError
+        with pytest.raises(ValueError, match="^R_s must be a non-empty"):
+            build_iid_correlation(0, 4)
+        with pytest.raises(ValueError, match="^R_s must be a non-empty"):
+            ergodic_capacity(CorrelationModel(np.ones(0), np.ones(3)), (0.0,), 1.0, 2, 1)

@@ -317,6 +317,17 @@ class TestMain:
         # the run stops at the failing experiment
         assert (tmp_path / "psf.csv").is_file() and not (tmp_path / "dof.csv").exists()
 
+    def test_cluster_in_a_sliver_names_clusters(self, tmp_path, capsys):
+        # at 16.5 lambda the partitions leave the sliver next to pi
+        # uncovered, and a narrow cluster there puts no mass on the grid
+        bad = tmp_path / "sliver.json"
+        bad.write_text(json.dumps({
+            "L_s_over_lambda": 16.5, "L_r_over_lambda": 16.5, "models": ["non_isotropic"],
+            "clusters": [{"mean_deg": 179.9, "circ_var": 1e-5, "weight": 1}],
+        }))
+        assert main(["eigs", "--config", str(bad), "--out", str(tmp_path / "out")]) == 1
+        assert "'eigs' failed: clusters: " in capsys.readouterr().err
+
     def test_single_experiment(self, tmp_path, config_file):
         out = tmp_path / "out"
         assert main(["dof", "--config", str(config_file), "--out", str(out)]) == 0

@@ -18,7 +18,7 @@ from holowdm.harness import (
     run_eigen_spectrum,
     run_psf_profile,
 )
-from holowdm.scattering import ISOTROPIC_DENSITY
+from holowdm.scattering import ISOTROPIC_DENSITY, Cluster, ScatteringSpec
 from holowdm.wavenumber import PhysicalConfig, variance_profile
 
 
@@ -58,6 +58,12 @@ class TestDefaultConfig:
             replace(default_config(), realizations=0)
         with pytest.raises(ValueError):
             replace(default_config(), power_grid_dbw=())
+
+    @pytest.mark.filterwarnings("ignore:aperture shorter")
+    def test_side_without_modes_refused_up_front(self):
+        # not later, from inside a profile, where it would read as a clusters error
+        with pytest.raises(ValueError, match="^source aperture shorter than half a wavelength"):
+            replace(default_config(), physical=PhysicalConfig(0.01, 0.004, 0.16, 0.0))
 
     @pytest.mark.parametrize(
         "key, value",
@@ -269,3 +275,46 @@ class TestLazySquareRoots:
         assert len(draws) == cfg.realizations
         assert layers["channel.draw_channel.calls"] == 0
         assert harness.run_capacity is run_capacity
+
+
+def one_cluster(ratio, mean_deg, circ_var):
+    """The non-isotropic model alone, with one cluster on both sides of an L/lambda line."""
+    spec = ScatteringSpec.mixture([Cluster(1.0, math.radians(mean_deg), circ_var)])
+    return replace(
+        default_config(),
+        physical=PhysicalConfig(0.01, ratio * 0.01, ratio * 0.01, 0.0),
+        models=("non_isotropic",),
+        scattering_s=spec,
+        scattering_r=spec,
+        realizations=2,
+    )
+
+
+# At non-integer L/lambda the partitions leave slivers near 0 and pi
+# uncovered; a narrow cluster inside one puts no mass on the grid.
+SLIVERS = [(16.5, mean, cv) for mean in (179.9, 179.999999) for cv in (1e-9, 1e-7, 1e-5)] + [
+    (333.3, mean, cv) for mean in (0.0, 0.001, 179.9, 179.999999) for cv in (1e-9, 1e-7)
+]
+
+
+class TestClustersNearTheEdges:
+    @pytest.mark.parametrize("mean_deg", [0.0, 179.9])
+    @pytest.mark.parametrize("circ_var", [1e-9, 1e-5, 1e-3])
+    @pytest.mark.parametrize("ratio", [8, 16.5, 128, 333.3])
+    def test_runs_or_refuses_naming_clusters(self, ratio, circ_var, mean_deg):
+        cfg = one_cluster(ratio, mean_deg, circ_var)
+        try:
+            spectrum = np.array(run_eigen_spectrum(cfg).data[2])
+            dofs = run_dof(cfg).data[1]
+        except ValueError as exc:
+            assert str(exc).startswith("clusters: ")
+            return
+        assert np.all(np.isfinite(spectrum)) and np.all(np.diff(spectrum) <= 0.0)
+        assert spectrum.sum() == pytest.approx(1.0, rel=1e-12)
+        assert dofs[0] <= cfg.physical.mode_count("receiver")
+
+    @pytest.mark.parametrize("ratio, mean_deg, circ_var", SLIVERS)
+    @pytest.mark.parametrize("runner", [run_eigen_spectrum, run_dof, run_capacity])
+    def test_cluster_in_a_sliver_is_refused(self, runner, ratio, mean_deg, circ_var):
+        with pytest.raises(ValueError, match="^clusters: .* carries no mass"):
+            runner(one_cluster(ratio, mean_deg, circ_var))

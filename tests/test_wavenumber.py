@@ -59,6 +59,12 @@ class TestPhysicalConfig:
         with pytest.warns(UserWarning, match="8 wavelengths"):
             config(4)
 
+    def test_small_aperture_warning_points_at_the_caller(self):
+        # not at the __init__ the dataclass generates, whose file is "<string>"
+        with pytest.warns(UserWarning, match="8 wavelengths") as record:
+            PhysicalConfig(0.01, 0.04, 0.04)
+        assert [w.filename for w in record] == [__file__]
+
     def test_mode_counts(self, cfg128):
         assert cfg128.mode_count("source") == 256
         assert cfg128.mode_count("receiver") == 256
@@ -177,8 +183,9 @@ class TestVarianceProfile:
         assert np.all(profile.variances >= 0.0)
 
     def test_massless_density_raises(self, monkeypatch):
+        # a ValueError, as for a narrow cluster in an uncovered sliver
         monkeypatch.setattr(scattering, "_raw_density", lambda spec, theta: 0.0 * theta)
-        with pytest.raises(RuntimeError, match="carries no mass on the source"):
+        with pytest.raises(ValueError, match="carries no mass on the source"):
             variance_profile(config(8), ScatteringSpec.isotropic(), "source")
 
 
