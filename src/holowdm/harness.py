@@ -223,10 +223,10 @@ def run_capacity(cfg: ExperimentConfig) -> Table:
     bidiagonal model of metrics.ergodic_capacities, so it shares no W with
     them.  Each model's gains are water-filled over the whole power grid at
     once.  The models are built one at a time, and only their spectra are
-    kept.  Above a work threshold the realizations run on forked workers,
-    one per usable CPU (metrics.worker_count); every path holds numpy's
-    OpenBLAS to one thread, so the table has the same bits for any BLAS
-    thread setting or worker count.
+    kept.  With more than one usable CPU (metrics.worker_count) and more
+    than one realization, the realizations run on forked workers; every
+    path holds numpy's OpenBLAS to one thread, so the table has the same
+    bits for any BLAS thread setting or worker count.
     """
     results = ergodic_capacities(
         (correlation_for(cfg, model) for model in cfg.models),

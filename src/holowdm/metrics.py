@@ -35,16 +35,13 @@ __all__ = [
 # eigen-solve.
 _NEGLIGIBLE_VARIANCE = 1e-15
 
-# _solve_work above which the realizations run on forked workers: about
-# 0.15 s of serial 256-mode solves on a 2-core x86 host, several times the
-# 20-45 ms a fork pool takes to start there.
-_POOL_WORK = 2e8
-
 
 def _check_hermitian(A) -> np.ndarray:
     A = np.asarray(A)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError(f"matrix must be square, got shape {A.shape}")
+    if A.ndim != 2 or A.shape[0] != A.shape[1] or A.size == 0:
+        raise ValueError(f"matrix must be square and non-empty, got shape {A.shape}")
+    if not np.all(np.isfinite(A)):
+        raise ValueError("matrix must be finite")
     norm = float(np.linalg.norm(A))
     if float(np.abs(A - A.conj().T).max()) > 1e-10 * max(norm, 1.0):
         raise ValueError("matrix is not Hermitian within tolerance")
@@ -52,7 +49,7 @@ def _check_hermitian(A) -> np.ndarray:
 
 
 def hermitian_eigs(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (descending) and eigenvectors of a Hermitian matrix."""
+    """Eigenvalues (descending) and eigenvectors of a finite, non-empty Hermitian matrix."""
     w, v = np.linalg.eigh(_check_hermitian(A))
     return w[::-1].copy(), v[:, ::-1].copy()
 
@@ -113,6 +110,11 @@ def waterfill(eigenvalues, total_power: float, noise_var: float) -> np.ndarray:
     return _waterfill_grid(eigenvalues, (total_power,), noise_var)[0]
 
 
+def _check_noise_var(noise_var: float) -> None:
+    if not (math.isfinite(noise_var) and noise_var > 0.0):
+        raise ValueError(f"noise_var must be positive, got {noise_var}")
+
+
 def _waterfill_grid(eigenvalues, powers, noise_var: float) -> np.ndarray:
     """Water-filling allocations of one gain vector at each total power.
 
@@ -131,8 +133,7 @@ def _waterfill_grid(eigenvalues, powers, noise_var: float) -> np.ndarray:
     for total_power in powers:
         if not (math.isfinite(total_power) and total_power > 0.0):
             raise ValueError(f"total_power must be positive, got {total_power}")
-    if not (math.isfinite(noise_var) and noise_var > 0.0):
-        raise ValueError(f"noise_var must be positive, got {noise_var}")
+    _check_noise_var(noise_var)
     top = float(gains.max())
     if gains.min() < -1e-12 * max(top, 1.0):
         raise ValueError("eigenvalues must be non-negative")
@@ -253,8 +254,7 @@ def realization_seeds(base_seed: int, count: int) -> np.ndarray:
     Scheduling-independent by construction, so Monte Carlo results do not
     depend on how realizations are distributed over workers.
     """
-    if count < 1:
-        raise ValueError(f"count must be at least 1, got {count}")
+    check_monte_carlo_args(count, base_seed)
     return np.random.SeedSequence(int(base_seed)).generate_state(count, dtype=np.uint64)
 
 
@@ -355,16 +355,6 @@ def _plan(spectrum: CorrelationModel) -> tuple:
     )
 
 
-def _solve_work(plans: list[tuple], realizations: int) -> int:
-    """Realizations times n_r n_s min(n_r, n_s) over the kept modes of each
-    dense model: the order of the Gram products and eigen-solves to come."""
-    work = 0
-    for _, _, scale, _, _, sr, ss in plans:
-        if scale is None:
-            work += sr.size * ss.size * min(sr.size, ss.size)
-    return realizations * work
-
-
 def _capacity_block(
     plans: list[tuple], seeds, powers_w: np.ndarray, noise_var: float
 ) -> np.ndarray:
@@ -450,29 +440,30 @@ def ergodic_capacities(
 
     numpy's OpenBLAS is held to one thread from the spectra to the last
     realization, and the caller's thread count is restored on return, so the
-    bits do not depend on the caller's BLAS threads.  When worker_count() is
-    above 1 and _solve_work, the order of the dense solves, is above
-    _POOL_WORK, the seeds are split into contiguous blocks that run on forked
-    workers (_pooled_capacity); otherwise they run in this process.  Every
+    bits do not depend on the caller's BLAS threads.  When worker_count() and
+    realizations are both above 1, the seeds are split into contiguous blocks
+    that run on min(worker_count(), realizations) forked workers
+    (_pooled_capacity); otherwise they run in this process.  Every
     realization depends on its seed alone, and the blocks are joined in seed
     order before the mean and standard error, so both paths give the same
     bits for any worker count.
 
     A channel whose gains are all zero, as when a side has no non-negligible
     variance, carries 0 bits at every power.  realizations must be a positive
-    integer and base_seed an integer in [0, 2**64); anything else raises a
-    ValueError naming the argument.
+    integer, base_seed an integer in [0, 2**64) and noise_var a positive
+    finite number, whatever the gains; anything else raises a ValueError
+    naming the argument.
     """
     power_grid_dbw = tuple(float(p) for p in power_grid_dbw)
     if not power_grid_dbw:
         raise ValueError("power grid must not be empty")
-    check_monte_carlo_args(realizations, base_seed)
-    powers_w = np.array([_watts("power_grid_dbw", p) for p in power_grid_dbw])
     seeds = realization_seeds(base_seed, realizations)
+    _check_noise_var(noise_var)
+    powers_w = np.array([_watts("power_grid_dbw", p) for p in power_grid_dbw])
     with _one_blas_thread():
         plans = [_plan(model.angular()) for model in models]
         workers = min(worker_count(), realizations)
-        if workers > 1 and _solve_work(plans, realizations) > _POOL_WORK:
+        if workers > 1:
             capacity = _pooled_capacity(plans, seeds, powers_w, noise_var, workers)
         else:
             capacity = _capacity_block(plans, seeds, powers_w, noise_var)

@@ -93,7 +93,8 @@ def _raw_density(spec: ScatteringSpec, theta):
 
 
 def psf_density(spec: ScatteringSpec, theta):
-    """Angular power density at theta in [0, pi); scalar or ndarray.
+    """Angular power density at theta in [0, pi): a float for a scalar,
+    an ndarray of theta's shape for an array or a sequence.
 
     Isotropic specs return 1/pi exactly; mixtures evaluate the weighted vMF
     densities (full-circle normalization).
@@ -104,7 +105,7 @@ def psf_density(spec: ScatteringSpec, theta):
     if np.any(arr < 0.0) or np.any(arr >= math.pi):
         raise ValueError("theta must lie in [0, pi)")
     out = _raw_density(spec, arr)
-    return out if isinstance(theta, np.ndarray) else float(out)
+    return float(out) if out.ndim == 0 else out
 
 
 def _phase(k: float, r_x) -> float:

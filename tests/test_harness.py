@@ -251,6 +251,8 @@ class TestLazySquareRoots:
         monkeypatch.setattr(
             metrics, "draw_w", lambda n_r, n_s, seed: draws.append(seed) or draw_w(n_r, n_s, seed)
         )
+        # forked workers would count in their own memory
+        monkeypatch.setattr(metrics, "worker_count", lambda: 1)
         modules = tracing._package_modules()
         saved = [(module, dict(vars(module))) for module in modules]
         try:

@@ -69,6 +69,20 @@ class TestHermitianEigs:
         with pytest.raises(ValueError):
             hermitian_eigs(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    @pytest.mark.parametrize(
+        "matrix",
+        [
+            np.array([[np.nan]]),
+            np.array([[1.0, np.inf], [np.inf, 1.0]]),
+            np.array([[1.0, 0.0], [0.0, complex(np.nan, 0.0)]]),
+            np.zeros((0, 0)),
+        ],
+        ids=["nan", "inf", "complex-nan", "empty"],
+    )
+    def test_non_finite_or_empty_rejected(self, matrix):
+        with pytest.raises(ValueError, match="matrix must be"):
+            hermitian_eigs(matrix)
+
 
 class TestDof:
     def test_isotropic_reference_count(self):
@@ -262,6 +276,27 @@ class TestCapacity:
         b = realization_seeds(123, 10)
         assert np.array_equal(a, b)
         assert realization_seeds(124, 10)[0] != a[0]
+
+    @pytest.mark.parametrize(
+        "base_seed, count", [(3.9, 2), (1, True), (1, 2.5), (1, 0), (-1, 2)]
+    )
+    def test_realization_seeds_refuses_what_it_would_truncate(self, base_seed, count):
+        with pytest.raises(ValueError):
+            realization_seeds(base_seed, count)
+
+    @pytest.mark.parametrize("noise_var", [-1.0, 0.0, math.nan, math.inf])
+    @pytest.mark.parametrize(
+        "model",
+        [CorrelationModel(np.zeros(3), np.zeros(3)), build_iid_correlation(3, 3)],
+        ids=["all-gains-zero", "iid"],
+    )
+    def test_bad_noise_var_refused_before_any_plan(self, monkeypatch, model, noise_var):
+        def refuse(spectrum):
+            raise AssertionError("planned a model")
+
+        monkeypatch.setattr(metrics, "_plan", refuse)
+        with pytest.raises(ValueError, match="noise_var must be positive"):
+            ergodic_capacity(model, (0.0,), noise_var, 2, 1)
 
     def test_validation(self):
         model = build_iid_correlation(2, 2)
@@ -559,6 +594,8 @@ class TestOnePassCapacity:
             return draw_w(n_r, n_s, seed)
 
         monkeypatch.setattr(metrics, "draw_w", counting)
+        # forked workers would count in their own memory
+        monkeypatch.setattr(metrics, "worker_count", lambda: 1)
         cfg = replace(
             default_config(), physical=PhysicalConfig(LAMBDA, 8 * LAMBDA, 8 * LAMBDA, 0.0),
             realizations=5,
@@ -640,7 +677,7 @@ def _pool_models():
 
 
 def _force_pool(monkeypatch, workers):
-    """Pool above a work of 0 on `workers` workers; returns the pool calls."""
+    """Report `workers` usable CPUs; returns the worker counts of the pool calls."""
     calls = []
     pooled = metrics._pooled_capacity
 
@@ -649,7 +686,6 @@ def _force_pool(monkeypatch, workers):
         return pooled(*args)
 
     monkeypatch.setattr(metrics, "worker_count", lambda: workers)
-    monkeypatch.setattr(metrics, "_POOL_WORK", 0)
     monkeypatch.setattr(metrics, "_pooled_capacity", counting)
     return calls
 

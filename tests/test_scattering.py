@@ -105,6 +105,14 @@ class TestPsfDensity:
         assert values.shape == thetas.shape
         assert np.all(values >= 0.0) and np.all(np.isfinite(values))
 
+    @pytest.mark.parametrize("thetas", [[0.1, 0.2], (0.5,), [[0.1], [2.0]]])
+    def test_sequence_gives_an_array(self, two_cluster_spec, thetas):
+        for spec in (ScatteringSpec.isotropic(), two_cluster_spec):
+            values = psf_density(spec, thetas)
+            assert isinstance(values, np.ndarray)
+            assert np.array_equal(values, psf_density(spec, np.array(thetas)))
+            assert values.shape == np.shape(thetas)
+
     def test_huge_concentration_no_overflow(self):
         spec = ScatteringSpec.mixture((Cluster(1.0, 1.0, 1e-4),))
         assert math.isfinite(psf_density(spec, 1.0))
