@@ -205,9 +205,8 @@ def run_eigen_spectrum(cfg: ExperimentConfig) -> Table:
 
 def run_dof(cfg: ExperimentConfig) -> Table:
     """Degrees of freedom of the scattering-defined models."""
-    n_s, n_r = map(cfg.physical.mode_count, ("source", "receiver"))
     models = [model for model in cfg.models if model in _SCATTERING_MODELS]
-    results = [dof(*_profiles(cfg, m), cfg.epsilon, m == "isotropic", n_s, n_r) for m in models]
+    results = [dof(*_profiles(cfg, m), cfg.epsilon, m == "isotropic") for m in models]
     return Table(("model", "dof", "n_s_prime", "n_r_prime", "epsilon"), (
         models, [r.dof for r in results], [r.per_side[0] for r in results],
         [r.per_side[1] for r in results], [float(r.epsilon) for r in results],

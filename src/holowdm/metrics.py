@@ -77,19 +77,19 @@ def dof(
     profile_r: VarianceProfile,
     epsilon: float,
     isotropic: bool,
-    n_s: int,
-    n_r: int,
 ) -> DoFResult:
     """Channel degrees of freedom at accuracy 1 - epsilon.
 
     Isotropic scattering keeps every mode significant, so the DoF is simply
-    min(n_s, n_r).  Otherwise each side contributes the smallest count of
-    descending-sorted variances that holds 1 - epsilon of the side's total,
-    and the DoF is the smaller of the two counts (per_side reports both).
+    min(n_s, n_r), the mode counts of the two profiles.  Otherwise each side
+    contributes the smallest count of descending-sorted variances that holds
+    1 - epsilon of the side's total, and the DoF is the smaller of the two
+    counts (per_side reports both).
     """
     if not (0.0 < epsilon < 1.0):
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
     if isotropic:
+        n_s, n_r = profile_s.variances.size, profile_r.variances.size
         return DoFResult(dof=min(n_s, n_r), per_side=(n_s, n_r), epsilon=epsilon)
     side_s = _prefix_count(profile_s, epsilon)
     side_r = _prefix_count(profile_r, epsilon)

@@ -1,4 +1,4 @@
-"""Scalar special functions and the circular-variance concentration solver.
+"""Special functions and the circular-variance concentration solver.
 
 Evaluation delegates to scipy.special (Cephes-backed, accurate to a few ulp).
 The test suite checks these functions against independent series/asymptotic
@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 from scipy import special
 
 __all__ = [
@@ -64,13 +65,20 @@ def bessel_i0_scaled(x: float) -> float:
     return float(special.i0e(x))
 
 
-def bessel_j0(x: float) -> float:
-    """Bessel function of the first kind, order 0.
+def bessel_j0(x):
+    """Bessel function of the first kind, order 0: a float for a scalar,
+    an ndarray of x's shape for an array or a sequence.
 
-    Evaluated at |x| so the even symmetry J0(-x) = J0(x) holds exactly.
+    Evaluated at |x| so the even symmetry J0(-x) = J0(x) holds exactly; a
+    non-finite entry raises a ValueError.  An array gives the bits of the
+    scalar calls, and channel.build_jakes_correlation takes its lags from
+    one array call.
     """
-    x = _as_finite_float("x", x)
-    return float(special.j0(abs(x)))
+    arr = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("x must be finite")
+    out = special.j0(np.abs(arr))
+    return float(out) if out.ndim == 0 else out
 
 
 def bessel_ratio_i1_i0(alpha: float) -> float:

@@ -7,6 +7,7 @@ Run with `pytest -v tests/test_acceptance.py` (add -s to see the PASS lines).
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -57,7 +58,7 @@ def test_criterion_1_isotropic_dof():
     start = time.perf_counter()
     profile_s = variance_profile(PHYS, ScatteringSpec.isotropic(), "source")
     profile_r = variance_profile(PHYS, ScatteringSpec.isotropic(), "receiver")
-    result = dof(profile_s, profile_r, REFERENCE.epsilon, isotropic=True, n_s=256, n_r=256)
+    result = dof(profile_s, profile_r, REFERENCE.epsilon, isotropic=True)
     elapsed = time.perf_counter() - start
     assert result.dof == 256
     assert elapsed < 1.0
@@ -68,7 +69,7 @@ def test_criterion_2_non_isotropic_dof():
     start = time.perf_counter()
     profile_s = variance_profile(PHYS, REFERENCE.scattering_s, "source")
     profile_r = variance_profile(PHYS, REFERENCE.scattering_r, "receiver")
-    result = dof(profile_s, profile_r, 0.003, isotropic=False, n_s=256, n_r=256)
+    result = dof(profile_s, profile_r, 0.003, isotropic=False)
     elapsed = time.perf_counter() - start
     assert abs(result.dof - 82) <= 1
     assert result.per_side[0] == result.per_side[1]  # symmetric scattering
@@ -210,6 +211,19 @@ def test_criterion_8_special_function_oracles():
     print("\nACCEPTANCE 8 (special-function oracles and concentration round trip): PASS")
 
 
+# A child run of `holowdm all`.  With "pinned" it holds itself to one CPU
+# before holowdm is imported, where os.sched_setaffinity exists; it prints
+# the Monte Carlo worker count to stderr.
+_CRITERION_9_CHILD = """
+import os, sys
+if sys.argv[1] == "pinned" and hasattr(os, "sched_setaffinity"):
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+from holowdm import cli, metrics
+print(f"workers={metrics.worker_count()}", file=sys.stderr)
+sys.exit(cli.main(sys.argv[2:]))
+"""
+
+
 def test_criterion_9_thread_determinism(tmp_path):
     config = {
         "L_s_over_lambda": 8,
@@ -220,19 +234,28 @@ def test_criterion_9_thread_determinism(tmp_path):
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(config))
 
-    outputs = {}
-    for threads in ("1", "4"):
-        out_dir = tmp_path / f"threads_{threads}"
-        env = dict(os.environ, HOLOWDM_THREADS=threads)
+    # one CPU and one BLAS thread (the Monte Carlo runs in-process) against
+    # every CPU and two BLAS threads (it runs on forked workers)
+    outputs, workers = {}, {}
+    for run, blas_threads in (("pinned", "1"), ("all", "2")):
+        out_dir = tmp_path / run
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=blas_threads)
         proc = subprocess.run(
-            [sys.executable, "-m", "holowdm", "all",
+            [sys.executable, "-c", _CRITERION_9_CHILD, run, "all",
              "--config", str(config_path), "--out", str(out_dir)],
             env=env, capture_output=True, text=True,
         )
         assert proc.returncode == 0, proc.stderr
-        outputs[threads] = {
+        workers[run] = int(re.search(r"^workers=(\d+)$", proc.stderr, re.MULTILINE).group(1))
+        outputs[run] = {
             name: (out_dir / f"{name}.csv").read_bytes()
             for name in ("psf", "eigs", "dof", "capacity")
         }
-    assert outputs["1"] == outputs["4"]
-    print("\nACCEPTANCE 9 (byte-identical CSVs for HOLOWDM_THREADS=1 vs 4): PASS")
+    assert workers["pinned"] == 1
+    if hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2:
+        assert workers["all"] > 1
+    assert outputs["pinned"] == outputs["all"]
+    print(
+        f"\nACCEPTANCE 9 (byte-identical CSVs for {workers['pinned']} worker at 1 BLAS thread "
+        f"vs {workers['all']} workers at 2): PASS"
+    )

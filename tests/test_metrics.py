@@ -87,9 +87,17 @@ class TestHermitianEigs:
 class TestDof:
     def test_isotropic_reference_count(self):
         ps, pr = iso_profiles(128)
-        result = dof(ps, pr, 0.003, isotropic=True, n_s=256, n_r=256)
+        result = dof(ps, pr, 0.003, isotropic=True)
         assert result.dof == 256
         assert result.per_side == (256, 256)
+
+    def test_isotropic_counts_come_from_the_profiles(self):
+        cfg = PhysicalConfig(LAMBDA, 16 * LAMBDA, 8 * LAMBDA, 0.0)
+        ps = variance_profile(cfg, ScatteringSpec.isotropic(), "source")
+        pr = variance_profile(cfg, ScatteringSpec.isotropic(), "receiver")
+        result = dof(ps, pr, 0.003, isotropic=True)
+        assert result.per_side == (32, 16)
+        assert result.dof == 16
 
     def test_two_equal_atoms(self):
         ps, pr = iso_profiles(8)
@@ -97,7 +105,7 @@ class TestDof:
         atoms[0] = atoms[1] = 0.5
         ps.variances = atoms.copy()
         pr.variances = atoms.copy()
-        result = dof(ps, pr, 0.003, isotropic=False, n_s=ps.indices.size, n_r=pr.indices.size)
+        result = dof(ps, pr, 0.003, isotropic=False)
         assert result.dof == 2 and result.per_side == (2, 2)
 
     @pytest.mark.parametrize("scale", [2.0, 0.5])
@@ -109,19 +117,19 @@ class TestDof:
         pr = variance_profile(cfg, mixture, "receiver")
         scaled = replace(ps, variances=ps.variances * scale)
         for epsilon in (0.003, 0.1, 0.5):
-            want = dof(ps, pr, epsilon, isotropic=False, n_s=64, n_r=64)
-            assert dof(scaled, pr, epsilon, isotropic=False, n_s=64, n_r=64) == want
+            want = dof(ps, pr, epsilon, isotropic=False)
+            assert dof(scaled, pr, epsilon, isotropic=False) == want
 
     def test_epsilon_domain(self):
         ps, pr = iso_profiles(8)
         for bad in (0.0, 1.0, -0.5):
             with pytest.raises(ValueError):
-                dof(ps, pr, bad, isotropic=False, n_s=16, n_r=16)
+                dof(ps, pr, bad, isotropic=False)
 
     def test_monotone_in_epsilon(self):
         ps, pr = iso_profiles(32)
         counts = [
-            dof(ps, pr, e, isotropic=False, n_s=64, n_r=64).dof
+            dof(ps, pr, e, isotropic=False).dof
             for e in (0.003, 0.1, 0.5)
         ]
         assert counts[0] >= counts[1] >= counts[2]

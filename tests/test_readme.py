@@ -1,7 +1,9 @@
-"""The README's library example runs against the library as it is."""
+"""The README's library example runs, and its config block is the defaults."""
 
 import re
 from pathlib import Path
+
+from holowdm.cli import parse_config
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -14,3 +16,9 @@ def test_library_example_runs():
     exec(compile(block.group(1), str(README), "exec"), namespace)
     assert namespace["H"].shape == (256, 256)
     assert namespace["result"].capacity_bits.shape == (4,)
+
+
+def test_config_block_is_the_defaults():
+    block = re.search(r"```json\n(.*?)```", README.read_text(encoding="utf-8"), re.DOTALL)
+    assert block is not None, "no json block in the README"
+    assert parse_config(block.group(1)) == parse_config("")

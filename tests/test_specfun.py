@@ -141,6 +141,17 @@ class TestBesselJ0:
     def test_even_parity_exact(self, x):
         assert bessel_j0(x) == bessel_j0(-x)
 
+    def test_array_is_the_scalar_calls_bitwise(self):
+        x = np.linspace(-50.0, 3000.0, 24).reshape(4, 6)
+        out = bessel_j0(x)
+        assert isinstance(out, np.ndarray) and out.shape == x.shape
+        assert np.array_equal(out, [[bessel_j0(float(v)) for v in row] for row in x])
+        assert isinstance(bessel_j0(np.float64(2.0)), float)
+
+    def test_array_with_a_nan_raises(self):
+        with pytest.raises(ValueError, match="x must be finite"):
+            bessel_j0(np.array([0.0, 1.0, float("nan")]))
+
 
 class TestRatio:
     def test_at_zero(self):
