@@ -225,7 +225,12 @@ def main(argv=None) -> int:
         print(f"holowdm: invalid config: {exc}", file=sys.stderr)
         return 2
 
-    args.out.mkdir(parents=True, exist_ok=True)
+    try:
+        args.out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        # an existing file, or a path under one, is not an output directory
+        print(f"holowdm: --out {args.out}: {exc.strerror}", file=sys.stderr)
+        return 2
     for name, runner in _EXPERIMENTS:
         if args.command not in (name, "all"):
             continue

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
-from scipy.linalg import eigvalsh_tridiagonal
 
 from .channel import CorrelationModel, check_seed, draw_w
 # bound here for bench/tracing.py, which wraps it by this name
@@ -193,6 +192,29 @@ def _mode_gains(H: np.ndarray) -> np.ndarray:
     return np.clip(np.linalg.eigvalsh(gram)[::-1], 0.0, None)
 
 
+def _tridiagonal_eigvalsh(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of the real symmetric tridiagonal matrix of
+    diagonal diag and off-diagonal off.
+
+    LAPACK dsterf from numpy's OpenBLAS (_openblas), on copies of both;
+    where numpy links another BLAS, numpy's eigvalsh of the dense matrix.
+    """
+    diag = np.array(diag, dtype=np.float64)
+    off = np.array(off, dtype=np.float64)
+    if diag.ndim != 1 or off.shape != (diag.size - 1,):
+        raise ValueError(f"need a diagonal vector and one entry fewer off it, got shapes "
+                         f"{diag.shape} and {off.shape}")
+    sterf = _dsterf()
+    if sterf is None:
+        return np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    info = ctypes.c_int64(0)
+    sterf(ctypes.byref(ctypes.c_int64(diag.size)), diag.ctypes.data, off.ctypes.data,
+          ctypes.byref(info))
+    if info.value != 0:
+        raise np.linalg.LinAlgError(f"dsterf failed to converge (info {info.value})")
+    return diag
+
+
 def _wishart_gains(n_r: int, n_s: int, seed: int) -> np.ndarray:
     """Eigenvalues of W W^H for an n_r x n_s W with i.i.d. CN(0, 1) entries.
 
@@ -203,7 +225,7 @@ def _wishart_gains(n_r: int, n_s: int, seed: int) -> np.ndarray:
     chi_{2 (min - 1)}, ..., chi_2, all divided by sqrt(2).  The square of
     chi_{2k} / sqrt(2) is a unit-scale Gamma(k) variate, so the squares are
     drawn directly, and B B^T is tridiagonal: O(min^2) work in place of a
-    dense draw and eigen-solve.
+    dense draw and eigen-solve, by LAPACK dsterf (_tridiagonal_eigvalsh).
     """
     small, large = sorted((n_r, n_s))
     rng = np.random.default_rng(seed)
@@ -211,7 +233,7 @@ def _wishart_gains(n_r: int, n_s: int, seed: int) -> np.ndarray:
     sub_sq = rng.standard_gamma(np.arange(small - 1, 0, -1))
     off = np.sqrt(diag_sq[:-1] * sub_sq)
     diag_sq[1:] += sub_sq
-    gains = eigvalsh_tridiagonal(diag_sq, off, lapack_driver="sterf")
+    gains = _tridiagonal_eigvalsh(diag_sq, off)
     return np.clip(gains[::-1], 0.0, None)
 
 
@@ -259,22 +281,43 @@ def realization_seeds(base_seed: int, count: int) -> np.ndarray:
 
 
 @cache
-def _openblas_thread_calls():
-    """The get and set functions of numpy's OpenBLAS thread count, or None.
+def _openblas() -> ctypes.CDLL | None:
+    """numpy's extension module opened through ctypes, or None on a numpy
+    without one (before 2.0).
 
-    numpy's wheels link scipy-openblas with 64-bit integers, whose symbols
-    carry the scipy_ prefix and the 64_ suffix; another BLAS has no such
-    symbols, and then the Monte Carlo runs in-process at the caller's threads.
+    numpy's wheels link scipy-openblas with 64-bit integers, and its symbols,
+    which carry the scipy_ prefix and the 64_ suffix, resolve through this
+    handle.  Where numpy links another BLAS they are missing, and _symbol
+    gives None.
     """
     try:
-        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
-        get = lib.scipy_openblas_get_num_threads64_
-        set_ = lib.scipy_openblas_set_num_threads64_
+        return ctypes.CDLL(np._core._multiarray_umath.__file__)
     except (AttributeError, OSError):
         return None
-    get.argtypes, get.restype = [], ctypes.c_int
-    set_.argtypes, set_.restype = [ctypes.c_int], None
-    return get, set_
+
+
+def _symbol(name: str, argtypes: list, restype):
+    """The function name of numpy's OpenBLAS with its signature set, or None."""
+    function = getattr(_openblas(), name, None)
+    if function is not None:
+        function.argtypes, function.restype = argtypes, restype
+    return function
+
+
+@cache
+def _dsterf():
+    """LAPACK dsterf(n, d, e, info) with 64-bit integers, or None."""
+    int64_p = ctypes.POINTER(ctypes.c_int64)
+    return _symbol("scipy_dsterf_64_", [int64_p, ctypes.c_void_p, ctypes.c_void_p, int64_p], None)
+
+
+@cache
+def _openblas_thread_calls():
+    """The get and set functions of numpy's OpenBLAS thread count, or None,
+    in which case the Monte Carlo runs in-process at the caller's threads."""
+    get = _symbol("scipy_openblas_get_num_threads64_", [], ctypes.c_int)
+    set_ = _symbol("scipy_openblas_set_num_threads64_", [ctypes.c_int], None)
+    return None if get is None or set_ is None else (get, set_)
 
 
 @contextmanager

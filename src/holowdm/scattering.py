@@ -160,7 +160,7 @@ def _refine_partition(spec: ScatteringSpec, lo: float, hi: float, weight=None):
         for c in spec.clusters
         if lo <= c.mean_angle <= hi and c.concentration > 0.0
     ]
-    edges = np.unique([lo, hi, *(m for m, _ in peaks if lo < m < hi)])
+    edges = np.array(sorted({lo, hi, *(m for m, _ in peaks if lo < m < hi)}))
     a, b = edges[:-1], edges[1:]
     panels = a.size
     accepted = []

@@ -1,21 +1,26 @@
 """Special functions and the circular-variance concentration solver.
 
-Evaluation delegates to scipy.special (Cephes-backed, accurate to a few ulp).
-The test suite checks these functions against independent series/asymptotic
-evaluators that live with the tests, in tests/oracles.py.
+Every function is evaluated here, from numpy and the standard library:
+- I0 and I1, scaled by e^-x, from their power series below x = 20, every
+  term positive and the terms summed by math.fsum, and from their
+  large-argument expansion (Abramowitz & Stegun 9.7.1) from x = 20 on;
+- J0 from its power series, summed in 50-digit decimal arithmetic because
+  its terms cancel, below x = 20, and from its Hankel expansion (A&S 9.2.5),
+  which has the coefficients of I0's with alternating signs, from x = 20 on.
+The tests check them against mpmath at 40 digits, and against the
+independent series/asymptotic evaluators of tests/oracles.py.
 
 The concentration solve uses :func:`_brentq`, an operation-for-operation port
 of scipy's Brent root finder (scipy/optimize/Zeros/brentq.c).  It returns the
-same double as ``scipy.optimize.brentq`` for the same arguments, without
-importing ``scipy.optimize`` at run time.
+same double as ``scipy.optimize.brentq`` for the same arguments.
 """
 
 from __future__ import annotations
 
+import decimal
 import math
 
 import numpy as np
-from scipy import special
 
 __all__ = [
     "bessel_i0",
@@ -41,6 +46,75 @@ def _non_negative(name: str, value) -> float:
     return x
 
 
+def _expansion_coefficients(mu: int, count: int) -> tuple[float, ...]:
+    """c_0..c_(count-1) of e^-x sqrt(2 pi x) I_nu(x) ~ sum c_k x^-k, mu = 4 nu^2,
+    each the exact rational (A&S 9.7.1) rounded once."""
+    coefficients, numerator, denominator = [], 1, 1
+    for k in range(count):
+        coefficients.append(numerator / denominator)
+        numerator *= (2 * k + 1) ** 2 - mu
+        denominator *= 8 * (k + 1)
+    return tuple(coefficients)
+
+
+# From this argument on, I0, I1 and J0 come from their large-argument
+# expansions, cut after 30 terms: there the first term left out is below 3e-18
+# and the terms still fall.  Below it, they come from their power series.
+_EXPANSION_FROM = 20.0
+_I0_EXPANSION = _expansion_coefficients(0, 30)
+_I1_EXPANSION = _expansion_coefficients(4, 30)
+# J0(x) ~ sqrt(2 / (pi x)) (P cos(x - pi/4) - Q sin(x - pi/4)) with
+# P = sum (-1)^k c_2k x^-2k and Q = -sum (-1)^k c_(2k+1) x^-(2k+1), the c_n
+# those of I0 (A&S 9.2.9, 9.2.10); stored highest power first for Horner's rule
+_SIGNS = (-1.0) ** np.arange(len(_I0_EXPANSION) // 2)
+_J0_P = (_SIGNS * _I0_EXPANSION[0::2])[::-1]
+_J0_Q = -(_SIGNS * _I0_EXPANSION[1::2])[::-1]
+
+
+def _expansion_terms(x: float) -> tuple[list[float], list[float]]:
+    """The terms c_k x^-k of the expansions of e^-x sqrt(2 pi x) I0(x) and I1(x)."""
+    terms0, terms1, power = [], [], 1.0
+    for c0, c1 in zip(_I0_EXPANSION, _I1_EXPANSION):
+        terms0.append(c0 * power)
+        terms1.append(c1 * power)
+        power /= x
+    return terms0, terms1
+
+
+def _power_series(x: float) -> tuple[list[float], list[float]]:
+    """The terms (x/2)^(2k) / k!^2 of I0(x) and (x/2)^(2k+1) / (k! (k+1)!) of I1(x).
+
+    Each is the last one times (x/2) / k, alternating between the two series,
+    so every term carries the roundings of its own chain alone.  Below
+    x = 20, the 40th term of each is below 1e-22 of its sum.
+    """
+    half = 0.5 * x
+    terms0, terms1 = [1.0], []
+    for k in range(1, 40):
+        terms1.append(terms0[-1] * half / k)
+        terms0.append(terms1[-1] * half / k)
+    return terms0, terms1
+
+
+def _scaled_i0_i1(x: float) -> tuple[float, float]:
+    """e^-x I0(x) and e^-x I1(x) for x >= 0."""
+    if x < _EXPANSION_FROM:
+        terms0, terms1 = _power_series(x)
+        norm = math.exp(x)
+    else:
+        terms0, terms1 = _expansion_terms(x)
+        norm = math.sqrt(2.0 * math.pi) * math.sqrt(x)
+    return math.fsum(terms0) / norm, math.fsum(terms1) / norm
+
+
+def _times_exp(x: float, scaled: float) -> float:
+    """e^x times an exponentially scaled value; inf where e^x overflows."""
+    try:
+        return math.exp(x) * scaled
+    except OverflowError:
+        return math.inf
+
+
 def bessel_i0(x: float) -> float:
     """Modified Bessel function of the first kind, order 0.
 
@@ -48,21 +122,39 @@ def bessel_i0(x: float) -> float:
     the scaled variant or :func:`bessel_ratio_i1_i0`.
     """
     x = _non_negative("x", x)
-    # the rational approximation can land a couple of ulp under the true
-    # value near x = 0; I0 >= 1 holds identically
-    return max(1.0, float(special.i0(x)))
+    # e^x times e^-x I0(x) is rounded twice, so near x = 0 it could fall an
+    # ulp under 1; I0 >= 1 holds identically
+    return max(1.0, _times_exp(x, _scaled_i0_i1(x)[0]))
 
 
 def bessel_i1(x: float) -> float:
     """Modified Bessel function of the first kind, order 1."""
     x = _non_negative("x", x)
-    return float(special.i1(x))
+    return _times_exp(x, _scaled_i0_i1(x)[1])
 
 
 def bessel_i0_scaled(x: float) -> float:
     """exp(-x) * I0(x); overflow-free for any x >= 0."""
-    x = _non_negative("x", x)
-    return float(special.i0e(x))
+    return _scaled_i0_i1(_non_negative("x", x))[0]
+
+
+def _j0_series(x: float) -> float:
+    """J0(x) from its power series, summed at 50 digits and rounded once.
+
+    The terms reach about e^x / sqrt(2 pi x), 4e7 at x = 20, before they
+    cancel to at most 1, so a double sum would lose eight digits.
+    """
+    with decimal.localcontext() as context:
+        context.prec = 50
+        q = decimal.Decimal(x) ** 2 / 4
+        term = total = decimal.Decimal(1)
+        negligible = decimal.Decimal("1e-40")
+        k = 0
+        while abs(term) > negligible:
+            k += 1
+            term = -term * q / (k * k)
+            total += term
+        return float(total)
 
 
 def bessel_j0(x):
@@ -72,38 +164,52 @@ def bessel_j0(x):
     Evaluated at |x| so the even symmetry J0(-x) = J0(x) holds exactly; a
     non-finite entry raises a ValueError.  An array gives the bits of the
     scalar calls, and channel.build_jakes_correlation takes its lags from
-    one array call.
+    one array call.  Below x = 20 each entry is a power series in decimal
+    arithmetic; from 20 on the Hankel expansion runs on the whole array, with
+    cos(x - pi/4) and sin(x - pi/4) formed from cos x and sin x, so a large
+    x loses nothing to the shift.
     """
-    arr = np.asarray(x, dtype=float)
+    arr = np.abs(np.asarray(x, dtype=float))
     if not np.all(np.isfinite(arr)):
         raise ValueError("x must be finite")
-    out = special.j0(np.abs(arr))
+    out = np.empty_like(arr)
+    near = arr < _EXPANSION_FROM
+    out[near] = [_j0_series(float(v)) for v in arr[near]]
+    far = arr[~near]
+    y = 1.0 / far
+    z = y * y
+    p, q = np.zeros_like(far), np.zeros_like(far)
+    for cp, cq in zip(_J0_P, _J0_Q):
+        p = p * z + cp
+        q = q * z + cq
+    cos, sin = np.cos(far), np.sin(far)
+    out[~near] = (p * (cos + sin) + q * y * (cos - sin)) * np.sqrt(1.0 / np.pi / far)
     return float(out) if out.ndim == 0 else out
 
 
 def bessel_ratio_i1_i0(alpha: float) -> float:
     """I1(alpha)/I0(alpha), in [0, 1).
 
-    Computed from the exponentially scaled Bessel functions, so there is no
-    overflow at any alpha (tested up to 1e8 and beyond).
+    The quotient of the two scaled functions, so there is no overflow at any
+    alpha (tested up to 1e8 and beyond).
     """
-    alpha = _non_negative("alpha", alpha)
-    return float(special.i1e(alpha) / special.i0e(alpha))
+    i0e, i1e = _scaled_i0_i1(_non_negative("alpha", alpha))
+    return i1e / i0e
 
 
 def _one_minus_ratio_sq(alpha: float) -> float:
     """1 - (I1(alpha)/I0(alpha))^2 for alpha >= 0, without cancellation.
 
-    Formed from the ratio, it cancels to 3e-16 / value relative.  So from
-    alpha = 2048 on it is d (2 S0 - d) / S0^2, with S0 and S1 the series of
-    e^-alpha sqrt(2 pi alpha) I0 and I1 (Abramowitz & Stegun 9.7.1) and
-    d = S0 - S1 summed term by term; its first omitted term is 6e-14 of d there.
+    Formed from the ratio, it cancels to about 3e-16 / value relative: 6e-15
+    at alpha = 20, and the value falls as 1/alpha.  So on the expansions'
+    range it is d (2 S0 - d) / S0^2, with S0 and S1 the expansions of
+    e^-alpha sqrt(2 pi alpha) I0 and I1 and d = S0 - S1 summed term by term.
     """
-    if alpha < 2048.0:
+    if alpha < _EXPANSION_FROM:
         return 1.0 - bessel_ratio_i1_i0(alpha) ** 2
-    t = 1.0 / alpha
-    s0 = 1.0 + t * (1 / 8 + t * (9 / 128 + t * (225 / 3072)))
-    d = t * (1 / 2 + t * (3 / 16 + t * (45 / 256 + t * (525 / 2048))))
+    terms0, terms1 = _expansion_terms(alpha)
+    s0 = math.fsum(terms0)
+    d = math.fsum(a - b for a, b in zip(terms0, terms1))
     return d * (2.0 * s0 - d) / (s0 * s0)
 
 

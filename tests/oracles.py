@@ -1,11 +1,11 @@
 """Independent test oracles: special-function evaluators and the PSD.
 
-The production functions in holowdm.specfun delegate to scipy.special; these
-plain Maclaurin sums and large-argument expansions, configured through
-:class:`BesselEvalPolicy`, are the cross-check path the tests compare them
-against on logarithmic grids.  :func:`psd` is the paper's wavenumber-domain
-characterization of a scattering spec, which the tests transform back to its
-spatial ACF.
+The production functions in holowdm.specfun evaluate their own series and
+expansions; these plain Maclaurin sums and large-argument expansions,
+configured through :class:`BesselEvalPolicy` and written apart from them, are
+the cross-check path the tests compare them against on logarithmic grids.
+:func:`psd` is the paper's wavenumber-domain characterization of a scattering
+spec, which the tests transform back to its spatial ACF.
 
 It needs nothing beyond holowdm and the standard library, so the acceptance
 tests can import it where mpmath is not installed.

@@ -376,7 +376,7 @@ def _package_env(**extra) -> dict:
 
 
 # Runs `holowdm all` and a mixture ACF in a fresh interpreter, then prints the
-# scipy subpackages they imported that they should not need.
+# scipy modules they imported.
 _IMPORT_PROBE = """
 import json, sys
 from holowdm.cli import main
@@ -384,13 +384,11 @@ from holowdm.harness import default_config
 from holowdm.scattering import acf_quadrature
 code = main(["all", "--config", sys.argv[1], "--out", sys.argv[2]])
 acf_quadrature(default_config().scattering_s, 628.0, 0.05)
-print(json.dumps([code, sorted(
-    m for m in sys.modules if m.startswith(("scipy.optimize", "scipy.integrate"))
-)]))
+print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]))
 """
 
 
-def test_run_imports_neither_optimize_nor_integrate(tmp_path):
+def test_run_imports_no_scipy(tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"L_s_over_lambda": 8, "L_r_over_lambda": 8, "realizations": 4}))
     result = subprocess.run(
@@ -403,6 +401,41 @@ def test_run_imports_neither_optimize_nor_integrate(tmp_path):
         "capacity.csv", "dof.csv", "eigs.csv", "psf.csv",
     ]
     assert leaked == []
+
+
+def test_run_without_scipy_writes_the_same_bytes(tmp_path):
+    # a None entry in sys.modules makes every import of scipy fail; the run
+    # takes its Bessel functions and its tridiagonal eigenvalues from numpy
+    # and the standard library, so its four tables keep their bytes
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(SMALL_CONFIG))
+    runner = "import sys; from holowdm.cli import main; sys.exit(main(sys.argv[1:]))"
+    blocked = "import sys; sys.modules['scipy'] = None; " + runner
+    outs = []
+    for code in (runner, blocked):
+        outs.append(tmp_path / f"out{len(outs)}")
+        subprocess.run(
+            [sys.executable, "-c", code, "all", "--config", str(config), "--out", str(outs[-1])],
+            capture_output=True, env=_package_env(), check=True, timeout=120,
+        )
+    for name in ("capacity.csv", "dof.csv", "eigs.csv", "psf.csv"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
+@pytest.mark.parametrize("under", [False, True])
+def test_out_on_a_file_is_refused_in_one_line(tmp_path, under):
+    # an existing file, or a path under one, cannot be the output directory
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    out = afile / "sub" if under else afile
+    result = subprocess.run(
+        [sys.executable, "-m", "holowdm", "psf", "--out", str(out)],
+        capture_output=True, text=True, env=_package_env(), timeout=120,
+    )
+    assert result.returncode == 2
+    assert "Traceback" not in result.stderr
+    assert result.stderr.startswith(f"holowdm: --out {out}: ")
+    assert len(result.stderr.splitlines()) == 1
 
 
 def _csv_rows(path: Path) -> list[list[str]]:

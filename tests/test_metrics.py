@@ -467,6 +467,17 @@ class TestAngularDomainCapacity:
         combined = np.hypot(got.stderr_bits, se)
         assert np.all(np.abs(got.capacity_bits - mean) <= 4.0 * combined)
 
+    @pytest.mark.parametrize("n_r, n_s", [(1, 1), (3, 5), (256, 256), (300, 256)])
+    def test_gains_without_dsterf_take_the_dense_eigvalsh(self, monkeypatch, n_r, n_s):
+        # where numpy's BLAS has no dsterf, the tridiagonal goes to a dense eigvalsh
+        for seed in (3, 4):
+            with_sterf = metrics._wishart_gains(n_r, n_s, seed)
+            with monkeypatch.context() as patch:
+                patch.setattr(metrics, "_dsterf", lambda: None)
+                dense = metrics._wishart_gains(n_r, n_s, seed)
+            assert dense.shape == (min(n_r, n_s),)
+            np.testing.assert_allclose(dense, with_sterf, rtol=1e-13, atol=0.0)
+
     def test_scaled_identity_sides_scale_the_gains(self):
         # a R_r = a I and R_s = b I channel has a b times the i.i.d. gains
         grid = (0.0, 10.0)

@@ -153,6 +153,45 @@ class TestBesselJ0:
             bessel_j0(np.array([0.0, 1.0, float("nan")]))
 
 
+class TestAgainstMpmath:
+    """The evaluators against mpmath at 40 digits."""
+
+    @staticmethod
+    def relative_error(value, want):
+        return float(abs((mpmath.mpf(value) - want) / want))
+
+    def test_scaled_i0_i1_on_a_log_grid(self):
+        with mpmath.workdps(40):
+            for x in np.logspace(-6, 18, 481):
+                i0e, i1e = specfun._scaled_i0_i1(float(x))
+                scale = mpmath.exp(-mpmath.mpf(x))
+                assert self.relative_error(i0e, mpmath.besseli(0, x) * scale) <= 2e-15
+                assert self.relative_error(i1e, mpmath.besseli(1, x) * scale) <= 2e-15
+
+    def test_j0_at_the_jakes_lags(self):
+        # the lags of a half-wavelength array: k lambda/2 m = pi m
+        x = np.pi * np.arange(4097)
+        values = bessel_j0(x)
+        with mpmath.workdps(40):
+            for xi, value in zip(x, values):
+                assert self.relative_error(value, mpmath.besselj(0, xi)) <= 1e-15
+
+    def test_j0_absolute_on_a_grid(self):
+        # steps of 4.3 cross both branches and land near zeros of J0
+        x = np.arange(0.0, 1e4, 4.3)
+        values = bessel_j0(x)
+        with mpmath.workdps(40):
+            for xi, value in zip(x, values):
+                assert abs(value - float(mpmath.besselj(0, xi))) <= 1e-15
+
+    def test_exact_edge_values(self):
+        # J0(0) is the Jakes diagonal, so tr R = n exactly
+        assert bessel_j0(0.0) == 1.0
+        assert specfun._scaled_i0_i1(0.0) == (1.0, 0.0)
+        assert bessel_i0(800.0) == math.inf
+        assert bessel_i1(800.0) == math.inf
+
+
 class TestRatio:
     def test_at_zero(self):
         assert bessel_ratio_i1_i0(0.0) == 0.0
@@ -179,6 +218,15 @@ class TestRatio:
         values = [bessel_ratio_i1_i0(a) for a in grid]
         assert all(b > a for a, b in zip(values, values[1:]))
         assert all(0.0 <= v < 1.0 for v in values)
+
+
+def mpmath_concentration(nu_sq):
+    """The root of 1 - (I1(a)/I0(a))^2 = nu_sq, found by mpmath at 60 digits."""
+    with mpmath.workdps(60):
+        nu = mpmath.mpf(nu_sq)
+        return float(mpmath.findroot(
+            lambda a: 1 - (mpmath.besseli(1, a) / mpmath.besseli(0, a)) ** 2 - nu, 1 / nu
+        ))
 
 
 class TestSolveConcentration:
@@ -215,16 +263,23 @@ class TestSolveConcentration:
     def test_small_variances_against_mpmath(self):
         # Formed from the ratio, 1 - ratio^2 cancels to 3e-16 / nu_sq
         # relative, which put alpha 1.4% off at 1e-15 and 94% off at 1e-17.
-        # The grid steps across the switch to the expansions at alpha = 2048
-        # (nu_sq 4.9e-4), where the ratio's cancellation is largest.
-        grid = [*np.logspace(-17, -2, 31), 1.8e-18, 1e-4, 2e-4, 4.8e-4, 4.9e-4, 5e-4]
+        # The grid steps across the switch to the expansions at alpha = 20
+        # (nu_sq 0.05), where the ratio's cancellation is largest.
+        grid = [
+            *np.logspace(-17, -2, 31), 1.8e-18, 1e-4, 2e-4, 4.8e-4, 4.9e-4, 5e-4,
+            0.0499, 0.05, 0.0501,
+        ]
         for nu_sq in grid:
-            with mpmath.workdps(60):
-                nu = mpmath.mpf(nu_sq)
-                want = mpmath.findroot(
-                    lambda a: 1 - (mpmath.besseli(1, a) / mpmath.besseli(0, a)) ** 2 - nu, 1 / nu
-                )
-            assert solve_concentration(nu_sq) == pytest.approx(float(want), rel=1e-12, abs=0)
+            want = mpmath_concentration(nu_sq)
+            assert solve_concentration(nu_sq) == pytest.approx(want, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("nu_sq", [0.01, 0.005, 0.002])
+    def test_default_clusters_solve_within_the_bracket_tolerance(self, nu_sq):
+        # alpha 100, 200 and 500: with 1 - ratio^2 from the expansions, the
+        # root is off by no more than Brent's tolerance of about 5e-13; formed
+        # from the ratio, the first two were 1.4e-14 and 3.4e-14 relative off
+        want = mpmath_concentration(nu_sq)
+        assert solve_concentration(nu_sq) == pytest.approx(want, rel=1e-14, abs=0)
 
     @settings(max_examples=60)
     @given(st.floats(min_value=1e-4, max_value=1.0))
