@@ -12,12 +12,14 @@ under which their capacities are comparable.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .blas import one_thread
 from .specfun import bessel_j0
 from .wavenumber import PhysicalConfig, VarianceProfile
 
@@ -133,6 +135,11 @@ def _toeplitz_eigenvalues(t: np.ndarray) -> np.ndarray:
     i, j < m, they are T - H and T + H; for odd n, T + H is bordered by the
     column sqrt(2) t[m - i] and the corner t[0].  That is a quarter of the
     flops of the dense solve, and T and H are read-only views over t.
+
+    The halves are formed and solved side by side, T - H on a second thread
+    and T + H on the calling one, both at one BLAS thread (blas.one_thread)
+    whatever the caller's setting, so the bits depend on neither.  The second
+    thread is joined before the return, and an error on it is raised here.
     """
     n = t.size
     m = n // 2
@@ -141,15 +148,31 @@ def _toeplitz_eigenvalues(t: np.ndarray) -> np.ndarray:
         H = sliding_window_view(t[::-1][: 2 * m - 1], m)
     else:
         T = H = np.empty((0, 0))
-    minus = T - H
-    if n % 2:
-        plus = np.empty((m + 1, m + 1))
-        np.add(T, H, out=plus[:m, :m])
-        plus[:m, m] = plus[m, :m] = math.sqrt(2.0) * t[m:0:-1]
-        plus[m, m] = t[0]
-    else:
-        plus = T + H
-    return np.sort(np.concatenate((np.linalg.eigvalsh(plus), np.linalg.eigvalsh(minus))))
+    minus = []
+
+    def solve_minus() -> None:
+        try:
+            minus.append(np.linalg.eigvalsh(T - H))
+        except Exception as exc:
+            minus.append(exc)
+
+    with one_thread():
+        beside = threading.Thread(target=solve_minus)
+        beside.start()
+        try:
+            if n % 2:
+                plus = np.empty((m + 1, m + 1))
+                np.add(T, H, out=plus[:m, :m])
+                plus[:m, m] = plus[m, :m] = math.sqrt(2.0) * t[m:0:-1]
+                plus[m, m] = t[0]
+            else:
+                plus = T + H
+            w_plus = np.linalg.eigvalsh(plus)
+        finally:
+            beside.join()
+    if isinstance(minus[0], Exception):
+        raise minus[0]
+    return np.sort(np.concatenate((w_plus, minus[0])))
 
 
 def _clipped_eigenvalues(name: str, w: np.ndarray, R: np.ndarray) -> np.ndarray:

@@ -10,6 +10,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+from .blas import one_thread
 from .harness import (
     ExperimentConfig,
     Table,
@@ -231,16 +232,19 @@ def main(argv=None) -> int:
         # an existing file, or a path under one, is not an output directory
         print(f"holowdm: --out {args.out}: {exc.strerror}", file=sys.stderr)
         return 2
-    for name, runner in _EXPERIMENTS:
-        if args.command not in (name, "all"):
-            continue
-        target = args.out / f"{name}.csv"
-        try:
-            emit_csv(runner(cfg), target)
-        except Exception as exc:
-            print(f"holowdm: experiment {name!r} failed: {exc}", file=sys.stderr)
-            return 1
-        print(f"wrote {target}")
+    # every stage runs at one BLAS thread; the parallelism is the Monte Carlo
+    # workers' and the two Jakes halves'
+    with one_thread():
+        for name, runner in _EXPERIMENTS:
+            if args.command not in (name, "all"):
+                continue
+            target = args.out / f"{name}.csv"
+            try:
+                emit_csv(runner(cfg), target)
+            except Exception as exc:
+                print(f"holowdm: experiment {name!r} failed: {exc}", file=sys.stderr)
+                return 1
+            print(f"wrote {target}")
     return 0
 
 

@@ -7,12 +7,12 @@ import math
 import multiprocessing
 import os
 from collections.abc import Iterable
-from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
 
+from . import blas
 from .channel import CorrelationModel, check_seed, draw_w
 # bound here for bench/tracing.py, which wraps it by this name
 from .channel import draw_channel  # noqa: F401
@@ -192,11 +192,19 @@ def _mode_gains(H: np.ndarray) -> np.ndarray:
     return np.clip(np.linalg.eigvalsh(gram)[::-1], 0.0, None)
 
 
+@cache
+def _dsterf():
+    """LAPACK dsterf(n, d, e, info) with 64-bit integers, or None."""
+    int64_p = ctypes.POINTER(ctypes.c_int64)
+    return blas.symbol("scipy_dsterf_64_", [int64_p, ctypes.c_void_p, ctypes.c_void_p, int64_p],
+                       None)
+
+
 def _tridiagonal_eigvalsh(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of the real symmetric tridiagonal matrix of
     diagonal diag and off-diagonal off.
 
-    LAPACK dsterf from numpy's OpenBLAS (_openblas), on copies of both;
+    LAPACK dsterf from numpy's OpenBLAS (blas.symbol), on copies of both;
     where numpy links another BLAS, numpy's eigvalsh of the dense matrix.
     """
     diag = np.array(diag, dtype=np.float64)
@@ -280,72 +288,16 @@ def realization_seeds(base_seed: int, count: int) -> np.ndarray:
     return np.random.SeedSequence(int(base_seed)).generate_state(count, dtype=np.uint64)
 
 
-@cache
-def _openblas() -> ctypes.CDLL | None:
-    """numpy's extension module opened through ctypes, or None on a numpy
-    without one (before 2.0).
-
-    numpy's wheels link scipy-openblas with 64-bit integers, and its symbols,
-    which carry the scipy_ prefix and the 64_ suffix, resolve through this
-    handle.  Where numpy links another BLAS they are missing, and _symbol
-    gives None.
-    """
-    try:
-        return ctypes.CDLL(np._core._multiarray_umath.__file__)
-    except (AttributeError, OSError):
-        return None
-
-
-def _symbol(name: str, argtypes: list, restype):
-    """The function name of numpy's OpenBLAS with its signature set, or None."""
-    function = getattr(_openblas(), name, None)
-    if function is not None:
-        function.argtypes, function.restype = argtypes, restype
-    return function
-
-
-@cache
-def _dsterf():
-    """LAPACK dsterf(n, d, e, info) with 64-bit integers, or None."""
-    int64_p = ctypes.POINTER(ctypes.c_int64)
-    return _symbol("scipy_dsterf_64_", [int64_p, ctypes.c_void_p, ctypes.c_void_p, int64_p], None)
-
-
-@cache
-def _openblas_thread_calls():
-    """The get and set functions of numpy's OpenBLAS thread count, or None,
-    in which case the Monte Carlo runs in-process at the caller's threads."""
-    get = _symbol("scipy_openblas_get_num_threads64_", [], ctypes.c_int)
-    set_ = _symbol("scipy_openblas_set_num_threads64_", [ctypes.c_int], None)
-    return None if get is None or set_ is None else (get, set_)
-
-
-@contextmanager
-def _one_blas_thread():
-    """Hold numpy's OpenBLAS to one thread, then restore the caller's count."""
-    calls = _openblas_thread_calls()
-    if calls is None:
-        yield
-        return
-    get, set_ = calls
-    before = get()
-    set_(1)
-    try:
-        yield
-    finally:
-        set_(before)
-
-
 def worker_count() -> int:
     """Monte Carlo worker processes: the CPUs this process may run on.
 
     The workers are forked, each held to one BLAS thread, so the count is 1,
     the in-process path, where the fork start method, os.sched_getaffinity or
-    numpy's OpenBLAS thread control (_openblas_thread_calls) is missing.  No
+    numpy's OpenBLAS thread control (blas.thread_calls) is missing.  No
     setting or environment variable changes it.
     """
     if (
-        _openblas_thread_calls() is None
+        blas.thread_calls() is None
         or "fork" not in multiprocessing.get_all_start_methods()
         or not hasattr(os, "sched_getaffinity")
     ):
@@ -437,7 +389,7 @@ def _pooled_capacity(
     joined along the seed axis in index order.
 
     Each worker runs at one BLAS thread: the caller holds that setting
-    (_one_blas_thread) when it forks them.  The pool lives for this call: it is
+    (blas.one_thread) when it forks them.  The pool lives for this call: it is
     closed and joined before the return, and terminated and joined when a
     worker raises, whose exception propagates.
     """
@@ -503,7 +455,7 @@ def ergodic_capacities(
     seeds = realization_seeds(base_seed, realizations)
     _check_noise_var(noise_var)
     powers_w = np.array([_watts("power_grid_dbw", p) for p in power_grid_dbw])
-    with _one_blas_thread():
+    with blas.one_thread():
         plans = [_plan(model.angular()) for model in models]
         workers = min(worker_count(), realizations)
         if workers > 1:

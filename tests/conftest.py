@@ -1,4 +1,24 @@
 import numpy as np
+import pytest
+
+from holowdm import blas
+
+
+def blas_threads() -> int:
+    """numpy's OpenBLAS thread count."""
+    return blas.thread_calls()[0]()
+
+
+@pytest.fixture
+def two_blas_threads():
+    """The caller runs numpy's OpenBLAS at 2 threads, restored afterwards."""
+    if blas.thread_calls() is None:
+        pytest.skip("numpy's OpenBLAS thread control is not available")
+    get, set_ = blas.thread_calls()
+    before = get()
+    set_(2)
+    yield
+    set_(before)
 
 
 def assert_kkt(gains, allocation, total_power, noise_var):

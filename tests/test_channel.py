@@ -2,10 +2,12 @@
 
 import math
 import re
+import threading
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from conftest import blas_threads
 from scipy import linalg, special
 
 from holowdm import channel
@@ -360,6 +362,44 @@ class TestToeplitzSpectrum:
         assert sorted(dense) == [n // 2, (n + 1) // 2]
         monkeypatch.undo()
         assert_same_spectrum(got, np.linalg.eigvalsh(R))
+
+    @pytest.mark.parametrize("n", [2, 257])
+    def test_halves_solve_at_one_blas_thread_and_are_joined(self, monkeypatch, two_blas_threads, n):
+        # the caller runs two BLAS threads; both halves see one, on two
+        # threads, and the caller's count is back on return
+        seen = []
+        solve = np.linalg.eigvalsh
+
+        def recording(A):
+            seen.append((threading.get_ident(), blas_threads()))
+            return solve(A)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+        alive = threading.active_count()
+        got = channel._toeplitz_eigenvalues(jakes_lags(n))
+        assert threading.active_count() == alive
+        assert blas_threads() == 2
+        assert len({tid for tid, _ in seen}) == 2
+        assert [threads for _, threads in seen] == [1, 1]
+        monkeypatch.undo()
+        assert_same_spectrum(got, np.linalg.eigvalsh(linalg.toeplitz(jakes_lags(n))))
+
+    @pytest.mark.parametrize("half", ["T - H", "T + H"])
+    def test_an_error_in_either_half_is_raised(self, monkeypatch, half):
+        # n = 5 gives a 2 x 2 T - H and a 3 x 3 T + H
+        solve = np.linalg.eigvalsh
+        failing = 2 if half == "T - H" else 3
+
+        def flaky(A):
+            if A.shape[0] == failing:
+                raise np.linalg.LinAlgError(half)
+            return solve(A)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", flaky)
+        alive = threading.active_count()
+        with pytest.raises(np.linalg.LinAlgError, match=re.escape(half)):
+            channel._toeplitz_eigenvalues(jakes_lags(5))
+        assert threading.active_count() == alive
 
     @pytest.mark.filterwarnings("ignore:aperture shorter")
     @pytest.mark.parametrize("ratios", [(16.5, 8.25), (8, 16)])

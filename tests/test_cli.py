@@ -444,8 +444,8 @@ def _csv_rows(path: Path) -> list[list[str]]:
 
 
 def test_capacity_bytes_do_not_depend_on_blas_threads(tmp_path):
-    # the default geometry at 20 realizations is above the pool's work
-    # threshold, and every path runs the Monte Carlo at one BLAS thread
+    # 20 realizations run on the worker pool wherever two CPUs allow it, and
+    # every path runs the Monte Carlo at one BLAS thread
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"realizations": 20, "power_grid_dbw": [0, 30]}))
     written = []
@@ -467,8 +467,9 @@ def test_capacity_bytes_do_not_depend_on_blas_threads(tmp_path):
 
 def test_blas_thread_count_moves_no_number_past_the_bound(tmp_path):
     # OpenBLAS splits its work differently over 1 and 2 threads, which moved
-    # capacity.csv by up to 2.6e-16 relative; psf.csv (a closed-form density)
-    # and dof.csv (mode counts) kept their bytes
+    # capacity.csv by up to 2.6e-16 relative; psf.csv (a closed-form density),
+    # dof.csv (mode counts) and eigs.csv (solved at one BLAS thread) keep
+    # their bytes
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"realizations": 2, "power_grid_dbw": [0, 30]}))
     outs = []
@@ -483,12 +484,83 @@ def test_blas_thread_count_moves_no_number_past_the_bound(tmp_path):
             capture_output=True, env=env, check=True, timeout=300,
         )
     one, two = outs
-    for name in ("psf.csv", "dof.csv"):
+    for name in ("psf.csv", "dof.csv", "eigs.csv"):
         assert (one / name).read_bytes() == (two / name).read_bytes()
-    for name in ("eigs.csv", "capacity.csv"):
-        rows_one, rows_two = _csv_rows(one / name), _csv_rows(two / name)
-        assert [r[:2] for r in rows_one] == [r[:2] for r in rows_two]
-        np.testing.assert_allclose(
-            [float(r[2]) for r in rows_one[1:]], [float(r[2]) for r in rows_two[1:]],
-            rtol=1e-12, atol=0.0,
+    rows_one, rows_two = _csv_rows(one / "capacity.csv"), _csv_rows(two / "capacity.csv")
+    assert [r[:2] for r in rows_one] == [r[:2] for r in rows_two]
+    np.testing.assert_allclose(
+        [float(r[2]) for r in rows_one[1:]], [float(r[2]) for r in rows_two[1:]],
+        rtol=1e-12, atol=0.0,
+    )
+
+
+def test_wide_jakes_eigs_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # the two 1024 x 1024 Jakes halves at 1024 wavelengths round differently
+    # when OpenBLAS splits them over two threads; the program solves them at one
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"L_s_over_lambda": 1024, "L_r_over_lambda": 1024}))
+    written = []
+    for threads in ("1", "2"):
+        env = _package_env(OPENBLAS_NUM_THREADS=threads)
+        for var in ("OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            env.pop(var, None)
+        out = tmp_path / f"threads{threads}"
+        subprocess.run(
+            [sys.executable, "-m", "holowdm", "eigs", "--config", str(config),
+             "--out", str(out)],
+            capture_output=True, env=env, check=True, timeout=300,
         )
+        written.append((out / "eigs.csv").read_bytes())
+    assert written[0] == written[1]
+
+
+# Reads numpy's OpenBLAS thread count and this process's OS threads after
+# numpy loads, after holowdm.cli is imported and after `holowdm all`; prints
+# null where the thread count cannot be read.
+_THREAD_PROBE = """
+import ctypes, json, os, sys
+import numpy as np
+get = getattr(ctypes.CDLL(np._core._multiarray_umath.__file__),
+              "scipy_openblas_get_num_threads64_", None)
+if get is None:
+    print(json.dumps(None))
+    sys.exit()
+get.restype = ctypes.c_int
+
+def state():
+    return [get(), len(os.listdir("/proc/self/task"))]
+
+seen = [state()]
+import holowdm.cli
+seen.append(state())
+code = holowdm.cli.main(["all", "--config", sys.argv[1], "--out", sys.argv[2]])
+seen.append(state())
+print(json.dumps([code, seen]))
+"""
+
+
+def test_no_idle_blas_thread_after_import_or_run(tmp_path):
+    # OpenBLAS starts a server thread when numpy loads and after each threaded
+    # call, and that thread spins before it sleeps; importing holowdm and
+    # running it leave none, and keep the caller's thread count
+    if not os.path.isdir("/proc/self/task"):
+        pytest.skip("needs /proc/self/task")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "L_s_over_lambda": 8, "L_r_over_lambda": 8, "realizations": 4,
+        "power_grid_dbw": [0, 30],
+    }))
+    env = _package_env(OPENBLAS_NUM_THREADS="2")
+    for var in ("OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env.pop(var, None)
+    result = subprocess.run(
+        [sys.executable, "-c", _THREAD_PROBE, str(config), str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, check=True, timeout=120,
+    )
+    report = json.loads(result.stdout.splitlines()[-1])
+    if report is None:
+        pytest.skip("numpy's OpenBLAS thread count cannot be read")
+    code, (loaded, imported, ran) = report
+    assert code == 0
+    assert imported == [loaded[0], 1]
+    assert ran == [loaded[0], 1]

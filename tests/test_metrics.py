@@ -7,12 +7,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import assert_kkt
+from conftest import assert_kkt, blas_threads
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import exp1
 
-from holowdm import channel, metrics
+from holowdm import blas, channel, metrics
 from holowdm.channel import (
     CorrelationModel,
     build_iid_correlation,
@@ -557,7 +557,7 @@ def _per_model_loop(model, grid, noise_var, realizations, base_seed):
         else:
             # at the library's one BLAS thread: eigvalsh rounds differently
             # over two
-            with metrics._one_blas_thread():
+            with blas.one_thread():
                 H = draw_channel(spectrum, int(seed))[rows][:, cols]
                 gains = metrics._mode_gains(H)
         if gains.max(initial=0.0) <= 0.0:
@@ -669,22 +669,6 @@ class TestOnePassCapacity:
             assert np.isfinite(bits).all() and bits[0] > 0.0
 
 
-def _blas_threads() -> int:
-    return metrics._openblas_thread_calls()[0]()
-
-
-@pytest.fixture
-def two_blas_threads():
-    """The caller runs numpy's OpenBLAS at 2 threads, restored afterwards."""
-    if metrics._openblas_thread_calls() is None:
-        pytest.skip("numpy's OpenBLAS thread control is not available")
-    get, set_ = metrics._openblas_thread_calls()
-    before = get()
-    set_(2)
-    yield
-    set_(before)
-
-
 def _pool_models():
     cfg = replace(default_config(), physical=PhysicalConfig(LAMBDA, 8 * LAMBDA, 6 * LAMBDA, 0.0))
     return [correlation_for(cfg, name) for name in MODEL_NAMES] + [
@@ -711,7 +695,7 @@ def _force_pool(monkeypatch, workers):
 
 class TestWorkerPool:
     def test_worker_count_follows_cpu_affinity(self, monkeypatch):
-        if metrics._openblas_thread_calls() is None:
+        if blas.thread_calls() is None:
             pytest.skip("numpy's OpenBLAS thread control is not available")
         for cpus in ({0}, {0, 1, 2}, set(range(7))):
             monkeypatch.setattr(metrics.os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
@@ -724,7 +708,7 @@ class TestWorkerPool:
     def test_worker_count_is_one_without_the_blas_pin_or_fork(self, monkeypatch):
         monkeypatch.setattr(metrics.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
         with monkeypatch.context() as patch:
-            patch.setattr(metrics, "_openblas_thread_calls", lambda: None)
+            patch.setattr(blas, "thread_calls", lambda: None)
             assert worker_count() == 1
         with monkeypatch.context() as patch:
             patch.setattr(metrics.multiprocessing, "get_all_start_methods", lambda: ["spawn"])
@@ -761,23 +745,23 @@ class TestWorkerPool:
         mode_gains = metrics._mode_gains
 
         def recording(H):
-            seen.append(_blas_threads())
+            seen.append(blas_threads())
             return mode_gains(H)
 
         monkeypatch.setattr(metrics, "_mode_gains", recording)
         calls = _force_pool(monkeypatch, workers)
         ergodic_capacities(models, (0.0,), 1.0, 4, 3)
-        assert _blas_threads() == 2
+        assert blas_threads() == 2
         assert calls == ([2] if workers == 2 else [])
         if workers == 1:
             assert set(seen) == {1}
 
         # a worker reports its thread count through the error it raises
         def failing(H):
-            raise RuntimeError(f"blas threads {_blas_threads()}")
+            raise RuntimeError(f"blas threads {blas_threads()}")
 
         monkeypatch.setattr(metrics, "_mode_gains", failing)
         with pytest.raises(RuntimeError, match="blas threads 1"):
             ergodic_capacities(models, (0.0,), 1.0, 4, 3)
-        assert _blas_threads() == 2
+        assert blas_threads() == 2
         assert multiprocessing.active_children() == []
