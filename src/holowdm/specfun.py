@@ -10,9 +10,8 @@ Every function is evaluated here, from numpy and the standard library:
 The tests check them against mpmath at 40 digits, and against the
 independent series/asymptotic evaluators of tests/oracles.py.
 
-The concentration solve uses :func:`_brentq`, an operation-for-operation port
-of scipy's Brent root finder (scipy/optimize/Zeros/brentq.c).  It returns the
-same double as ``scipy.optimize.brentq`` for the same arguments.
+The concentration solve bisects a doubling bracket down to adjacent doubles,
+so it has no tolerance or iteration cap to tune.
 """
 
 from __future__ import annotations
@@ -218,7 +217,12 @@ def solve_concentration(nu_sq: float) -> float:
 
     nu_sq must lie in (0, 1]; nu_sq = 1 maps to alpha = 0 exactly.  nu_sq = 0,
     where the root diverges, and nu_sq below 1.7e-18, where it lies past
-    5.8e17, are rejected.  The root satisfies |1 - ratio^2 - nu_sq| <= 1e-10 nu_sq.
+    5.8e17, are rejected.  The result is the first double at which the gap
+    changes sign: gap(alpha) <= 0 < gap(nextafter(alpha, 0)), with gap =
+    _one_minus_ratio_sq - nu_sq.  It is within 6e-15 relative of mpmath's
+    root for nu_sq in [1.8e-18, 0.99]; nearer 1 the gap flattens (its slope
+    is about -alpha/2), so a rounding of it moves the root by about
+    1.1e-16 / alpha^2 relative.  |1 - ratio^2 - nu_sq| <= 1e-10 nu_sq is checked.
     """
     nu_sq = _as_finite_float("nu_sq", nu_sq)
     if not (0.0 < nu_sq <= 1.0):
@@ -230,69 +234,20 @@ def solve_concentration(nu_sq: float) -> float:
         return _one_minus_ratio_sq(alpha) - nu_sq
 
     # The map alpha -> 1 - ratio(alpha)^2 decreases monotonically from 1
-    # toward 0 (asymptotically ~ 1/alpha), so doubling always brackets.
-    hi = 2.0
+    # toward 0 (asymptotically ~ 1/alpha), so doubling always brackets, and
+    # bisection keeps gap(lo) > 0 >= gap(hi) until lo and hi are adjacent.
+    lo, hi = 0.0, 2.0
     while gap(hi) > 0.0:
-        hi *= 2.0
+        lo, hi = hi, 2.0 * hi
         if hi > 1e18:
             raise ValueError(f"failed to bracket concentration for nu_sq={nu_sq}")
-    alpha = _brentq(gap, 0.0, hi, xtol=1e-12, rtol=4 * 2.3e-16, maxiter=200)
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        if gap(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    alpha = hi
     residual = abs(gap(alpha))
     if residual > 1e-10 * nu_sq:
         raise RuntimeError(f"concentration solve residual {residual:.3e} exceeds 1e-10 nu_sq")
     return alpha
-
-
-def _brentq(f, xa: float, xb: float, xtol: float, rtol: float, maxiter: int) -> float:
-    """Root of f in [xa, xb] by Brent's method, as scipy/optimize/Zeros/brentq.c.
-
-    Every arithmetic step is the C code's, in its order, so the iterates and
-    the returned root are the same doubles as ``scipy.optimize.brentq``.
-    f(xa) and f(xb) must differ in sign; a bracket without a sign change
-    raises ValueError and an unconverged solve raises RuntimeError.
-    """
-    xpre, xcur = float(xa), float(xb)
-    xblk = fblk = spre = scur = 0.0
-    fpre = float(f(xpre))
-    fcur = float(f(xcur))
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
-        raise ValueError("f(xa) and f(xb) must have different signs")
-    for _ in range(maxiter):
-        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        # the tolerance is 2 * delta
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:
-                # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:
-                # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                # good short step
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = float(f(xcur))
-    raise RuntimeError(f"Brent solve failed to converge after {maxiter} iterations, value {xcur}")

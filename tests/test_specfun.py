@@ -19,7 +19,6 @@ from oracles import (
     j0_reference,
     ratio_reference,
 )
-from scipy import optimize
 
 from holowdm import specfun
 from holowdm.specfun import (
@@ -264,22 +263,29 @@ class TestSolveConcentration:
         # Formed from the ratio, 1 - ratio^2 cancels to 3e-16 / nu_sq
         # relative, which put alpha 1.4% off at 1e-15 and 94% off at 1e-17.
         # The grid steps across the switch to the expansions at alpha = 20
-        # (nu_sq 0.05), where the ratio's cancellation is largest.
+        # (nu_sq 0.05), where the ratio's cancellation is largest, and on to
+        # alpha of order 1, where a root tolerance set in absolute terms
+        # (1e-12, say) costs the most relative accuracy (1.2e-13).
         grid = [
             *np.logspace(-17, -2, 31), 1.8e-18, 1e-4, 2e-4, 4.8e-4, 4.9e-4, 5e-4,
-            0.0499, 0.05, 0.0501,
+            0.0499, 0.05, 0.0501, 0.1, 0.3, 0.5, 0.7, 0.9,
         ]
         for nu_sq in grid:
             want = mpmath_concentration(nu_sq)
-            assert solve_concentration(nu_sq) == pytest.approx(want, rel=1e-12, abs=0)
+            assert solve_concentration(nu_sq) == pytest.approx(want, rel=1e-14, abs=0)
 
-    @pytest.mark.parametrize("nu_sq", [0.01, 0.005, 0.002])
-    def test_default_clusters_solve_within_the_bracket_tolerance(self, nu_sq):
+    @pytest.mark.parametrize(
+        ("nu_sq", "bits"),
+        [(0.01, 100.00127556985531), (0.005, 200.00063132026864), (0.002, None)],
+    )
+    def test_default_clusters_keep_their_bits_and_match_mpmath(self, nu_sq, bits):
         # alpha 100, 200 and 500: with 1 - ratio^2 from the expansions, the
-        # root is off by no more than Brent's tolerance of about 5e-13; formed
-        # from the ratio, the first two were 1.4e-14 and 3.4e-14 relative off
-        want = mpmath_concentration(nu_sq)
-        assert solve_concentration(nu_sq) == pytest.approx(want, rel=1e-14, abs=0)
+        # root is within 1e-14 of mpmath's; formed from the ratio, the first
+        # two were 1.4e-14 and 3.4e-14 relative off.  The default clusters'
+        # bits are pinned: tests/data/golden/ and the benchmark rest on them.
+        alpha = solve_concentration(nu_sq)
+        assert alpha == pytest.approx(mpmath_concentration(nu_sq), rel=1e-14, abs=0)
+        assert bits is None or alpha == bits
 
     @settings(max_examples=60)
     @given(st.floats(min_value=1e-4, max_value=1.0))
@@ -287,46 +293,18 @@ class TestSolveConcentration:
         alpha = solve_concentration(nu_sq)
         assert abs(1.0 - bessel_ratio_i1_i0(alpha) ** 2 - nu_sq) <= 1e-9
 
-
-class TestBrentPort:
-    """specfun._brentq returns the bits of scipy.optimize.brentq."""
-
-    @staticmethod
-    def scipy_concentration(nu_sq):
-        # solve_concentration's gap, bracket and call, with scipy's root finder
+    @settings(max_examples=300)
+    @given(st.floats(min_value=1.8e-18, max_value=1.0, exclude_max=True))
+    @example(0.01)  # the default clusters' circular variances
+    @example(0.005)
+    @example(1.8e-18)  # the largest root the bracket reaches
+    @example(1.0 - 2.0**-52)  # the smallest root, and the longest bisection
+    def test_root_is_the_first_double_where_the_gap_changes_sign(self, nu_sq):
         def gap(alpha):
             return specfun._one_minus_ratio_sq(alpha) - nu_sq
 
-        hi = 2.0
-        while gap(hi) > 0.0:
-            hi *= 2.0
-        return optimize.brentq(gap, 0.0, hi, xtol=1e-12, rtol=4 * 2.3e-16, maxiter=200)
-
-    @settings(max_examples=300)
-    @given(st.floats(min_value=1e-8, max_value=1.0, exclude_max=True))
-    @example(0.01)  # the default clusters' circular variances
-    @example(0.005)
-    @example(1e-4)  # the edge clusters of the quadrature tests
-    @example(1e-8)
-    def test_concentration_is_bit_identical(self, nu_sq):
-        assert solve_concentration(nu_sq) == self.scipy_concentration(nu_sq)
-
-    def test_iterates_on_a_polynomial(self):
-        # a root that needs both interpolation and extrapolation steps
-        def f(x):
-            return (x - 1.3) * (x * x + 0.5) - 1e-3
-
-        for a, b in ((0.0, 4.0), (4.0, 0.0), (-2.0, 7.5)):
-            want = optimize.brentq(f, a, b, xtol=1e-12, rtol=4 * 2.3e-16, maxiter=200)
-            assert specfun._brentq(f, a, b, xtol=1e-12, rtol=4 * 2.3e-16, maxiter=200) == want
-
-    def test_bracket_and_iteration_errors(self):
-        with pytest.raises(ValueError, match="different signs"):
-            specfun._brentq(lambda x: x * x + 1.0, -1.0, 1.0, 1e-12, 1e-15, 200)
-        with pytest.raises(RuntimeError, match="converge after 3 iterations"):
-            specfun._brentq(math.atan, -1.0, 1e6, 1e-12, 1e-15, 3)
-        # an endpoint root is returned as given
-        assert specfun._brentq(lambda x: x - 2.0, 2.0, 5.0, 1e-12, 1e-15, 200) == 2.0
+        alpha = solve_concentration(nu_sq)
+        assert gap(alpha) <= 0.0 < gap(math.nextafter(alpha, 0.0))
 
 
 class TestReferenceEvaluators:
