@@ -306,6 +306,36 @@ class TestSolveConcentration:
         alpha = solve_concentration(nu_sq)
         assert gap(alpha) <= 0.0 < gap(math.nextafter(alpha, 0.0))
 
+    @settings(max_examples=100)
+    @given(st.floats(min_value=1.8e-18, max_value=1.0, exclude_max=True))
+    @example(1.8e-18)
+    @example(3.4e-18)  # root just under 2**59: the longest doubling loop
+    @example(1.0 - 2.0**-52)
+    def test_solve_takes_at_most_112_gap_evaluations(self, nu_sq):
+        # The doubling loop evaluates the gap at 2, 4, ..., at most 2**59
+        # (2**60 > 1e18 is refused unevaluated); bisecting [2**k, 2**(k+1)]
+        # down to adjacent doubles takes 52 steps; the residual check one.
+        # From [0, 2] the smallest root, near 2**-25, takes 79 steps.
+        calls = []
+
+        def counted(alpha):
+            calls.append(alpha)
+            return one_minus_ratio_sq(alpha)
+
+        one_minus_ratio_sq = specfun._one_minus_ratio_sq
+        # pytest.MonkeyPatch, as Hypothesis refuses function-scoped fixtures
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(specfun, "_one_minus_ratio_sq", counted)
+            solve_concentration(nu_sq)
+        assert 0 < len(calls) <= 59 + 52 + 1
+
+    def test_residual_check_refuses_a_gap_that_jumps_over_zero(self, monkeypatch):
+        # a step at alpha = 1 changes sign without a root: bisection stops
+        # at the step, where the residual is the whole 0.5
+        monkeypatch.setattr(specfun, "_one_minus_ratio_sq", lambda a: 1.0 if a < 1.0 else 0.0)
+        with pytest.raises(RuntimeError, match="residual 5.000e-01 exceeds"):
+            solve_concentration(0.5)
+
 
 class TestReferenceEvaluators:
     """The series/asymptotic path of tests/oracles.py agrees with the local oracles."""
