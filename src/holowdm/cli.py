@@ -10,7 +10,6 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .blas import one_thread
 from .harness import (
     ExperimentConfig,
     Table,
@@ -33,10 +32,10 @@ _KEYS = _PHYSICAL_KEYS + (
 _CLUSTER_KEYS = {"mean_deg", "circ_var", "weight"}
 
 _EXPERIMENTS = (
-    ("psf", run_psf_profile),
-    ("eigs", run_eigen_spectrum),
-    ("dof", run_dof),
-    ("capacity", run_capacity),
+    ("psf", run_psf_profile, "angular power density table"),
+    ("eigs", run_eigen_spectrum, "receive-correlation eigenvalue table"),
+    ("dof", run_dof, "degrees-of-freedom table"),
+    ("capacity", run_capacity, "ergodic capacity table"),
 )
 
 
@@ -195,14 +194,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "scattering, spectrum, degrees-of-freedom, and capacity experiments.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    helps = {
-        "psf": "angular power density table",
-        "eigs": "receive-correlation eigenvalue table",
-        "dof": "degrees-of-freedom table",
-        "capacity": "ergodic capacity table",
-        "all": "all experiments",
-    }
-    for name, text in helps.items():
+    for name, _, text in _EXPERIMENTS + (("all", None, "all experiments"),):
         p = sub.add_parser(name, help=text)
         p.add_argument("--config", type=Path, default=None,
                        help="JSON config file (omitted keys take defaults)")
@@ -232,19 +224,16 @@ def main(argv=None) -> int:
         # an existing file, or a path under one, is not an output directory
         print(f"holowdm: --out {args.out}: {exc.strerror}", file=sys.stderr)
         return 2
-    # every stage runs at one BLAS thread; the parallelism is the Monte Carlo
-    # workers' and the two Jakes halves'
-    with one_thread():
-        for name, runner in _EXPERIMENTS:
-            if args.command not in (name, "all"):
-                continue
-            target = args.out / f"{name}.csv"
-            try:
-                emit_csv(runner(cfg), target)
-            except Exception as exc:
-                print(f"holowdm: experiment {name!r} failed: {exc}", file=sys.stderr)
-                return 1
-            print(f"wrote {target}")
+    for name, runner, _ in _EXPERIMENTS:
+        if args.command not in (name, "all"):
+            continue
+        target = args.out / f"{name}.csv"
+        try:
+            emit_csv(runner(cfg), target)
+        except Exception as exc:
+            print(f"holowdm: experiment {name!r} failed: {exc}", file=sys.stderr)
+            return 1
+        print(f"wrote {target}")
     return 0
 
 

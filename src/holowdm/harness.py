@@ -187,7 +187,7 @@ def _receive_spectrum(corr: CorrelationModel) -> np.ndarray:
     R_r = corr.R_r
     if R_r.ndim == 1:
         return np.sort(R_r)[::-1] / float(R_r.sum())
-    return _side_spectrum("R_r", R_r)[::-1] / float(np.trace(R_r).real)
+    return _side_spectrum("R_r", R_r)[::-1] / float(np.trace(R_r))
 
 
 def run_eigen_spectrum(cfg: ExperimentConfig) -> Table:

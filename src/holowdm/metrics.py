@@ -433,15 +433,15 @@ def ergodic_capacities(
     and one breakpoint sum; each cell is bitwise what waterfill gives at that
     power alone.
 
-    numpy's OpenBLAS is held to one thread from the spectra to the last
-    realization, and the caller's thread count is restored on return, so the
-    bits do not depend on the caller's BLAS threads.  When worker_count() and
-    realizations are both above 1, the seeds are split into contiguous blocks
-    that run on min(worker_count(), realizations) forked workers
-    (_pooled_capacity); otherwise they run in this process.  Every
-    realization depends on its seed alone, and the blocks are joined in seed
-    order before the mean and standard error, so both paths give the same
-    bits for any worker count.
+    A dense side's spectrum holds numpy's OpenBLAS at one thread itself, and
+    the realizations run under this function's own hold, which restores the
+    caller's count on return, so the bits do not depend on the caller's BLAS
+    threads.  When worker_count() and realizations are both above 1, the
+    seeds are split into contiguous blocks that run on min(worker_count(),
+    realizations) forked workers (_pooled_capacity); otherwise they run in
+    this process.  Every realization depends on its seed alone, and the
+    blocks are joined in seed order before the mean and standard error, so
+    both paths give the same bits for any worker count.
 
     A channel whose gains are all zero, as when a side has no non-negligible
     variance, carries 0 bits at every power.  realizations must be a positive
@@ -455,8 +455,8 @@ def ergodic_capacities(
     seeds = realization_seeds(base_seed, realizations)
     _check_noise_var(noise_var)
     powers_w = np.array([_watts("power_grid_dbw", p) for p in power_grid_dbw])
+    plans = [_plan(model.angular()) for model in models]
     with blas.one_thread():
-        plans = [_plan(model.angular()) for model in models]
         workers = min(worker_count(), realizations)
         if workers > 1:
             capacity = _pooled_capacity(plans, seeds, powers_w, noise_var, workers)

@@ -1,5 +1,6 @@
 """Config parsing, CSV emission, and command-line behavior."""
 
+import argparse
 import csv
 import json
 import math
@@ -257,6 +258,15 @@ class TestMain:
             main(["transmogrify"])
         assert err.value.code == 2
 
+    def test_subcommands_are_the_stage_rows_then_all(self):
+        # each stage is named once, in its _EXPERIMENTS row with its help text
+        sub = next(a for a in cli._build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        rows = [(name, text) for name, _, text in cli._EXPERIMENTS]
+        assert list(sub.choices) == [name for name, _ in rows] + ["all"]
+        assert [(c.dest, c.help) for c in sub._choices_actions] == rows + [
+            ("all", "all experiments")]
+
     def test_missing_config_file(self, tmp_path, capsys):
         code = main(["dof", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path)])
         assert code == 2
@@ -307,8 +317,8 @@ class TestMain:
         def broken(cfg):
             raise RuntimeError("solver diverged")
 
-        experiments = tuple((name, broken if name == "eigs" else runner)
-                            for name, runner in cli._EXPERIMENTS)
+        experiments = tuple((name, broken if name == "eigs" else runner, text)
+                            for name, runner, text in cli._EXPERIMENTS)
         monkeypatch.setattr(cli, "_EXPERIMENTS", experiments)
         code = main(["all", "--config", str(config_file), "--out", str(tmp_path)])
         assert code == 1
@@ -438,60 +448,28 @@ def test_out_on_a_file_is_refused_in_one_line(tmp_path, under):
     assert len(result.stderr.splitlines()) == 1
 
 
-def _csv_rows(path: Path) -> list[list[str]]:
-    with open(path, newline="") as handle:
-        return list(csv.reader(handle))
-
-
-def test_capacity_bytes_do_not_depend_on_blas_threads(tmp_path):
-    # 20 realizations run on the worker pool wherever two CPUs allow it, and
-    # every path runs the Monte Carlo at one BLAS thread
+def test_all_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # 20 realizations run on the worker pool wherever two CPUs allow it; the
+    # Monte Carlo and the Jakes halves run at one BLAS thread, and no other
+    # stage calls a threaded BLAS routine
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"realizations": 20, "power_grid_dbw": [0, 30]}))
-    written = []
+    outs = []
     for threads in (None, "1", "2"):
         env = _package_env()
         for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
             env.pop(var, None)
         if threads is not None:
             env["OPENBLAS_NUM_THREADS"] = threads
-        out = tmp_path / f"threads{threads}"
-        subprocess.run(
-            [sys.executable, "-m", "holowdm", "capacity", "--config", str(config),
-             "--out", str(out)],
-            capture_output=True, env=env, check=True, timeout=300,
-        )
-        written.append((out / "capacity.csv").read_bytes())
-    assert written[0] == written[1] == written[2]
-
-
-def test_blas_thread_count_moves_no_number_past_the_bound(tmp_path):
-    # OpenBLAS splits its work differently over 1 and 2 threads, which moved
-    # capacity.csv by up to 2.6e-16 relative; psf.csv (a closed-form density),
-    # dof.csv (mode counts) and eigs.csv (solved at one BLAS thread) keep
-    # their bytes
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps({"realizations": 2, "power_grid_dbw": [0, 30]}))
-    outs = []
-    for threads in ("1", "2"):
-        env = _package_env(OPENBLAS_NUM_THREADS=threads)
-        for var in ("OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-            env.pop(var, None)
         outs.append(tmp_path / f"threads{threads}")
         subprocess.run(
             [sys.executable, "-m", "holowdm", "all", "--config", str(config),
              "--out", str(outs[-1])],
             capture_output=True, env=env, check=True, timeout=300,
         )
-    one, two = outs
-    for name in ("psf.csv", "dof.csv", "eigs.csv"):
-        assert (one / name).read_bytes() == (two / name).read_bytes()
-    rows_one, rows_two = _csv_rows(one / "capacity.csv"), _csv_rows(two / "capacity.csv")
-    assert [r[:2] for r in rows_one] == [r[:2] for r in rows_two]
-    np.testing.assert_allclose(
-        [float(r[2]) for r in rows_one[1:]], [float(r[2]) for r in rows_two[1:]],
-        rtol=1e-12, atol=0.0,
-    )
+    for name in ("capacity.csv", "dof.csv", "eigs.csv", "psf.csv"):
+        unset, one, two = ((out / name).read_bytes() for out in outs)
+        assert unset == one == two, name
 
 
 def test_wide_jakes_eigs_bytes_do_not_depend_on_blas_threads(tmp_path):
@@ -515,8 +493,8 @@ def test_wide_jakes_eigs_bytes_do_not_depend_on_blas_threads(tmp_path):
 
 
 # Reads numpy's OpenBLAS thread count and this process's OS threads after
-# numpy loads, after holowdm.cli is imported and after `holowdm all`; prints
-# null where the thread count cannot be read.
+# numpy loads, after holowdm.cli is imported and after `holowdm <command>`;
+# prints null where the thread count cannot be read.
 _THREAD_PROBE = """
 import ctypes, json, os, sys
 import numpy as np
@@ -533,28 +511,35 @@ def state():
 seen = [state()]
 import holowdm.cli
 seen.append(state())
-code = holowdm.cli.main(["all", "--config", sys.argv[1], "--out", sys.argv[2]])
+code = holowdm.cli.main([sys.argv[1], "--config", sys.argv[2], "--out", sys.argv[3]])
 seen.append(state())
 print(json.dumps([code, seen]))
 """
 
 
-def test_no_idle_blas_thread_after_import_or_run(tmp_path):
+@pytest.mark.parametrize("command, models", [
+    ("all", None),
+    ("dof", None),
+    ("eigs", ["iid", "isotropic", "non_isotropic"]),
+], ids=["all", "dof", "eigs-without-jakes"])
+def test_no_idle_blas_thread_after_import_or_run(tmp_path, command, models):
     # OpenBLAS starts a server thread when numpy loads and after each threaded
     # call, and that thread spins before it sleeps; importing holowdm and
-    # running it leave none, and keep the caller's thread count
+    # running it leave none, and keep the caller's thread count.  dof, and
+    # eigs without Jakes, enter no one-thread hold, so they check that no
+    # stage outside the Jakes halves and the Monte Carlo makes a threaded call
     if not os.path.isdir("/proc/self/task"):
         pytest.skip("needs /proc/self/task")
     config = tmp_path / "config.json"
     config.write_text(json.dumps({
         "L_s_over_lambda": 8, "L_r_over_lambda": 8, "realizations": 4,
-        "power_grid_dbw": [0, 30],
+        "power_grid_dbw": [0, 30], **({"models": models} if models else {}),
     }))
     env = _package_env(OPENBLAS_NUM_THREADS="2")
     for var in ("OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         env.pop(var, None)
     result = subprocess.run(
-        [sys.executable, "-c", _THREAD_PROBE, str(config), str(tmp_path / "out")],
+        [sys.executable, "-c", _THREAD_PROBE, command, str(config), str(tmp_path / "out")],
         capture_output=True, text=True, env=env, check=True, timeout=120,
     )
     report = json.loads(result.stdout.splitlines()[-1])
