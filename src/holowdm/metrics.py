@@ -345,8 +345,8 @@ def _plan(spectrum: CorrelationModel) -> tuple:
         a * b if a is not None and b is not None else None,
         rows,
         cols,
-        spectrum.R_r_sqrt[rows][:, None],
-        spectrum.R_s_sqrt[cols],
+        np.sqrt(spectrum.R_r[rows])[:, None],
+        np.sqrt(spectrum.R_s[cols]),
     )
 
 
@@ -389,7 +389,10 @@ def _pooled_capacity(
     joined along the seed axis in index order.
 
     Each worker runs at one BLAS thread: the caller holds that setting
-    (blas.one_thread) when it forks them.  The pool lives for this call: it is
+    (blas.one_thread) when it forks them.  Workers are processes, not threads:
+    on 2 vCPUs two threads run complex 256x256 eigvalsh at 0.9-1.0x the speed
+    of one, two processes at 1.7x, and a thread pool took 4.3 s against 2.7 s
+    for `holowdm all` at 100 realizations.  The pool lives for this call: it is
     closed and joined before the return, and terminated and joined when a
     worker raises, whose exception propagates.
     """

@@ -1,9 +1,9 @@
 """Special functions and the circular-variance concentration solver.
 
-Every function is evaluated here, from numpy and the standard library:
-- I0 and I1, scaled by e^-x, from their power series below x = 20, every
-  term positive and the terms summed by math.fsum, and from their
-  large-argument expansion (Abramowitz & Stegun 9.7.1) from x = 20 on;
+Three Bessel functions are evaluated here, from numpy and the standard library:
+- e^-x I0 and I1/I0, from e^-x I0 and e^-x I1, taken from their power series
+  below x = 20, every term positive and the terms summed by math.fsum, and
+  from their large-argument expansion (Abramowitz & Stegun 9.7.1) from 20 on;
 - J0 from its power series, summed in 50-digit decimal arithmetic because
   its terms cancel, below x = 20, and from its Hankel expansion (A&S 9.2.5),
   which has the coefficients of I0's with alternating signs, from x = 20 on.
@@ -22,9 +22,7 @@ import math
 import numpy as np
 
 __all__ = [
-    "bessel_i0",
     "bessel_i0_scaled",
-    "bessel_i1",
     "bessel_j0",
     "bessel_ratio_i1_i0",
     "solve_concentration",
@@ -104,32 +102,6 @@ def _scaled_i0_i1(x: float) -> tuple[float, float]:
         terms0, terms1 = _expansion_terms(x)
         norm = math.sqrt(2.0 * math.pi) * math.sqrt(x)
     return math.fsum(terms0) / norm, math.fsum(terms1) / norm
-
-
-def _times_exp(x: float, scaled: float) -> float:
-    """e^x times an exponentially scaled value; inf where e^x overflows."""
-    try:
-        return math.exp(x) * scaled
-    except OverflowError:
-        return math.inf
-
-
-def bessel_i0(x: float) -> float:
-    """Modified Bessel function of the first kind, order 0.
-
-    Overflows to inf past x ~ 709; callers needing large arguments should use
-    the scaled variant or :func:`bessel_ratio_i1_i0`.
-    """
-    x = _non_negative("x", x)
-    # e^x times e^-x I0(x) is rounded twice, so near x = 0 it could fall an
-    # ulp under 1; I0 >= 1 holds identically
-    return max(1.0, _times_exp(x, _scaled_i0_i1(x)[0]))
-
-
-def bessel_i1(x: float) -> float:
-    """Modified Bessel function of the first kind, order 1."""
-    x = _non_negative("x", x)
-    return _times_exp(x, _scaled_i0_i1(x)[1])
 
 
 def bessel_i0_scaled(x: float) -> float:

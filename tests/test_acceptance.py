@@ -27,8 +27,7 @@ from holowdm.harness import default_config, run_capacity
 from holowdm.metrics import dof, hermitian_eigs, waterfill
 from holowdm.scattering import ScatteringSpec, acf_quadrature
 from holowdm.specfun import (
-    bessel_i0,
-    bessel_i1,
+    bessel_i0_scaled,
     bessel_j0,
     bessel_ratio_i1_i0,
     solve_concentration,
@@ -201,8 +200,10 @@ def test_criterion_7_waterfilling_kkt_suite():
 
 def test_criterion_8_special_function_oracles():
     for x in np.logspace(-3, math.log10(700.0), 60):
-        assert abs(bessel_i0(x) - i0_reference(x)) <= 1e-12 * i0_reference(x)
-        assert abs(bessel_i1(x) - i1_reference(x)) <= 1e-12 * max(i1_reference(x), 1e-300)
+        i0e, i1e = i0_reference(x) * math.exp(-x), i1_reference(x) * math.exp(-x)
+        assert abs(bessel_i0_scaled(x) - i0e) <= 1e-12 * i0e
+        # the ratio times e^-x I0 cancels the I0 factor, leaving e^-x I1
+        assert abs(bessel_ratio_i1_i0(x) * bessel_i0_scaled(x) - i1e) <= 1e-12 * max(i1e, 1e-300)
     for x in np.logspace(-3, 4, 120):
         assert abs(bessel_j0(x) - j0_reference(x)) <= 1e-10
     for nu_sq in np.logspace(-4, 0, 50):

@@ -279,6 +279,18 @@ class TestCorrelationStorage:
         with pytest.raises(ValueError, match="R_r has a significantly negative eigenvalue"):
             model.R_r_sqrt
 
+    def test_negative_eigenvalue_bound_is_1e_10_of_the_trace(self):
+        # the side [[1, 1 + e], [1 + e, 1]] has eigenvalues -e and 2 + e and
+        # trace 2, so the bound -1e-10 * 2 lies at e = 2e-10
+        def side(f):
+            return channel._toeplitz_view(np.array([1.0, 1.0 + 2e-10 * f]))
+
+        R = side(0.999)
+        assert CorrelationModel(R, R).angular().R_s[0] == 0.0
+        R = side(1.001)
+        with pytest.raises(ValueError, match="R_s has a significantly negative eigenvalue"):
+            CorrelationModel(R, R).angular()
+
     @pytest.mark.parametrize("threads", ["1", "4"])
     def test_jakes_square_roots_taken_once(self, monkeypatch, threads):
         # HOLOWDM_THREADS is ignored.  The capacity works on the eigenvalues

@@ -516,6 +516,13 @@ class TestAngularDomainCapacity:
         result = ergodic_capacity(jakes, (0.0, 30.0), 1.0, 4, base_seed=2)
         assert np.all(result.capacity_bits > 0.0)
 
+    def test_capacity_caches_no_root_on_a_diagonal_model(self):
+        # a diagonal model is its own angular form, so a root cached there
+        # would land on the caller's model; the capacity roots the kept modes
+        for model in (build_wdm_correlation(*iso_profiles(8)), build_iid_correlation(4, 3)):
+            ergodic_capacity(model, (0.0, 30.0), 1.0, 4, base_seed=2)
+            assert not {"R_r_sqrt", "R_s_sqrt"} & set(vars(model))
+
 
 def _single_power_waterfill(gains, total_power, noise_var):
     """Water-filling at one power by a scan of its own sorted breakpoints:

@@ -9,7 +9,7 @@ import warnings
 
 import numpy as np
 import pytest
-from oracles import psd
+from oracles import i0_reference, psd
 from scipy import integrate
 
 from holowdm.scattering import (
@@ -20,7 +20,7 @@ from holowdm.scattering import (
     acf_quadrature,
     psf_density,
 )
-from holowdm.specfun import bessel_i0, bessel_j0, bessel_ratio_i1_i0
+from holowdm.specfun import bessel_j0, bessel_ratio_i1_i0
 
 WAVELENGTH = 0.01
 K = 2.0 * math.pi / WAVELENGTH
@@ -86,10 +86,10 @@ class TestPsfDensity:
             assert psf_density(spec, theta) == pytest.approx(1.0 / (2 * math.pi), rel=1e-14)
 
     def test_peak_value_single_cluster(self):
-        # direct evaluation oracle: e^5 / (2 pi I0(5)) with series-checked I0
+        # direct evaluation oracle: e^5 / (2 pi I0(5)) with the Maclaurin-series I0
         nu_sq = 1.0 - bessel_ratio_i1_i0(5.0) ** 2
         spec = ScatteringSpec.mixture((Cluster(1.0, math.pi / 3, nu_sq),))
-        expected = math.exp(5.0) / (2 * math.pi * bessel_i0(5.0))
+        expected = math.exp(5.0) / (2 * math.pi * i0_reference(5.0))
         assert expected == pytest.approx(0.8671365285423521, rel=1e-13)
         assert psf_density(spec, math.pi / 3) == pytest.approx(expected, rel=1e-12)
 

@@ -22,9 +22,7 @@ from oracles import (
 
 from holowdm import specfun
 from holowdm.specfun import (
-    bessel_i0,
     bessel_i0_scaled,
-    bessel_i1,
     bessel_j0,
     bessel_ratio_i1_i0,
     solve_concentration,
@@ -59,9 +57,9 @@ def oracle_j0_series(x, terms=80):
     return total
 
 
-class TestBesselI0:
+class TestBesselI0Scaled:
     def test_at_zero(self):
-        assert bessel_i0(0.0) == 1.0
+        assert bessel_i0_scaled(0.0) == 1.0
 
     @pytest.mark.parametrize(
         "x,expected",
@@ -69,44 +67,25 @@ class TestBesselI0:
     )
     def test_series_oracle_values(self, x, expected):
         assert oracle_i0_series(x) == pytest.approx(expected, rel=1e-14)
-        assert bessel_i0(x) == pytest.approx(expected, rel=1e-12)
-
-    def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            bessel_i0(-1.0)
-        with pytest.raises(ValueError):
-            bessel_i0(float("nan"))
-        with pytest.raises(ValueError):
-            bessel_i0(float("inf"))
-
-    @given(st.floats(min_value=0.0, max_value=700.0))
-    def test_at_least_one(self, x):
-        assert bessel_i0(x) >= 1.0
-
-
-class TestBesselI1:
-    def test_at_zero(self):
-        assert bessel_i1(0.0) == 0.0
+        assert bessel_i0_scaled(x) == pytest.approx(expected * math.exp(-x), rel=1e-12)
 
     @pytest.mark.parametrize(
         "x,expected",
         [(1.0, 0.5651591039924851), (2.0, 1.5906368546373291)],
     )
-    def test_series_oracle_values(self, x, expected):
+    def test_i1_series_oracle_values(self, x, expected):
+        # e^-x I1 is the ratio times e^-x I0
         assert oracle_i1_series(x) == pytest.approx(expected, rel=1e-14)
-        assert bessel_i1(x) == pytest.approx(expected, rel=1e-12)
+        i1e = bessel_ratio_i1_i0(x) * bessel_i0_scaled(x)
+        assert i1e == pytest.approx(expected * math.exp(-x), rel=1e-12)
 
-    def test_domain_error(self):
+    def test_domain_errors(self):
         with pytest.raises(ValueError):
-            bessel_i1(-0.5)
-
-    @given(st.floats(min_value=0.0, max_value=700.0))
-    def test_non_negative(self, x):
-        assert bessel_i1(x) >= 0.0
-
-    def test_scaled_variants_match_plain(self):
-        for x in (0.0, 0.7, 5.0, 42.0):
-            assert bessel_i0_scaled(x) * math.exp(x) == pytest.approx(bessel_i0(x), rel=1e-13)
+            bessel_i0_scaled(-1.0)
+        with pytest.raises(ValueError):
+            bessel_i0_scaled(float("nan"))
+        with pytest.raises(ValueError):
+            bessel_i0_scaled(float("inf"))
 
 
 class TestBesselJ0:
@@ -187,8 +166,6 @@ class TestAgainstMpmath:
         # J0(0) is the Jakes diagonal, so tr R = n exactly
         assert bessel_j0(0.0) == 1.0
         assert specfun._scaled_i0_i1(0.0) == (1.0, 0.0)
-        assert bessel_i0(800.0) == math.inf
-        assert bessel_i1(800.0) == math.inf
 
 
 class TestRatio:

@@ -328,6 +328,22 @@ class TestPartitionQuadrature:
         assert panels[:2] == [16, 2]
         assert 2 + sum(panels[2:]) // 2 <= scattering._PANEL_LIMIT
 
+    def test_panel_limit_is_200(self):
+        # an isotropic ACF weight exp(j p cos t): at p = 500 the refinement
+        # converges on 189 panels; at p = 2000 it runs into the limit
+        def refine(p):
+            def weight(theta):
+                return np.exp(1j * p * np.cos(theta))
+
+            return scattering._refine_partition(
+                ScatteringSpec.isotropic(), 0.0, math.pi, weight=weight
+            )
+
+        values, err = refine(500.0)
+        assert values.size > 150 and err <= 1e-13
+        values, err = refine(2000.0)
+        assert values.size <= 200 and err > 1e-3
+
     def test_narrow_cluster_matches_mpmath(self):
         # kappa ~ 5e7: written as exp(kappa (cos - 1)), the density would
         # carry kappa * 1e-16 relative rounding near the mean and this
