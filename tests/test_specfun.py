@@ -69,16 +69,6 @@ class TestBesselI0Scaled:
         assert oracle_i0_series(x) == pytest.approx(expected, rel=1e-14)
         assert bessel_i0_scaled(x) == pytest.approx(expected * math.exp(-x), rel=1e-12)
 
-    @pytest.mark.parametrize(
-        "x,expected",
-        [(1.0, 0.5651591039924851), (2.0, 1.5906368546373291)],
-    )
-    def test_i1_series_oracle_values(self, x, expected):
-        # e^-x I1 is the ratio times e^-x I0
-        assert oracle_i1_series(x) == pytest.approx(expected, rel=1e-14)
-        i1e = bessel_ratio_i1_i0(x) * bessel_i0_scaled(x)
-        assert i1e == pytest.approx(expected * math.exp(-x), rel=1e-12)
-
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             bessel_i0_scaled(-1.0)
@@ -86,6 +76,43 @@ class TestBesselI0Scaled:
             bessel_i0_scaled(float("nan"))
         with pytest.raises(ValueError):
             bessel_i0_scaled(float("inf"))
+
+    @given(st.floats(min_value=0.0, max_value=1e18))
+    def test_in_unit_interval(self, x):
+        # I0 >= 1 grows no faster than e^x, so e^-x I0 never overflows
+        assert 0.0 < bessel_i0_scaled(x) <= 1.0
+
+    def test_strictly_decreasing_on_grid(self):
+        # the grid crosses the switch from the power series to the expansion
+        grid = np.concatenate([[0.0], np.logspace(-4, 6, 120)])
+        values = [bessel_i0_scaled(x) for x in grid]
+        assert all(b < a for a, b in zip(values, values[1:]))
+
+
+def i1_scaled(x):
+    """e^-x I1(x), reached as the ratio I1/I0 times e^-x I0."""
+    return bessel_ratio_i1_i0(x) * bessel_i0_scaled(x)
+
+
+class TestBesselI1:
+    def test_at_zero(self):
+        assert i1_scaled(0.0) == 0.0
+
+    @pytest.mark.parametrize(
+        "x,expected",
+        [(1.0, 0.5651591039924851), (2.0, 1.5906368546373291)],
+    )
+    def test_series_oracle_values(self, x, expected):
+        assert oracle_i1_series(x) == pytest.approx(expected, rel=1e-14)
+        assert i1_scaled(x) == pytest.approx(expected * math.exp(-x), rel=1e-12)
+
+    def test_domain_error(self):
+        with pytest.raises(ValueError):
+            i1_scaled(-0.5)
+
+    @given(st.floats(min_value=0.0, max_value=1e18))
+    def test_non_negative(self, x):
+        assert 0.0 <= i1_scaled(x) <= bessel_i0_scaled(x)
 
 
 class TestBesselJ0:
