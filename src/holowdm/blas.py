@@ -1,11 +1,13 @@
-"""numpy's OpenBLAS through ctypes: its functions, its thread count, its idle threads.
+"""numpy's OpenBLAS through ctypes: its functions, its thread count, its idle
+threads, and LAPACK's tridiagonal eigen-solve.
 
-OpenBLAS starts a server thread when numpy loads it, and again after every
-threaded call; that thread busy-waits for a while before it sleeps.  This
-module joins it as soon as it is imported (stop_idle_threads), which the
-package does right after numpy loads, and one_thread holds the count at one
-for a block of work.  Where numpy links another BLAS, every function here is
-a no-op or None.
+This is the one module of holowdm that calls foreign code.  OpenBLAS starts a
+server thread when numpy loads it, and again after every threaded call; that
+thread busy-waits for a while before it sleeps.  This module joins it as soon
+as it is imported (stop_idle_threads), which the package does right after
+numpy loads, and one_thread holds the count at one for a block of work.
+Where numpy links another BLAS, every function here is a no-op or None, and
+tridiagonal_eigvalsh takes numpy's dense eigvalsh.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from functools import cache
 
 import numpy as np
 
-__all__ = ["symbol", "thread_calls", "stop_idle_threads", "one_thread"]
+__all__ = ["symbol", "thread_calls", "stop_idle_threads", "one_thread", "tridiagonal_eigvalsh"]
 
 
 @cache
@@ -35,26 +37,22 @@ def _openblas() -> ctypes.CDLL | None:
         return None
 
 
-def symbol(name: str, argtypes: list, restype):
-    """The function name of numpy's OpenBLAS with its signature set, or None."""
+@cache
+def symbol(name: str, argtypes: tuple, restype):
+    """The function name of numpy's OpenBLAS with its signature set, or None;
+    cached, so each is looked up and typed once."""
     function = getattr(_openblas(), name, None)
     if function is not None:
         function.argtypes, function.restype = argtypes, restype
     return function
 
 
-@cache
 def thread_calls():
     """The get and set functions of numpy's OpenBLAS thread count, or None,
     in which case one_thread leaves the caller's threads as they are."""
-    get = symbol("scipy_openblas_get_num_threads64_", [], ctypes.c_int)
-    set_ = symbol("scipy_openblas_set_num_threads64_", [ctypes.c_int], None)
+    get = symbol("scipy_openblas_get_num_threads64_", (), ctypes.c_int)
+    set_ = symbol("scipy_openblas_set_num_threads64_", (ctypes.c_int,), None)
     return None if get is None or set_ is None else (get, set_)
-
-
-@cache
-def _thread_shutdown():
-    return symbol("blas_thread_shutdown_", [], ctypes.c_int)
 
 
 def stop_idle_threads() -> None:
@@ -64,7 +62,7 @@ def stop_idle_threads() -> None:
     the threads again on its next threaded call.  Without the symbol this
     does nothing.
     """
-    shutdown = _thread_shutdown()
+    shutdown = symbol("blas_thread_shutdown_", (), ctypes.c_int)
     if shutdown is not None:
         shutdown()
 
@@ -90,6 +88,31 @@ def one_thread():
     finally:
         set_(before)
         stop_idle_threads()
+
+
+def tridiagonal_eigvalsh(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of the real symmetric tridiagonal matrix of
+    diagonal diag and off-diagonal off.
+
+    LAPACK dsterf(n, d, e, info) of numpy's OpenBLAS, with 64-bit integers,
+    on copies of both; where numpy links another BLAS, numpy's eigvalsh of
+    the dense matrix.
+    """
+    diag = np.array(diag, dtype=np.float64)
+    off = np.array(off, dtype=np.float64)
+    if diag.ndim != 1 or off.shape != (diag.size - 1,):
+        raise ValueError(f"need a diagonal vector and one entry fewer off it, got shapes "
+                         f"{diag.shape} and {off.shape}")
+    int64_p = ctypes.POINTER(ctypes.c_int64)
+    sterf = symbol("scipy_dsterf_64_", (int64_p, ctypes.c_void_p, ctypes.c_void_p, int64_p), None)
+    if sterf is None:
+        return np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    info = ctypes.c_int64(0)
+    sterf(ctypes.byref(ctypes.c_int64(diag.size)), diag.ctypes.data, off.ctypes.data,
+          ctypes.byref(info))
+    if info.value != 0:
+        raise np.linalg.LinAlgError(f"dsterf failed to converge (info {info.value})")
+    return diag
 
 
 stop_idle_threads()

@@ -235,7 +235,3 @@ def main(argv=None) -> int:
             return 1
         print(f"wrote {target}")
     return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -2,13 +2,11 @@
 
 from __future__ import annotations
 
-import ctypes
 import math
 import multiprocessing
 import os
 from collections.abc import Iterable
 from dataclasses import dataclass
-from functools import cache
 
 import numpy as np
 
@@ -192,37 +190,6 @@ def _mode_gains(H: np.ndarray) -> np.ndarray:
     return np.clip(np.linalg.eigvalsh(gram)[::-1], 0.0, None)
 
 
-@cache
-def _dsterf():
-    """LAPACK dsterf(n, d, e, info) with 64-bit integers, or None."""
-    int64_p = ctypes.POINTER(ctypes.c_int64)
-    return blas.symbol("scipy_dsterf_64_", [int64_p, ctypes.c_void_p, ctypes.c_void_p, int64_p],
-                       None)
-
-
-def _tridiagonal_eigvalsh(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of the real symmetric tridiagonal matrix of
-    diagonal diag and off-diagonal off.
-
-    LAPACK dsterf from numpy's OpenBLAS (blas.symbol), on copies of both;
-    where numpy links another BLAS, numpy's eigvalsh of the dense matrix.
-    """
-    diag = np.array(diag, dtype=np.float64)
-    off = np.array(off, dtype=np.float64)
-    if diag.ndim != 1 or off.shape != (diag.size - 1,):
-        raise ValueError(f"need a diagonal vector and one entry fewer off it, got shapes "
-                         f"{diag.shape} and {off.shape}")
-    sterf = _dsterf()
-    if sterf is None:
-        return np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
-    info = ctypes.c_int64(0)
-    sterf(ctypes.byref(ctypes.c_int64(diag.size)), diag.ctypes.data, off.ctypes.data,
-          ctypes.byref(info))
-    if info.value != 0:
-        raise np.linalg.LinAlgError(f"dsterf failed to converge (info {info.value})")
-    return diag
-
-
 def _wishart_gains(n_r: int, n_s: int, seed: int) -> np.ndarray:
     """Eigenvalues of W W^H for an n_r x n_s W with i.i.d. CN(0, 1) entries.
 
@@ -233,7 +200,7 @@ def _wishart_gains(n_r: int, n_s: int, seed: int) -> np.ndarray:
     chi_{2 (min - 1)}, ..., chi_2, all divided by sqrt(2).  The square of
     chi_{2k} / sqrt(2) is a unit-scale Gamma(k) variate, so the squares are
     drawn directly, and B B^T is tridiagonal: O(min^2) work in place of a
-    dense draw and eigen-solve, by LAPACK dsterf (_tridiagonal_eigvalsh).
+    dense draw and eigen-solve, by LAPACK dsterf (blas.tridiagonal_eigvalsh).
     """
     small, large = sorted((n_r, n_s))
     rng = np.random.default_rng(seed)
@@ -241,7 +208,7 @@ def _wishart_gains(n_r: int, n_s: int, seed: int) -> np.ndarray:
     sub_sq = rng.standard_gamma(np.arange(small - 1, 0, -1))
     off = np.sqrt(diag_sq[:-1] * sub_sq)
     diag_sq[1:] += sub_sq
-    gains = _tridiagonal_eigvalsh(diag_sq, off)
+    gains = blas.tridiagonal_eigvalsh(diag_sq, off)
     return np.clip(gains[::-1], 0.0, None)
 
 
@@ -292,15 +259,12 @@ def worker_count() -> int:
     """Monte Carlo worker processes: the CPUs this process may run on.
 
     The workers are forked, each held to one BLAS thread, so the count is 1,
-    the in-process path, where the fork start method, os.sched_getaffinity or
-    numpy's OpenBLAS thread control (blas.thread_calls) is missing.  No
-    setting or environment variable changes it.
+    the in-process path, where os.sched_getaffinity or numpy's OpenBLAS
+    thread control (blas.thread_calls) is missing.  Every platform with
+    os.sched_getaffinity can fork.  No setting or environment variable
+    changes it.
     """
-    if (
-        blas.thread_calls() is None
-        or "fork" not in multiprocessing.get_all_start_methods()
-        or not hasattr(os, "sched_getaffinity")
-    ):
+    if blas.thread_calls() is None or not hasattr(os, "sched_getaffinity"):
         return 1
     return len(os.sched_getaffinity(0))
 

@@ -2,6 +2,7 @@
 
 import argparse
 import csv
+import ctypes
 import json
 import math
 import os
@@ -15,7 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import holowdm
-from holowdm import cli
+from holowdm import blas, cli
 from holowdm.cli import emit_csv, main, parse_config
 from holowdm.harness import Table, default_config
 
@@ -490,6 +491,67 @@ def test_wide_jakes_eigs_bytes_do_not_depend_on_blas_threads(tmp_path):
         )
         written.append((out / "eigs.csv").read_bytes())
     assert written[0] == written[1]
+
+
+# Runs `holowdm all`, then prints the kernel numpy's OpenBLAS ran on.
+_KERNEL_PROBE = """
+import ctypes, sys
+from holowdm import blas
+from holowdm.cli import main
+code = main(["all", "--config", sys.argv[1], "--out", sys.argv[2]])
+corename = blas.symbol("scipy_openblas_get_corename64_", (), ctypes.c_char_p)
+print(corename().decode() if corename else "")
+sys.exit(code)
+"""
+
+
+def _cells(path: Path) -> list[list[str]]:
+    return [line.split(",") for line in path.read_text().splitlines()]
+
+
+def _assert_within(want: list[list[str]], got: list[list[str]], rtol: float) -> None:
+    # the text columns keep their bytes, the last column moves by rtol at most
+    assert len(got) == len(want)
+    assert got[0] == want[0]
+    for w, g in zip(want[1:], got[1:]):
+        assert g[:-1] == w[:-1]
+        assert float(g[-1]) == pytest.approx(float(w[-1]), rel=rtol, abs=0.0), w
+
+
+def test_csv_bytes_and_bounds_across_cpu_kernels(tmp_path):
+    # OPENBLAS_CORETYPE picks the kernel of a DYNAMIC_ARCH OpenBLAS.  psf.csv,
+    # dof.csv and the eigs.csv rows of the diagonal models keep their bytes on
+    # any kernel; the Jakes eigenvalues and the capacities, which come from
+    # LAPACK solves, move by roundoff within 1e-13 and 1e-14 relative
+    config_of = blas.symbol("scipy_openblas_get_config64_", (), ctypes.c_char_p)
+    if config_of is None or b"DYNAMIC_ARCH" not in config_of().split():
+        pytest.skip("numpy's OpenBLAS is not a DYNAMIC_ARCH build")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"realizations": 20, "power_grid_dbw": [0, 30]}))
+    kernels, outs = [], []
+    for coretype in (None, "Haswell"):
+        env = _package_env()
+        env.pop("OPENBLAS_CORETYPE", None)
+        if coretype is not None:
+            env["OPENBLAS_CORETYPE"] = coretype
+        outs.append(tmp_path / f"kernel{len(outs)}")
+        result = subprocess.run(
+            [sys.executable, "-c", _KERNEL_PROBE, str(config), str(outs[-1])],
+            capture_output=True, text=True, env=env, check=True, timeout=300,
+        )
+        kernels.append(result.stdout.splitlines()[-1])
+    if kernels[1] != "Haswell":
+        pytest.skip(f"OPENBLAS_CORETYPE=Haswell ran the {kernels[1]!r} kernel")
+    if kernels[0] == kernels[1]:
+        pytest.skip(f"the default kernel is {kernels[0]} too")
+    native, haswell = outs
+    for name in ("psf.csv", "dof.csv"):
+        assert (haswell / name).read_bytes() == (native / name).read_bytes(), name
+    want, got = _cells(native / "eigs.csv"), _cells(haswell / "eigs.csv")
+    assert [row for row in got if row[1] != "jakes"] == [row for row in want if row[1] != "jakes"]
+    _assert_within([row for row in want if row[1] in ("model", "jakes")],
+                   [row for row in got if row[1] in ("model", "jakes")], 1e-13)
+    _assert_within(_cells(native / "capacity.csv"), _cells(haswell / "capacity.csv"), 1e-14)
 
 
 # Reads numpy's OpenBLAS thread count and this process's OS threads after

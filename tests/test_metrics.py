@@ -1,9 +1,11 @@
 """Eigen-analysis, DoF, water-filling, and ergodic-capacity contracts."""
 
+import ast
 import math
 import multiprocessing
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -470,10 +472,15 @@ class TestAngularDomainCapacity:
     @pytest.mark.parametrize("n_r, n_s", [(1, 1), (3, 5), (256, 256), (300, 256)])
     def test_gains_without_dsterf_take_the_dense_eigvalsh(self, monkeypatch, n_r, n_s):
         # where numpy's BLAS has no dsterf, the tridiagonal goes to a dense eigvalsh
+        symbol = blas.symbol
+
+        def without_dsterf(name, argtypes, restype):
+            return None if name == "scipy_dsterf_64_" else symbol(name, argtypes, restype)
+
         for seed in (3, 4):
             with_sterf = metrics._wishart_gains(n_r, n_s, seed)
             with monkeypatch.context() as patch:
-                patch.setattr(metrics, "_dsterf", lambda: None)
+                patch.setattr(blas, "symbol", without_dsterf)
                 dense = metrics._wishart_gains(n_r, n_s, seed)
             assert dense.shape == (min(n_r, n_s),)
             np.testing.assert_allclose(dense, with_sterf, rtol=1e-13, atol=0.0)
@@ -712,13 +719,13 @@ class TestWorkerPool:
                 monkeypatch.setenv("HOLOWDM_THREADS", value)
                 assert worker_count() == len(cpus)
 
-    def test_worker_count_is_one_without_the_blas_pin_or_fork(self, monkeypatch):
+    def test_worker_count_is_one_without_the_blas_pin_or_affinity(self, monkeypatch):
         monkeypatch.setattr(metrics.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
         with monkeypatch.context() as patch:
             patch.setattr(blas, "thread_calls", lambda: None)
             assert worker_count() == 1
         with monkeypatch.context() as patch:
-            patch.setattr(metrics.multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+            patch.delattr(metrics.os, "sched_getaffinity")
             assert worker_count() == 1
 
     @pytest.mark.filterwarnings("ignore:aperture shorter")
@@ -772,3 +779,19 @@ class TestWorkerPool:
             ergodic_capacities(models, (0.0,), 1.0, 4, 3)
         assert blas_threads() == 2
         assert multiprocessing.active_children() == []
+
+
+def test_only_blas_imports_ctypes():
+    # how holowdm calls numpy's OpenBLAS is decided in holowdm.blas alone
+    importers = set()
+    for path in Path(blas.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            if any(m.split(".")[0] == "ctypes" for m in modules):
+                importers.add(path.name)
+    assert importers == {"blas.py"}

@@ -13,7 +13,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import (
-    BesselEvalPolicy,
     i0_reference,
     i1_reference,
     j0_reference,
@@ -343,14 +342,6 @@ class TestSolveConcentration:
 
 class TestReferenceEvaluators:
     """The series/asymptotic path of tests/oracles.py agrees with the local oracles."""
-
-    def test_policy_invariants(self):
-        with pytest.raises(ValueError):
-            BesselEvalPolicy(series_cutoff=0.0, asymptotic_terms=10, abs_tol=1e-16)
-        with pytest.raises(ValueError):
-            BesselEvalPolicy(series_cutoff=10.0, asymptotic_terms=10, abs_tol=0.0)
-        with pytest.raises(ValueError):
-            BesselEvalPolicy(series_cutoff=10.0, asymptotic_terms=0, abs_tol=1e-16)
 
     def test_i_series_match(self):
         for x in (0.0, 0.3, 7.0, 120.0):
