@@ -95,10 +95,10 @@ class CorrelationModel:
         """
         if self.diagonal:
             return self
-        w_s = _side_spectrum("R_s", self.R_s)
+        w_s = side_spectrum("R_s", self.R_s)
         if self.R_r is self.R_s:
             return CorrelationModel(w_s, w_s)
-        return CorrelationModel(w_s, _side_spectrum("R_r", self.R_r))
+        return CorrelationModel(w_s, side_spectrum("R_r", self.R_r))
 
 
 def _check_correlation(name: str, R) -> np.ndarray:
@@ -194,7 +194,8 @@ def _side_sqrt(name: str, R: np.ndarray) -> np.ndarray:
     return np.sqrt(R) if R.ndim == 1 else _hermitian_sqrt(name, R)
 
 
-def _side_spectrum(name: str, R: np.ndarray) -> np.ndarray:
+def side_spectrum(name: str, R: np.ndarray) -> np.ndarray:
+    """Eigenvalues of R: a variance vector as it is, a Toeplitz side ascending and clipped at 0."""
     if R.ndim == 1:
         return R
     return _clipped_eigenvalues(name, _toeplitz_eigenvalues(R[0]), R)

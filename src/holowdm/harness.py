@@ -18,12 +18,12 @@ import numpy as np
 
 from .channel import (
     CorrelationModel,
-    _side_spectrum,
     build_iid_correlation,
     build_jakes_correlation,
     build_wdm_correlation,
+    side_spectrum,
 )
-from .metrics import _watts, check_monte_carlo_args, dof, ergodic_capacities
+from .metrics import check_monte_carlo_args, dbw_to_watts, dof, ergodic_capacities
 # bound here for bench/tracing.py, which wraps it by this name
 from .metrics import ergodic_capacity  # noqa: F401
 from .scattering import Cluster, ScatteringSpec, psf_density
@@ -97,12 +97,12 @@ class ExperimentConfig:
         if not self.power_grid_dbw:
             raise ValueError("power_grid_dbw must not be empty")
         for p in self.power_grid_dbw:
-            _watts("power_grid_dbw", p)
+            dbw_to_watts("power_grid_dbw", p)
         check_monte_carlo_args(self.realizations, self.seed, "seed")
-        _watts("noise_var_dbw", self.noise_var_dbw)
+        dbw_to_watts("noise_var_dbw", self.noise_var_dbw)
 
     def noise_var_watts(self) -> float:
-        return _watts("noise_var_dbw", self.noise_var_dbw)
+        return dbw_to_watts("noise_var_dbw", self.noise_var_dbw)
 
 
 def default_config() -> ExperimentConfig:
@@ -180,14 +180,12 @@ def run_psf_profile(cfg: ExperimentConfig) -> Table:
 def _receive_spectrum(corr: CorrelationModel) -> np.ndarray:
     """Eigenvalues of R_r sorted descending, divided by its trace.
 
-    A diagonal R_r is its own spectrum; a dense one takes the spectrum path
-    of CorrelationModel.angular(), which solves a Jakes side as two
-    half-size eigenproblems.
+    A Jakes R_r is solved as two half-size eigenproblems; the sum of its
+    eigenvalues misses its trace n by an ulp or more at some n (32, say).
     """
     R_r = corr.R_r
-    if R_r.ndim == 1:
-        return np.sort(R_r)[::-1] / float(R_r.sum())
-    return _side_spectrum("R_r", R_r)[::-1] / float(np.trace(R_r))
+    w = side_spectrum("R_r", R_r)
+    return np.sort(w)[::-1] / float(w.sum() if R_r.ndim == 1 else np.trace(R_r))
 
 
 def run_eigen_spectrum(cfg: ExperimentConfig) -> Table:

@@ -234,7 +234,7 @@ def check_monte_carlo_args(realizations, seed, seed_name: str = "base_seed") -> 
     check_seed(seed, seed_name)
 
 
-def _watts(key: str, dbw: float) -> float:
+def dbw_to_watts(key: str, dbw: float) -> float:
     """dBW in watts; raises naming key unless that is a positive finite double."""
     try:
         watts = 10.0 ** (dbw / 10.0)
@@ -421,7 +421,7 @@ def ergodic_capacities(
         raise ValueError("power grid must not be empty")
     seeds = realization_seeds(base_seed, realizations)
     _check_noise_var(noise_var)
-    powers_w = np.array([_watts("power_grid_dbw", p) for p in power_grid_dbw])
+    powers_w = np.array([dbw_to_watts("power_grid_dbw", p) for p in power_grid_dbw])
     plans = [_plan(model.angular()) for model in models]
     with blas.one_thread():
         workers = min(worker_count(), realizations)

@@ -22,6 +22,7 @@ __all__ = [
     "Cluster",
     "ScatteringSpec",
     "psf_density",
+    "integrate_density",
     "acf_quadrature",
 ]
 
@@ -125,7 +126,7 @@ def _gauss_legendre():
     return np.concatenate((x20, x10)), w20, w10
 
 
-# Most panels one refinement may reach, as quad's limit=200.
+# Most panels the refinement of one interval may reach, as quad's limit=200.
 _PANEL_LIMIT = 200
 
 
@@ -140,57 +141,67 @@ def _gauss_pair(spec: ScatteringSpec, a: np.ndarray, b: np.ndarray, weight=None)
     return half * (density[:, :20] * w20).sum(axis=1), half * (density[:, 20:] * w10).sum(axis=1)
 
 
-def _refine_partition(spec: ScatteringSpec, lo: float, hi: float, weight=None):
-    """Integral of the (weighted) density over [lo, hi] by adaptive bisection.
+def _fsum(values: np.ndarray):
+    if np.iscomplexobj(values):
+        return complex(math.fsum(values.real), math.fsum(values.imag))
+    return math.fsum(values)
 
-    Returns the values of the accepted panels, for the caller to sum with
-    math.fsum, and their summed error estimate.  The interval is first split
-    at the cluster means inside it.  A panel is accepted when its 20- and
-    10-point Gauss-Legendre values agree within max(1e-15, 1e-13 * |G20|)
-    and, if it ends at a cluster mean, when it is no wider than 16 of that
-    cluster's spreads 1/sqrt(concentration); otherwise it is halved.  The
-    width rule keeps a peak narrower than the nodes' spacing from passing
-    unseen, with both rules near 0: the node nearest a panel end lies 0.0034
-    panel widths in.  Once halving would pass _PANEL_LIMIT panels, the open
-    panels are accepted as they are, so the summed |G20 - G10| of the
-    accepted panels reports what was not reached.
+
+def integrate_density(spec: ScatteringSpec, lo: np.ndarray, hi: np.ndarray, weight=None):
+    """Integrals of the (weighted) density over each [lo, hi] by adaptive bisection.
+
+    Returns each interval's value and summed error estimate.  Each interval
+    is first split at the cluster means strictly inside it.  A panel is
+    accepted when its 20- and 10-point Gauss-Legendre values agree within
+    max(1e-15, 1e-13 * |G20|) and, if it ends at a cluster mean, when it is no
+    wider than 16 of that cluster's spreads 1/sqrt(concentration); otherwise
+    it is halved.  The width rule keeps a peak narrower than the nodes'
+    spacing from passing unseen, with both rules near 0: the node nearest a
+    panel end lies 0.0034 panel widths in.  Once halving would take an
+    interval past _PANEL_LIMIT panels, its open panels are accepted as they
+    are, so its summed |G20 - G10| reports what was not reached.  A value,
+    one panel's G20 or the math.fsum of several, has the interval's own bits.
     """
-    peaks = [
-        (c.mean_angle, 16.0 / math.sqrt(c.concentration))
-        for c in spec.clusters
-        if lo <= c.mean_angle <= hi and c.concentration > 0.0
-    ]
-    edges = np.array(sorted({lo, hi, *(m for m, _ in peaks if lo < m < hi)}))
-    a, b = edges[:-1], edges[1:]
-    panels = a.size
-    accepted = []
-    err = 0.0
+    peaks = [(c.mean_angle, 16.0 / math.sqrt(c.concentration))
+             for c in spec.clusters if c.concentration > 0.0]
+    means = np.fromiter({m for m, _ in peaks}, float)
+    rows, cols = np.nonzero((lo[:, None] < means) & (means < hi[:, None]))
+    # an interval's start and the means inside it, sorted, start its
+    # panels; those means and its end, sorted, end them
+    own = np.concatenate((np.arange(lo.size), rows))
+    a, b = np.concatenate((lo, means[cols])), np.concatenate((hi, means[cols]))
+    a, b, own = a[np.lexsort((a, own))], b[np.lexsort((b, own))], np.sort(own)
+    panels = np.bincount(own, minlength=lo.size)
+    err, accepted = np.zeros(lo.size), []
     while a.size:
         g20, g10 = _gauss_pair(spec, a, b, weight)
         gap = np.abs(g20 - g10)
         done = gap <= np.maximum(1e-15, 1e-13 * np.abs(g20))
         for mean, width in peaks:
             done &= ~(((a == mean) | (b == mean)) & (b - a > width))
-        split = np.flatnonzero(~done)
-        if panels + split.size > _PANEL_LIMIT:
-            done[:] = True
-            split = split[:0]
-        accepted.append(g20[done])
-        err += float(gap[done].sum())
-        panels += split.size
+        done |= (panels + np.bincount(own[~done], minlength=lo.size) > _PANEL_LIMIT)[own]
+        accepted.append((own[done], g20[done]))
+        err += np.bincount(own[done], weights=gap[done], minlength=lo.size)
+        split = ~done
+        panels += np.bincount(own[split], minlength=lo.size)
         mid = 0.5 * (a[split] + b[split])
-        a, b = np.concatenate((a[split], mid)), np.concatenate((mid, b[split]))
-    return np.concatenate(accepted), err
+        a, b, own = np.append(a[split], mid), np.append(mid, b[split]), np.tile(own[split], 2)
+    own, values = (np.concatenate(parts) for parts in zip(*accepted))
+    total = np.empty(lo.size, dtype=values.dtype)
+    total[own] = values
+    for i in np.flatnonzero(panels > 1):
+        total[i] = _fsum(values[own == i])
+    return total, err
 
 
 def acf_quadrature(spec: ScatteringSpec, k: float, r_x: float) -> complex:
     """Spatial autocorrelation by quadrature over the angular density.
 
-    Integrates density(theta) * exp(j k cos(theta) r_x) over [0, pi] with the
-    adaptive Gauss-Legendre bisection of the variance profiles
-    (_refine_partition), one refinement per 64 radians of k |r_x| (at most
-    200) so that a long lag does not run into one refinement's panel limit.
-    An error estimate above 1e-9 raises; so does a phase k r_x that is not finite.
+    Integrates density(theta) * exp(j k cos(theta) r_x) over [0, pi] with
+    integrate_density, the engine of the variance profiles, on one interval
+    per 64 radians of k |r_x| (at most 200) so that a long lag does not run
+    into one interval's panel limit.  An error estimate above 1e-9 raises;
+    so does a phase k r_x that is not finite.
     """
     phase = _phase(k, r_x)
 
@@ -199,9 +210,8 @@ def acf_quadrature(spec: ScatteringSpec, k: float, r_x: float) -> complex:
 
     pieces = max(1, math.ceil(min(200.0, abs(phase) / 64.0)))
     edges = np.linspace(0.0, math.pi, pieces + 1)
-    parts = [_refine_partition(spec, a, b, weight) for a, b in zip(edges, edges[1:])]
-    values = np.concatenate([v for v, _ in parts])
-    err = math.fsum(e for _, e in parts)
+    values, err = integrate_density(spec, edges[:-1], edges[1:], weight)
+    err = math.fsum(err)
     if not err <= 1e-9:
         raise RuntimeError(f"ACF quadrature error {err:.3e} at r_x={r_x}")
-    return complex(math.fsum(values.real), math.fsum(values.imag))
+    return _fsum(values)

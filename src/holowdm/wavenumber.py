@@ -15,8 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import scattering
-from .scattering import ScatteringSpec
+from .scattering import ScatteringSpec, integrate_density
 
 __all__ = [
     "SIDES",
@@ -128,30 +127,21 @@ def _partition_bounds(cfg: PhysicalConfig, side: str, indices: np.ndarray):
 def variance_profile(cfg: PhysicalConfig, spec: ScatteringSpec, side: str) -> VarianceProfile:
     """Integrate the scattering density over every index's angular partition.
 
-    All partitions are integrated at once with a 20-point Gauss-Legendre
-    rule; the 10-point rule on the same partition estimates its error.  A
-    partition is refined by adaptive bisection with the same pair of rules
-    (see scattering._refine_partition) when a cluster mean lies in it or on
-    its boundary, or when the estimate exceeds max(1e-13, 1e-12 * |G20|); a
-    refined error above 1e-10 raises a RuntimeError.  A profile without mass,
-    as of a narrow cluster in the sliver near 0 or pi that the partitions
-    leave uncovered at non-integer L/lambda, raises a ValueError.
-    Entries are independent of each other and of any evaluation parallelism
-    a caller might add.
+    One call to scattering.integrate_density takes all partitions: each is
+    split at the cluster means inside it and bisected until every panel's
+    20- and 10-point Gauss-Legendre values agree.  A partition error above
+    1e-10 raises a RuntimeError.  A profile without mass, as of a narrow
+    cluster in the sliver near 0 or pi that the partitions leave uncovered
+    at non-integer L/lambda, raises a ValueError.  Entries are independent
+    of each other and of any evaluation parallelism a caller might add.
     """
     indices = build_grid(cfg, side)
-    lo, hi = _partition_bounds(cfg, side, indices)
-    variances, estimate = scattering._gauss_pair(spec, lo, hi)
-    means = np.array([c.mean_angle for c in spec.clusters])
-    holds_mean = ((lo[:, None] <= means) & (means <= hi[:, None])).any(axis=1)
-    rough = np.abs(variances - estimate) > np.maximum(1e-13, 1e-12 * np.abs(variances))
-    for i in np.flatnonzero(holds_mean | rough):
-        values, err = scattering._refine_partition(spec, lo[i], hi[i])
-        if err > 1e-10:
-            raise RuntimeError(
-                f"partition quadrature error {err:.3e} at {side} index {indices[i]}"
-            )
-        variances[i] = math.fsum(values)
+    variances, err = integrate_density(spec, *_partition_bounds(cfg, side, indices))
+    worst = int(np.argmax(err))
+    if err[worst] > 1e-10:
+        raise RuntimeError(
+            f"partition quadrature error {err[worst]:.3e} at {side} index {indices[worst]}"
+        )
     variances = np.maximum(variances, 0.0)
     if float(variances.sum()) <= 0.0:
         raise ValueError(f"scattering density carries no mass on the {side} partitions")

@@ -322,7 +322,7 @@ class TestCorrelationStorage:
         # one eigvalsh and one root per side array: equal sides are one
         # array, and their spectrum and root are shared as well
         spectra, roots = [], []
-        spectrum, sqrt = channel._side_spectrum, channel._hermitian_sqrt
+        spectrum, sqrt = channel.side_spectrum, channel._hermitian_sqrt
 
         def counting_spectrum(name, R):
             spectra.append(id(R))
@@ -332,7 +332,7 @@ class TestCorrelationStorage:
             roots.append(id(R))
             return sqrt(name, R)
 
-        monkeypatch.setattr(channel, "_side_spectrum", counting_spectrum)
+        monkeypatch.setattr(channel, "side_spectrum", counting_spectrum)
         monkeypatch.setattr(channel, "_hermitian_sqrt", counting_sqrt)
         model = build_jakes_correlation(config(8))
         angular = model.angular()

@@ -795,3 +795,35 @@ def test_only_blas_imports_ctypes():
             if any(m.split(".")[0] == "ctypes" for m in modules):
                 importers.add(path.name)
     assert importers == {"blas.py"}
+
+
+def test_no_module_reads_another_modules_private_names():
+    # a name with a leading underscore belongs to the holowdm module that
+    # defines it: none imports one from another, or reads one as module._x
+    package = Path(blas.__file__).parent
+    modules = {path.stem for path in package.glob("*.py")}
+
+    def private(name):
+        return name.startswith("_") and not name.startswith("__")
+
+    reads = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        bound = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                bound |= {a.asname for a in node.names if a.name.startswith("holowdm.")}
+            elif isinstance(node, ast.ImportFrom) and (
+                    node.level or (node.module or "").startswith("holowdm")):
+                if node.module in (None, "holowdm"):
+                    bound |= {a.asname or a.name for a in node.names if a.name in modules}
+                else:
+                    reads += [f"{path.name}: {node.module}.{a.name}"
+                              for a in node.names if private(a.name)]
+        reads += [
+            f"{path.name}: {node.value.id}.{node.attr}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id in bound and private(node.attr)
+        ]
+    assert not reads, f"private names read across modules: {reads}"

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from holowdm import scattering
-from holowdm.scattering import Cluster, ScatteringSpec, psf_density
+from holowdm.scattering import Cluster, ScatteringSpec, integrate_density, psf_density
 from holowdm.wavenumber import (
     PhysicalConfig,
     build_grid,
@@ -29,6 +29,20 @@ def config(ratio_s, ratio_r=None, wavelength=LAMBDA):
 @pytest.fixture(scope="module")
 def cfg128():
     return config(128)
+
+
+@pytest.fixture
+def gauss_passes(monkeypatch):
+    """The panel starts of every 20/10-point Gauss-Legendre pass, in order."""
+    passes = []
+    pair = scattering._gauss_pair
+
+    def counting(spec, a, b, weight=None):
+        passes.append(a.copy())
+        return pair(spec, a, b, weight)
+
+    monkeypatch.setattr(scattering, "_gauss_pair", counting)
+    return passes
 
 
 @pytest.fixture(scope="module")
@@ -269,27 +283,26 @@ class TestPartitionQuadrature:
                 want = _quad_reference(cfg, spec, side)
                 assert np.abs(got - want).max() <= 1e-15
 
-    def test_refinement_runs_where_the_rule_is_not_enough(self, mixture, monkeypatch):
-        refined = []
-        refine = scattering._refine_partition
-
-        def counting(spec, lo, hi, weight=None):
-            refined.append((lo, hi))
-            return refine(spec, lo, hi, weight)
-
-        monkeypatch.setattr(scattering, "_refine_partition", counting)
+    def test_refinement_runs_where_the_rule_is_not_enough(self, mixture, gauss_passes):
+        # the first pass holds every partition, split at the means inside
+        # it; each later pass holds the halves of the panels it refines
         cfg = config(8)
         variance_profile(cfg, mixture, "receiver")
         bounds = [_partition(cfg, "receiver", int(n)) for n in build_grid(cfg, "receiver")]
-        holding = sum(
-            any(lo <= c.mean_angle <= hi for c in mixture.clusters) for lo, hi in bounds
-        )
-        # the refinement takes the partitions that hold a cluster mean plus
-        # those whose error estimate is too large, but not all of them
-        assert holding < len(refined) < len(bounds)
-        refined.clear()
+        refined = {
+            i for a in gauss_passes[1:] for x in a for i, (lo, hi) in enumerate(bounds)
+            if lo <= x < hi
+        }
+        holding = {
+            i for i, (lo, hi) in enumerate(bounds)
+            if any(lo <= c.mean_angle <= hi for c in mixture.clusters)
+        }
+        # the refinement runs past the partitions that hold a cluster mean,
+        # to those whose error estimate is too large, but not to all of them
+        assert refined - holding and len(refined) < len(bounds)
+        gauss_passes.clear()
         variance_profile(config(128), ScatteringSpec.isotropic(), "receiver")
-        assert refined == []
+        assert len(gauss_passes) == 1
 
     def test_refinement_error_still_raises(self, mixture, monkeypatch):
         # with one panel allowed, a partition holding a mean stays unconverged
@@ -303,46 +316,55 @@ class TestPartitionQuadrature:
         # width rule halves the panel anyway, and the cluster's half mass
         # is found.
         spec = ScatteringSpec.mixture((Cluster(1.0, 0.0, 1e-6),))
-        values, err = scattering._refine_partition(spec, 0.0, 3.0)
-        assert err <= 1e-10
-        assert math.fsum(values) == pytest.approx(0.5, abs=1e-11)
+        values, err = integrate_density(spec, np.array([0.0]), np.array([3.0]))
+        assert err[0] <= 1e-10
+        assert values[0] == pytest.approx(0.5, abs=1e-11)
 
-    def test_refinement_stops_at_the_panel_limit(self, monkeypatch):
+    def test_refinement_stops_at_the_panel_limit(self, monkeypatch, gauss_passes):
         # a kappa ~ 5e7 peak needs 21 panels; with 8 allowed the panels run
         # into the limit and the run raises rather than return an
         # unconverged value
         monkeypatch.setattr(scattering, "_PANEL_LIMIT", 8)
-        panels = []
-        pair = scattering._gauss_pair
-
-        def counting(spec, a, b, weight=None):
-            panels.append(a.size)
-            return pair(spec, a, b, weight)
-
-        monkeypatch.setattr(scattering, "_gauss_pair", counting)
         with pytest.raises(RuntimeError, match="partition quadrature error"):
             variance_profile(config(8), NARROW, "receiver")
-        # one vectorized pass over the 16 partitions, then the refinement:
-        # its first level holds the two panels either side of the mean, and
-        # each later level holds the two halves of every panel split
-        assert panels[:2] == [16, 2]
-        assert 2 + sum(panels[2:]) // 2 <= scattering._PANEL_LIMIT
+        # the first pass holds the 16 partitions, the one holding the mean
+        # as the two panels either side of it; each later pass holds the
+        # two halves of every panel split
+        panels = [a.size for a in gauss_passes]
+        assert panels[0] == 17
+        assert 2 + sum(panels[1:]) // 2 <= scattering._PANEL_LIMIT
 
-    def test_panel_limit_is_200(self):
+    def test_panel_limit_is_200(self, gauss_passes):
         # an isotropic ACF weight exp(j p cos t): at p = 500 the refinement
         # converges on 189 panels; at p = 2000 it runs into the limit
         def refine(p):
-            def weight(theta):
-                return np.exp(1j * p * np.cos(theta))
-
-            return scattering._refine_partition(
-                ScatteringSpec.isotropic(), 0.0, math.pi, weight=weight
+            gauss_passes.clear()
+            _, err = integrate_density(
+                ScatteringSpec.isotropic(), np.array([0.0]), np.array([math.pi]),
+                weight=lambda theta: np.exp(1j * p * np.cos(theta)),
             )
+            # one panel, and one more for each panel halved
+            return 1 + sum(a.size for a in gauss_passes[1:]) // 2, err[0]
 
-        values, err = refine(500.0)
-        assert values.size > 150 and err <= 1e-13
-        values, err = refine(2000.0)
-        assert values.size <= 200 and err > 1e-3
+        panels, err = refine(500.0)
+        assert panels > 150 and err <= 1e-13
+        panels, err = refine(2000.0)
+        assert panels <= 200 and err > 1e-3
+
+    @pytest.mark.parametrize("p", [None, 2000.0])
+    def test_each_interval_has_the_bits_of_a_one_interval_call(self, mixture, p):
+        # beside intervals that hold a mean, start at one, are tiny or are
+        # wide, [0, pi] under the weight exp(j 2000 cos t) runs into the
+        # panel limit; without a weight every interval converges
+        lo = np.array([0.0, 0.1, math.radians(30.0), 1.0, 2.0, 0.7])
+        hi = np.array([math.pi, 0.55, 0.6, 1.0 + 1e-9, 3.0, 0.9])
+        weight = None if p is None else (lambda theta: np.exp(1j * p * np.cos(theta)))
+        values, err = integrate_density(mixture, lo, hi, weight)
+        assert np.all(err[1:] <= 1e-12)
+        assert (err[0] > 1e-3) == (p is not None)
+        for i in range(lo.size):
+            value, e = integrate_density(mixture, lo[i:i + 1], hi[i:i + 1], weight)
+            assert (value[0], e[0]) == (values[i], err[i])
 
     def test_narrow_cluster_matches_mpmath(self):
         # kappa ~ 5e7: written as exp(kappa (cos - 1)), the density would
