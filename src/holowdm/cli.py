@@ -117,6 +117,13 @@ def _physical(raw: dict, default: PhysicalConfig) -> PhysicalConfig:
     return phys
 
 
+def _unique_keys(pairs):
+    keys = [key for key, _ in pairs]
+    if len(set(keys)) < len(keys):
+        raise ValueError(f"key {next(k for k in keys if keys.count(k) > 1)!r} is given twice")
+    return dict(pairs)
+
+
 def parse_config(text: str) -> ExperimentConfig:
     """Build an ExperimentConfig from JSON text; omitted keys take defaults.
 
@@ -126,8 +133,9 @@ def parse_config(text: str) -> ExperimentConfig:
     """
     if text.strip():
         try:
-            raw = json.loads(text)
-        except json.JSONDecodeError as exc:
+            raw = json.loads(text, object_pairs_hook=_unique_keys)
+        except (ValueError, RecursionError) as exc:
+            # also a repeated key, an over-long integer or nesting too deep
             raise ValueError(f"config is not valid JSON: {exc}") from None
         if not isinstance(raw, dict):
             raise ValueError("config must be a JSON object")

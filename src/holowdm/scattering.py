@@ -141,12 +141,6 @@ def _gauss_pair(spec: ScatteringSpec, a: np.ndarray, b: np.ndarray, weight=None)
     return half * (density[:, :20] * w20).sum(axis=1), half * (density[:, 20:] * w10).sum(axis=1)
 
 
-def _fsum(values: np.ndarray):
-    if np.iscomplexobj(values):
-        return complex(math.fsum(values.real), math.fsum(values.imag))
-    return math.fsum(values)
-
-
 def integrate_density(spec: ScatteringSpec, lo: np.ndarray, hi: np.ndarray, weight=None):
     """Integrals of the (weighted) density over each [lo, hi] by adaptive bisection.
 
@@ -159,9 +153,15 @@ def integrate_density(spec: ScatteringSpec, lo: np.ndarray, hi: np.ndarray, weig
     spacing from passing unseen, with both rules near 0: the node nearest a
     panel end lies 0.0034 panel widths in.  Once halving would take an
     interval past _PANEL_LIMIT panels, its open panels are accepted as they
-    are, so its summed |G20 - G10| reports what was not reached.  A value,
-    one panel's G20 or the math.fsum of several, has the interval's own bits.
+    are, so its summed |G20 - G10| reports what was not reached.  Value and
+    error are running sums of the accepted panels, pass by pass, and an
+    interval's panels keep their order, so each has the interval's own bits.
     """
+    def sums(own, values):
+        if np.iscomplexobj(values):
+            return sums(own, values.real) + 1j * sums(own, values.imag)
+        return np.bincount(own, weights=values, minlength=lo.size)
+
     peaks = [(c.mean_angle, 16.0 / math.sqrt(c.concentration))
              for c in spec.clusters if c.concentration > 0.0]
     means = np.fromiter({m for m, _ in peaks}, float)
@@ -172,7 +172,7 @@ def integrate_density(spec: ScatteringSpec, lo: np.ndarray, hi: np.ndarray, weig
     a, b = np.concatenate((lo, means[cols])), np.concatenate((hi, means[cols]))
     a, b, own = a[np.lexsort((a, own))], b[np.lexsort((b, own))], np.sort(own)
     panels = np.bincount(own, minlength=lo.size)
-    err, accepted = np.zeros(lo.size), []
+    total, err = np.zeros(lo.size), np.zeros(lo.size)
     while a.size:
         g20, g10 = _gauss_pair(spec, a, b, weight)
         gap = np.abs(g20 - g10)
@@ -180,17 +180,11 @@ def integrate_density(spec: ScatteringSpec, lo: np.ndarray, hi: np.ndarray, weig
         for mean, width in peaks:
             done &= ~(((a == mean) | (b == mean)) & (b - a > width))
         done |= (panels + np.bincount(own[~done], minlength=lo.size) > _PANEL_LIMIT)[own]
-        accepted.append((own[done], g20[done]))
-        err += np.bincount(own[done], weights=gap[done], minlength=lo.size)
+        total, err = total + sums(own[done], g20[done]), err + sums(own[done], gap[done])
         split = ~done
         panels += np.bincount(own[split], minlength=lo.size)
         mid = 0.5 * (a[split] + b[split])
         a, b, own = np.append(a[split], mid), np.append(mid, b[split]), np.tile(own[split], 2)
-    own, values = (np.concatenate(parts) for parts in zip(*accepted))
-    total = np.empty(lo.size, dtype=values.dtype)
-    total[own] = values
-    for i in np.flatnonzero(panels > 1):
-        total[i] = _fsum(values[own == i])
     return total, err
 
 
@@ -200,8 +194,9 @@ def acf_quadrature(spec: ScatteringSpec, k: float, r_x: float) -> complex:
     Integrates density(theta) * exp(j k cos(theta) r_x) over [0, pi] with
     integrate_density, the engine of the variance profiles, on one interval
     per 64 radians of k |r_x| (at most 200) so that a long lag does not run
-    into one interval's panel limit.  An error estimate above 1e-9 raises;
-    so does a phase k r_x that is not finite.
+    into one interval's panel limit; the intervals' values and errors are
+    summed.  An error estimate above 1e-9 raises; so does a phase k r_x that
+    is not finite.
     """
     phase = _phase(k, r_x)
 
@@ -211,7 +206,7 @@ def acf_quadrature(spec: ScatteringSpec, k: float, r_x: float) -> complex:
     pieces = max(1, math.ceil(min(200.0, abs(phase) / 64.0)))
     edges = np.linspace(0.0, math.pi, pieces + 1)
     values, err = integrate_density(spec, edges[:-1], edges[1:], weight)
-    err = math.fsum(err)
+    err = err.sum()
     if not err <= 1e-9:
         raise RuntimeError(f"ACF quadrature error {err:.3e} at r_x={r_x}")
-    return _fsum(values)
+    return values.sum()

@@ -142,7 +142,6 @@ def variance_profile(cfg: PhysicalConfig, spec: ScatteringSpec, side: str) -> Va
         raise RuntimeError(
             f"partition quadrature error {err[worst]:.3e} at {side} index {indices[worst]}"
         )
-    variances = np.maximum(variances, 0.0)
     if float(variances.sum()) <= 0.0:
         raise ValueError(f"scattering density carries no mass on the {side} partitions")
     return VarianceProfile(indices=indices, side=side, variances=variances)

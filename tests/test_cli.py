@@ -276,13 +276,20 @@ class TestMain:
     @pytest.mark.filterwarnings("ignore:aperture shorter")
     def test_invalid_config_value(self, tmp_path, capsys):
         # an aperture without modes fails here too, before any CSV is written,
-        # and so does a file that is not UTF-8
+        # and so does a file that is not UTF-8; a key given twice is not taken
+        # as its last value, and nesting past the recursion limit is refused
+        # as invalid JSON, not with a traceback
         bad = tmp_path / "bad.json"
         out = tmp_path / "out"
+        cluster = b'{"mean_deg": 30, "circ_var": 0.01, "mean_deg": 40, "weight": 1}'
         for text, named in (
             (json.dumps({"epsilon": 7}).encode(), "epsilon"),
             (json.dumps({"L_s_over_lambda": 0.4}).encode(), "L_s_over_lambda"),
             (b"\xff\xfe{", "utf-8"),
+            (b'{"realizations": 500, "realizations": 5}', "key 'realizations' is given twice"),
+            (b'{"clusters": [' + cluster + b"]}", "key 'mean_deg' is given twice"),
+            (b"[" * 100_000 + b"]" * 100_000, "JSON: maximum recursion depth exceeded"),
+            (b'{"realizations": ' + b"1" * 5000 + b"}", "JSON: Exceeds the limit (4300 digits)"),
         ):
             bad.write_bytes(text)
             code = main(["all", "--config", str(bad), "--out", str(out)])

@@ -259,6 +259,8 @@ EDGE_CLUSTERS = ScatteringSpec.mixture(
 
 NARROW = ScatteringSpec.mixture((Cluster(1.0, math.radians(45.0), 1e-8),))
 
+SINGLE = ScatteringSpec.mixture((Cluster(1.0, math.radians(71.3), 1e-5),))
+
 
 class TestPartitionQuadrature:
     @pytest.mark.parametrize("ratios", [(8, 8), (16.5, 16.5), (128, 128), (16, 8)])
@@ -282,6 +284,13 @@ class TestPartitionQuadrature:
             else:
                 want = _quad_reference(cfg, spec, side)
                 assert np.abs(got - want).max() <= 1e-15
+
+    @pytest.mark.parametrize("ratio", [16.5, 32])
+    def test_single_cluster_matches_mpmath(self, ratio):
+        # kappa ~ 1e5 at 71.3 degrees: the partition holding the mean sums
+        # its panels over several passes
+        got = variance_profile(config(ratio), SINGLE, "source").variances
+        assert np.abs(got - _mpmath_reference(ratio, SINGLE)).max() <= 1e-13
 
     def test_refinement_runs_where_the_rule_is_not_enough(self, mixture, gauss_passes):
         # the first pass holds every partition, split at the means inside
