@@ -222,13 +222,13 @@ def build_jakes_correlation(cfg: PhysicalConfig) -> CorrelationModel:
 
     The sample count per side matches the wavenumber mode count, so the Jakes
     and wavenumber spectra live on the same index axis.  Entry (i, j) is
-    J0(k |i - j| lambda/2), from specfun.bessel_j0 on the whole lag array;
-    the diagonal is J0(0) = 1, so tr R = n with no normalization.  Each side
-    is a read-only strided view over its 2 n - 1 lag values, and equal sides
-    are one array.
+    J0(k |i - j| lambda/2) = J0(pi |i - j|), from specfun.bessel_j0 on the
+    whole lag array; the diagonal is J0(0) = 1, so tr R = n with no
+    normalization.  Each side is a read-only strided view over its 2 n - 1
+    lag values, and equal sides are one array.
     """
     n_s, n_r = cfg.mode_count("source"), cfg.mode_count("receiver")
-    lags = bessel_j0(cfg.k * (0.5 * cfg.wavelength) * np.arange(max(n_s, n_r)))
+    lags = bessel_j0(math.pi * np.arange(max(n_s, n_r)))
     R_s = _toeplitz_view(lags[:n_s])
     return CorrelationModel(R_s, R_s if n_r == n_s else _toeplitz_view(lags[:n_r]))
 

@@ -88,27 +88,21 @@ def _parse_clusters(raw) -> ScatteringSpec:
 def _physical(raw: dict, default: PhysicalConfig) -> PhysicalConfig:
     """The geometry from the keys in wavelengths, each omitted one at its default.
 
-    A length or a wavenumber past the range of a double, and a side too short
-    to carry a mode, raise here, naming the key, before any experiment runs.
+    lambda_m and d_m are checked, then unread: every statistic of the study
+    depends on the apertures through L / lambda alone.  A side whose
+    2 L / lambda is past the range of a double, or too short to carry a mode,
+    raises here, naming the key, before any experiment runs.
     """
-    wavelength = _positive("lambda_m", raw.get("lambda_m", default.wavelength))
-
-    def length(key: str, meters: float) -> float:
-        value = _positive(key, raw.get(key, meters / default.wavelength)) * wavelength
-        if not 0.0 < value < math.inf:
-            raise ValueError(f"{key} * lambda_m must be a positive finite length, got {value}")
-        return value
-
-    L_s = length("L_s_over_lambda", default.L_s)
-    L_r = length("L_r_over_lambda", default.L_r)
-    d = _number("d_m", raw.get("d_m", default.d))
-    if not (math.isfinite(d) and d >= 0.0):
-        raise ValueError(f"d_m must be non-negative, got {d}")
-    try:
-        phys = PhysicalConfig(wavelength, L_s, L_r, d)
-    except ValueError as exc:
-        # the lengths and d are checked above, which leaves k = 2 pi / lambda
-        raise ValueError(f"lambda_m: {exc}") from None
+    if "lambda_m" in raw:
+        _positive("lambda_m", raw["lambda_m"])
+    if "d_m" in raw:
+        d = _number("d_m", raw["d_m"])
+        if not (math.isfinite(d) and d >= 0.0):
+            raise ValueError(f"d_m must be non-negative and finite, got {d}")
+    phys = PhysicalConfig(
+        _positive("L_s_over_lambda", raw.get("L_s_over_lambda", default.L_s_over_lambda)),
+        _positive("L_r_over_lambda", raw.get("L_r_over_lambda", default.L_r_over_lambda)),
+    )
     for key, side in (("L_s_over_lambda", "source"), ("L_r_over_lambda", "receiver")):
         try:
             phys.mode_count(side)

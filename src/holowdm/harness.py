@@ -1,10 +1,9 @@
 """Named, reproducible experiment pipelines producing in-memory tables.
 
 The default configuration is the reference setup used throughout the capacity
-and degrees-of-freedom studies: 128-wavelength lines at a 1 cm wavelength,
-symmetric two-cluster scattering at 30 and 60 degrees (circular variances
-0.01 and 0.005, equal weights), epsilon = 0.003, noise at 0 dBW, and 500
-channel realizations.
+and degrees-of-freedom studies: 128-wavelength lines, symmetric two-cluster
+scattering at 30 and 60 degrees (circular variances 0.01 and 0.005, equal
+weights), epsilon = 0.003, noise at 0 dBW, and 500 channel realizations.
 """
 
 from __future__ import annotations
@@ -71,7 +70,7 @@ class ExperimentConfig:
     both sides, but asymmetric specs are allowed.
     """
 
-    physical: PhysicalConfig = field(default_factory=lambda: PhysicalConfig(0.01, 1.28, 1.28, 0.0))
+    physical: PhysicalConfig = field(default_factory=lambda: PhysicalConfig(128.0, 128.0))
     scattering_s: ScatteringSpec = field(default_factory=_default_mixture)
     scattering_r: ScatteringSpec = field(default_factory=_default_mixture)
     models: tuple[str, ...] = MODEL_NAMES

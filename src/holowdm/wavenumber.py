@@ -1,10 +1,11 @@
 """Discrete wavenumber grids and their per-index variance profiles.
 
 The propagating plane-wave directions of a line aperture of length L discretize
-into the integers m with |2 pi m / L| <= k; there are floor(2L/lambda) of them.
+into the integers m with |m| <= L/lambda; there are floor(2L/lambda) of them.
 Each index owns an angular partition between consecutive arccos values, and
 integrating the scattering density over a partition gives that index's
-coupling variance.
+coupling variance.  Every quantity here depends on the apertures through
+L/lambda alone, so the geometry is given in wavelengths.
 """
 
 from __future__ import annotations
@@ -39,45 +40,34 @@ def _check_side(side: str) -> str:
 
 @dataclass(frozen=True)
 class PhysicalConfig:
-    """Geometry of the coaxial parallel line apertures.
+    """Geometry of the coaxial parallel line apertures, in wavelengths.
 
-    wavelength and the two lengths are in meters; d is the separation, carried
-    for completeness but unused by the NLoS statistics.  The Fourier-series
-    channel model assumes electrically large lines; a warning is emitted below
-    L/lambda = 8.
+    Each field is a line's length L divided by the wavelength.  The
+    Fourier-series channel model assumes electrically large lines; a warning
+    is emitted below L/lambda = 8.
     """
 
-    wavelength: float
-    L_s: float
-    L_r: float
-    d: float = 0.0
+    L_s_over_lambda: float
+    L_r_over_lambda: float
 
     def __post_init__(self) -> None:
-        for name in ("wavelength", "L_s", "L_r"):
+        for name in ("L_s_over_lambda", "L_r_over_lambda"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0.0):
                 raise ValueError(f"{name} must be positive and finite, got {value}")
-        if not (math.isfinite(self.d) and self.d >= 0.0):
-            raise ValueError(f"d must be non-negative and finite, got {self.d}")
-        if math.isinf(self.k):
-            raise ValueError(f"k = 2 pi / wavelength overflows at wavelength {self.wavelength}")
-        if min(self.L_s, self.L_r) / self.wavelength < 8.0:
+        if min(self.L_s_over_lambda, self.L_r_over_lambda) < 8.0:
             warnings.warn(
                 "aperture shorter than 8 wavelengths; the Fourier-series channel "
                 "model degrades on electrically small lines",
                 stacklevel=3,
             )
 
-    @property
-    def k(self) -> float:
-        return 2.0 * math.pi / self.wavelength
-
     def aperture(self, side: str) -> float:
-        return self.L_s if _check_side(side) == "source" else self.L_r
+        """L/lambda of one side."""
+        return self.L_s_over_lambda if _check_side(side) == "source" else self.L_r_over_lambda
 
     def mode_count(self, side: str) -> int:
-        # the bits of 2 L / lambda wherever 2 L is finite; scaling by 2 is exact
-        ratio = 2.0 * (self.aperture(side) / self.wavelength)
+        ratio = 2.0 * self.aperture(side)
         if math.isinf(ratio):
             raise ValueError(f"{side} aperture of 2 L / lambda = {ratio} has no finite mode count")
         n = math.floor(ratio + _SNAP)
@@ -118,9 +108,10 @@ def build_grid(cfg: PhysicalConfig, side: str) -> np.ndarray:
 
 
 def _partition_bounds(cfg: PhysicalConfig, side: str, indices: np.ndarray):
-    ratio = cfg.wavelength / cfg.aperture(side)
-    lo = np.arccos(np.clip(ratio * (indices + 1), -1.0, 1.0))
-    hi = np.arccos(np.clip(ratio * indices, -1.0, 1.0))
+    # one division per edge: at an integer L/lambda the ends are exactly 0 and pi
+    ratio = cfg.aperture(side)
+    lo = np.arccos(np.clip((indices + 1) / ratio, -1.0, 1.0))
+    hi = np.arccos(np.clip(indices / ratio, -1.0, 1.0))
     return lo, hi
 
 

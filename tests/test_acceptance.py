@@ -35,8 +35,9 @@ from holowdm.specfun import (
 from holowdm.wavenumber import PhysicalConfig, variance_profile
 
 REFERENCE = default_config()
-PHYS = REFERENCE.physical  # 128-wavelength lines, lambda = 1 cm
-K = PHYS.k
+PHYS = REFERENCE.physical  # 128-wavelength lines
+LAMBDA = 0.01  # the ACF of criterion 3 at a 1 cm wavelength
+K = 2.0 * math.pi / LAMBDA
 
 
 def _prefix_index(variances, epsilon=0.003):
@@ -79,7 +80,7 @@ def test_criterion_2_non_isotropic_dof():
 def test_criterion_3_jakes_closed_form():
     spec = ScatteringSpec.isotropic()
     worst = 0.0
-    for r in np.linspace(0.0, 10 * PHYS.wavelength, 1000):
+    for r in np.linspace(0.0, 10 * LAMBDA, 1000):
         numeric = acf_quadrature(spec, K, float(r))
         worst = max(worst, abs(numeric - bessel_j0(K * float(r))))
     assert worst <= 1e-8
@@ -148,7 +149,7 @@ def _sample_covariance(model, draws, seed_base):
 def test_criterion_6_kronecker_covariance():
     draws = 20_000
     bound = 5.0 / math.sqrt(draws)
-    small = PhysicalConfig(0.01, 4 * 0.01, 4 * 0.01, 0.0)
+    small = PhysicalConfig(4, 4)
 
     # Dense-correlation case: the Jakes Toeplitz has unit diagonal, so every
     # vec(H) coefficient has unit variance and the absolute bound is a proper

@@ -23,12 +23,11 @@ from holowdm.scattering import Cluster, ScatteringSpec
 from holowdm.specfun import bessel_j0
 from holowdm.wavenumber import PhysicalConfig, variance_profile
 
-LAMBDA = 0.01
 REJECTED = "{} must be a non-empty variance vector (real, finite, non-negative) or a real symmetric Toeplitz matrix"
 
 
 def config(ratio):
-    return PhysicalConfig(LAMBDA, ratio * LAMBDA, ratio * LAMBDA, 0.0)
+    return PhysicalConfig(ratio, ratio)
 
 
 def assert_same_spectrum(got, want):
@@ -123,11 +122,10 @@ def jakes_model():
 class TestJakesCorrelation:
     def test_entries_sample_the_closed_form(self, jakes_model):
         model = jakes_model
-        k = 2 * math.pi / LAMBDA
         # the diagonal is J0(0) = 1, so the trace is n with no normalization
         assert model.R_r[0, 0] == pytest.approx(1.0, rel=1e-14)
-        # the lags are bessel_j0's own bits
-        assert model.R_r[3, 4] == bessel_j0(k * LAMBDA / 2)
+        # the lags are bessel_j0's own bits at k lambda/2 = pi
+        assert model.R_r[3, 4] == bessel_j0(math.pi)
         assert model.R_r[3, 4] == pytest.approx(-0.30424217764409384, abs=1e-12)
         assert model.R_r[2, 4] == pytest.approx(0.22027690853993448, abs=1e-12)
 
@@ -149,11 +147,11 @@ class TestJakesCorrelation:
         "ratios", [(8, 8), (16, 8), (8, 16), (16.5, 8.25), (3.3, 5.1), (0.5, 0.5), (0.5, 1.5)]
     )
     def test_sides_equal_the_lag_gather_bitwise(self, ratios):
-        cfg = PhysicalConfig(LAMBDA, ratios[0] * LAMBDA, ratios[1] * LAMBDA, 0.0)
+        cfg = PhysicalConfig(*ratios)
         model = build_jakes_correlation(cfg)
         for name, side in (("R_s", "source"), ("R_r", "receiver")):
             n = cfg.mode_count(side)
-            gains = np.array([bessel_j0(cfg.k * (0.5 * LAMBDA) * m) for m in range(n)])
+            gains = np.array([bessel_j0(math.pi * m) for m in range(n)])
             i = np.arange(n)
             want = gains[np.abs(i[:, None] - i[None, :])]
             R = getattr(model, name)
@@ -232,7 +230,7 @@ class TestDrawChannel:
 
     @pytest.mark.parametrize("ratios", [(128, 128), (16, 8), (8, 16)])
     def test_diagonal_models_match_dense_product(self, mixture, ratios):
-        cfg = PhysicalConfig(LAMBDA, ratios[0] * LAMBDA, ratios[1] * LAMBDA, 0.0)
+        cfg = PhysicalConfig(*ratios)
         models = [build_iid_correlation(cfg.mode_count("source"), cfg.mode_count("receiver"))]
         for spec in (ScatteringSpec.isotropic(), mixture):
             models.append(build_wdm_correlation(*profiles(cfg, spec)))
@@ -307,7 +305,7 @@ class TestCorrelationStorage:
         monkeypatch.setenv("HOLOWDM_THREADS", threads)
         for cfg, roots in (
             (config(8), ["R_s"]),
-            (PhysicalConfig(LAMBDA, 8 * LAMBDA, 16 * LAMBDA), ["R_r", "R_s"]),
+            (PhysicalConfig(8, 16), ["R_r", "R_s"]),
         ):
             calls.clear()
             model = build_jakes_correlation(cfg)
@@ -344,7 +342,7 @@ class TestCorrelationStorage:
         # unequal sides are two arrays, each solved once
         spectra.clear()
         roots.clear()
-        model = build_jakes_correlation(PhysicalConfig(LAMBDA, 8 * LAMBDA, 16 * LAMBDA))
+        model = build_jakes_correlation(PhysicalConfig(8, 16))
         model.angular()
         assert model.R_r_sqrt is not model.R_s_sqrt
         assert spectra == [id(model.R_s), id(model.R_r)]
@@ -416,7 +414,7 @@ class TestToeplitzSpectrum:
     @pytest.mark.filterwarnings("ignore:aperture shorter")
     @pytest.mark.parametrize("ratios", [(16.5, 8.25), (8, 16)])
     def test_non_square_jakes(self, ratios):
-        model = build_jakes_correlation(PhysicalConfig(LAMBDA, ratios[0] * LAMBDA, ratios[1] * LAMBDA))
+        model = build_jakes_correlation(PhysicalConfig(*ratios))
         angular = model.angular()
         for side in ("R_s", "R_r"):
             want = np.linalg.eigvalsh(getattr(model, side))

@@ -19,6 +19,7 @@ import holowdm
 from holowdm import blas, cli
 from holowdm.cli import emit_csv, main, parse_config
 from holowdm.harness import Table, default_config
+from holowdm.wavenumber import PhysicalConfig
 
 
 class TestParseConfig:
@@ -71,7 +72,7 @@ class TestParseConfig:
 
     @pytest.mark.filterwarnings("ignore:aperture shorter")
     def test_largest_wavelength_keeps_its_mode_count(self):
-        # 2 L overflows at L = 1e308 m, 2 (L / lambda) does not
+        # the mode count is 2 L / lambda whatever lambda_m is
         raw = {"lambda_m": 1e308, "L_s_over_lambda": 1, "L_r_over_lambda": 1}
         physical = parse_config(json.dumps(raw)).physical
         assert physical.mode_count("source") == physical.mode_count("receiver") == 2
@@ -79,6 +80,15 @@ class TestParseConfig:
     def test_negative_length_names_key(self):
         with pytest.raises(ValueError, match="L_s_over_lambda"):
             parse_config('{"L_s_over_lambda": -2}')
+
+    @pytest.mark.parametrize("key, value", [
+        ("lambda_m", 0), ("lambda_m", -0.01), ("lambda_m", math.inf), ("lambda_m", math.nan),
+        ("d_m", -1.0), ("d_m", math.inf), ("d_m", math.nan), ("d_m", True), ("d_m", "abc"),
+    ])
+    def test_unread_keys_are_still_checked(self, key, value):
+        # lambda_m and d_m change no output, but a bad value is refused
+        with pytest.raises(ValueError, match=f"^{key} must be"):
+            parse_config(json.dumps({key: value}))
 
     @pytest.mark.filterwarnings("ignore:aperture shorter")
     @pytest.mark.parametrize("key", ["L_s_over_lambda", "L_r_over_lambda"])
@@ -116,8 +126,9 @@ class TestParseConfig:
             parse_config("{not json")
 
     def test_overrides_apply(self):
-        cfg = parse_config(json.dumps({
+        raw = {
             "lambda_m": 0.02,
+            "d_m": 0.5,
             "L_s_over_lambda": 16,
             "L_r_over_lambda": 32,
             "realizations": 7,
@@ -125,10 +136,12 @@ class TestParseConfig:
             "noise_var_dbw": 3.0,
             "models": ["iid"],
             "power_grid_dbw": [5, 25],
-        }))
-        assert cfg.physical.wavelength == 0.02
-        assert cfg.physical.L_s == pytest.approx(0.32)
-        assert cfg.physical.L_r == pytest.approx(0.64)
+        }
+        cfg = parse_config(json.dumps(raw))
+        # the geometry is L / lambda alone: lambda_m and d_m are checked, then unread
+        assert cfg.physical == PhysicalConfig(16, 32)
+        unread = {key: value for key, value in raw.items() if key not in ("lambda_m", "d_m")}
+        assert parse_config(json.dumps(unread)) == cfg
         assert cfg.realizations == 7 and cfg.seed == 9
         assert cfg.models == ("iid",)
         assert cfg.power_grid_dbw == (5.0, 25.0)
@@ -298,18 +311,17 @@ class TestMain:
             assert err.startswith("holowdm: invalid config: ") and named in err
             assert not out.exists()
 
+    @pytest.mark.filterwarnings("ignore:aperture shorter")
     @pytest.mark.parametrize(
         "key, value",
         [("power_grid_dbw", [4000]), ("power_grid_dbw", [-4000]),
          ("noise_var_dbw", 4000), ("noise_var_dbw", -4000),
-         ("L_s_over_lambda", 1e308), ("lambda_m", 1e308), ("lambda_m", 1e-310),
-         ("L_r_over_lambda", 1e-323)],
+         ("L_s_over_lambda", 1e308), ("L_r_over_lambda", 1e-323)],
     )
     def test_power_beyond_a_double_names_key(self, tmp_path, capsys, key, value):
         # 10^400 W overflows and 10^-400 W underflows to 0; both are refused
         # up front rather than after psf, eigs and dof were written.  So are
-        # 2 L / lambda and L = (L / lambda) lambda past a double, a length
-        # that underflows to 0, and a wavelength whose k = 2 pi / lambda is inf
+        # a 2 L / lambda past a double and one that carries no mode
         text = json.dumps({key: value})
         with pytest.raises(ValueError, match=key):
             parse_config(text)
@@ -562,8 +574,9 @@ def test_csv_bytes_and_bounds_across_cpu_kernels(tmp_path):
 
 
 # Reads numpy's OpenBLAS thread count and this process's OS threads after
-# numpy loads, after holowdm.cli is imported and after `holowdm <command>`;
-# prints null where the thread count cannot be read.
+# numpy loads, after holowdm.cli is imported, inside and after a
+# blas.one_thread() hold, and after `holowdm <command>`; prints null where the
+# thread count cannot be read.
 _THREAD_PROBE = """
 import ctypes, json, os, sys
 import numpy as np
@@ -579,6 +592,9 @@ def state():
 
 seen = [state()]
 import holowdm.cli
+seen.append(state())
+with holowdm.blas.one_thread():
+    seen.append(state())
 seen.append(state())
 code = holowdm.cli.main([sys.argv[1], "--config", sys.argv[2], "--out", sys.argv[3]])
 seen.append(state())
@@ -596,7 +612,9 @@ def test_no_idle_blas_thread_after_import_or_run(tmp_path, command, models):
     # call, and that thread spins before it sleeps; importing holowdm and
     # running it leave none, and keep the caller's thread count.  dof, and
     # eigs without Jakes, enter no one-thread hold, so they check that no
-    # stage outside the Jakes halves and the Monte Carlo makes a threaded call
+    # stage outside the Jakes halves and the Monte Carlo makes a threaded call.
+    # Setting the count starts a server thread, so a one-thread hold joins
+    # it both on entry and on exit
     if not os.path.isdir("/proc/self/task"):
         pytest.skip("needs /proc/self/task")
     config = tmp_path / "config.json"
@@ -614,7 +632,9 @@ def test_no_idle_blas_thread_after_import_or_run(tmp_path, command, models):
     report = json.loads(result.stdout.splitlines()[-1])
     if report is None:
         pytest.skip("numpy's OpenBLAS thread count cannot be read")
-    code, (loaded, imported, ran) = report
+    code, (loaded, imported, held, released, ran) = report
     assert code == 0
     assert imported == [loaded[0], 1]
+    assert held == [1, 1]
+    assert released == [loaded[0], 1]
     assert ran == [loaded[0], 1]

@@ -27,7 +27,7 @@ def desk_cfg():
     """Small, fast configuration for pipeline checks."""
     return replace(
         default_config(),
-        physical=PhysicalConfig(0.01, 16 * 0.01, 16 * 0.01, 0.0),
+        physical=PhysicalConfig(16, 16),
         realizations=6,
         power_grid_dbw=(0.0, 15.0, 30.0),
     )
@@ -36,8 +36,7 @@ def desk_cfg():
 class TestDefaultConfig:
     def test_reference_parameters(self):
         cfg = default_config()
-        assert cfg.physical.wavelength == 0.01
-        assert cfg.physical.L_s == cfg.physical.L_r == 1.28
+        assert cfg.physical == PhysicalConfig(128.0, 128.0)
         assert cfg.epsilon == 0.003
         assert cfg.realizations == 500
         assert cfg.noise_var_dbw == 0.0
@@ -63,7 +62,7 @@ class TestDefaultConfig:
     def test_side_without_modes_refused_up_front(self):
         # not later, from inside a profile, where it would read as a clusters error
         with pytest.raises(ValueError, match="^source aperture shorter than half a wavelength"):
-            replace(default_config(), physical=PhysicalConfig(0.01, 0.004, 0.16, 0.0))
+            replace(default_config(), physical=PhysicalConfig(0.4, 16))
 
     @pytest.mark.parametrize(
         "key, value",
@@ -260,7 +259,7 @@ class TestLazySquareRoots:
             tracer.install()
             cfg = replace(
                 default_config(),
-                physical=PhysicalConfig(0.01, 8 * 0.01, 8 * 0.01, 0.0),
+                physical=PhysicalConfig(8, 8),
                 realizations=2,
             )
             harness.run_eigen_spectrum(cfg)
@@ -284,7 +283,7 @@ def one_cluster(ratio, mean_deg, circ_var):
     spec = ScatteringSpec.mixture([Cluster(1.0, math.radians(mean_deg), circ_var)])
     return replace(
         default_config(),
-        physical=PhysicalConfig(0.01, ratio * 0.01, ratio * 0.01, 0.0),
+        physical=PhysicalConfig(ratio, ratio),
         models=("non_isotropic",),
         scattering_s=spec,
         scattering_r=spec,

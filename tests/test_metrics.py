@@ -35,11 +35,9 @@ from holowdm.metrics import (
 from holowdm.scattering import Cluster, ScatteringSpec
 from holowdm.wavenumber import PhysicalConfig, variance_profile
 
-LAMBDA = 0.01
-
 
 def iso_profiles(ratio):
-    cfg = PhysicalConfig(LAMBDA, ratio * LAMBDA, ratio * LAMBDA, 0.0)
+    cfg = PhysicalConfig(ratio, ratio)
     return (
         variance_profile(cfg, ScatteringSpec.isotropic(), "source"),
         variance_profile(cfg, ScatteringSpec.isotropic(), "receiver"),
@@ -94,12 +92,25 @@ class TestDof:
         assert result.per_side == (256, 256)
 
     def test_isotropic_counts_come_from_the_profiles(self):
-        cfg = PhysicalConfig(LAMBDA, 16 * LAMBDA, 8 * LAMBDA, 0.0)
+        cfg = PhysicalConfig(16, 8)
         ps = variance_profile(cfg, ScatteringSpec.isotropic(), "source")
         pr = variance_profile(cfg, ScatteringSpec.isotropic(), "receiver")
         result = dof(ps, pr, 0.003, isotropic=True)
         assert result.per_side == (32, 16)
         assert result.dof == 16
+
+    @pytest.mark.parametrize(
+        "ratios, per_side", [((16.5, 8.25), (11, 6)), ((8.25, 16.5), (6, 11))]
+    )
+    def test_non_isotropic_dof_is_the_smaller_side(self, ratios, per_side):
+        # n_s != n_r, each side the larger in turn
+        cfg = PhysicalConfig(*ratios)
+        mixture = default_config().scattering_s
+        ps = variance_profile(cfg, mixture, "source")
+        pr = variance_profile(cfg, mixture, "receiver")
+        result = dof(ps, pr, 0.003, isotropic=False)
+        assert result.per_side == per_side
+        assert result.dof == 6
 
     def test_two_equal_atoms(self):
         ps, pr = iso_profiles(8)
@@ -113,7 +124,7 @@ class TestDof:
     @pytest.mark.parametrize("scale", [2.0, 0.5])
     def test_scale_free(self, scale):
         # the prefix is a share of each side's own total mass
-        cfg = PhysicalConfig(LAMBDA, 32 * LAMBDA, 32 * LAMBDA, 0.0)
+        cfg = PhysicalConfig(32, 32)
         mixture = default_config().scattering_s
         ps = variance_profile(cfg, mixture, "source")
         pr = variance_profile(cfg, mixture, "receiver")
@@ -208,7 +219,7 @@ class TestWaterfill:
 
 class TestWdmDiagonalShortcut:
     def test_eigenvalues_equal_sorted_diagonal(self):
-        cfg = PhysicalConfig(LAMBDA, 32 * LAMBDA, 32 * LAMBDA, 0.0)
+        cfg = PhysicalConfig(32, 32)
         ps = variance_profile(cfg, ScatteringSpec.isotropic(), "source")
         pr = variance_profile(cfg, ScatteringSpec.isotropic(), "receiver")
         model = build_wdm_correlation(ps, pr)
@@ -413,7 +424,7 @@ def _spectrum_model(model):
 def test_ergodic_capacity_matches_plain_reference(ratios):
     # WDM runs the recipe on its own variances, Jakes on its eigenvalues,
     # and iid on the bidiagonal model: each within 1e-12 relative
-    physical = PhysicalConfig(LAMBDA, ratios[0] * LAMBDA, ratios[1] * LAMBDA, 0.0)
+    physical = PhysicalConfig(*ratios)
     cfg = default_config()
     grid = (-10.0, 10.0, 30.0)
     realizations = 3 if ratios == (128, 128) else 12
@@ -496,7 +507,7 @@ class TestAngularDomainCapacity:
 
     @pytest.mark.filterwarnings("ignore:aperture shorter")
     def test_jakes_is_the_model_of_its_eigenvalues(self):
-        jakes = build_jakes_correlation(PhysicalConfig(LAMBDA, 8 * LAMBDA, 4 * LAMBDA, 0.0))
+        jakes = build_jakes_correlation(PhysicalConfig(8, 4))
         grid = (0.0, 10.0, 30.0)
         got = ergodic_capacity(jakes, grid, 1.0, 20, base_seed=17).capacity_bits
         want = ergodic_capacity(_spectrum_model(jakes), grid, 1.0, 20, base_seed=17).capacity_bits
@@ -506,7 +517,7 @@ class TestAngularDomainCapacity:
 
     @pytest.mark.filterwarnings("ignore:aperture shorter")
     def test_jakes_against_physical_basis_monte_carlo(self):
-        jakes = build_jakes_correlation(PhysicalConfig(LAMBDA, 4 * LAMBDA, 8 * LAMBDA, 0.0))
+        jakes = build_jakes_correlation(PhysicalConfig(4, 8))
         assert (jakes.R_s.shape[0], jakes.R_r.shape[0]) == (8, 16)
         grid = (0.0, 10.0, 30.0)
         got = ergodic_capacity(jakes, grid, 1.0, 2000, base_seed=71)
@@ -519,7 +530,7 @@ class TestAngularDomainCapacity:
             raise AssertionError(f"square root of {name} taken")
 
         monkeypatch.setattr(channel, "_hermitian_sqrt", refuse)
-        jakes = build_jakes_correlation(PhysicalConfig(LAMBDA, 8 * LAMBDA, 8 * LAMBDA, 0.0))
+        jakes = build_jakes_correlation(PhysicalConfig(8, 8))
         result = ergodic_capacity(jakes, (0.0, 30.0), 1.0, 4, base_seed=2)
         assert np.all(result.capacity_bits > 0.0)
 
@@ -596,7 +607,7 @@ class TestOnePassCapacity:
     def test_all_models_in_one_pass_equal_each_alone_bitwise(self, ratios):
         cfg = replace(
             default_config(),
-            physical=PhysicalConfig(LAMBDA, ratios[0] * LAMBDA, ratios[1] * LAMBDA, 0.0),
+            physical=PhysicalConfig(*ratios),
         )
         models = [correlation_for(cfg, name) for name in MODEL_NAMES]
         # two narrow clusters far apart leave a gap of negligible modes
@@ -630,7 +641,7 @@ class TestOnePassCapacity:
         # forked workers would count in their own memory
         monkeypatch.setattr(metrics, "worker_count", lambda: 1)
         cfg = replace(
-            default_config(), physical=PhysicalConfig(LAMBDA, 8 * LAMBDA, 8 * LAMBDA, 0.0),
+            default_config(), physical=PhysicalConfig(8, 8),
             realizations=5,
         )
         run_capacity(cfg)
@@ -684,7 +695,7 @@ class TestOnePassCapacity:
 
 
 def _pool_models():
-    cfg = replace(default_config(), physical=PhysicalConfig(LAMBDA, 8 * LAMBDA, 6 * LAMBDA, 0.0))
+    cfg = replace(default_config(), physical=PhysicalConfig(8, 6))
     return [correlation_for(cfg, name) for name in MODEL_NAMES] + [
         # all gains zero: a constant side of zeros, and a dense side whose
         # other side keeps no mode

@@ -1,5 +1,6 @@
 """Grid construction and variance profiles."""
 
+import dataclasses
 import math
 from functools import cache
 
@@ -14,16 +15,14 @@ from holowdm import scattering
 from holowdm.scattering import Cluster, ScatteringSpec, integrate_density, psf_density
 from holowdm.wavenumber import (
     PhysicalConfig,
+    _partition_bounds,
     build_grid,
     variance_profile,
 )
 
-LAMBDA = 0.01
 
-
-def config(ratio_s, ratio_r=None, wavelength=LAMBDA):
-    ratio_r = ratio_s if ratio_r is None else ratio_r
-    return PhysicalConfig(wavelength, ratio_s * wavelength, ratio_r * wavelength, 0.0)
+def config(ratio_s, ratio_r=None):
+    return PhysicalConfig(ratio_s, ratio_s if ratio_r is None else ratio_r)
 
 
 @pytest.fixture(scope="module")
@@ -56,18 +55,24 @@ def mixture():
 
 
 class TestPhysicalConfig:
-    def test_wavenumber(self, cfg128):
-        assert cfg128.k == pytest.approx(2 * math.pi / LAMBDA, rel=1e-15)
-
     def test_validation(self):
-        with pytest.raises(ValueError):
-            PhysicalConfig(0.0, 1.0, 1.0)
-        with pytest.raises(ValueError):
-            PhysicalConfig(0.01, -1.0, 1.0)
-        with pytest.raises(ValueError):
-            PhysicalConfig(0.01, 1.0, 1.0, d=-0.5)
-        with pytest.raises(ValueError, match="k = 2 pi / wavelength overflows"):
-            PhysicalConfig(1e-310, 1.0, 1.0)
+        with pytest.raises(ValueError, match="L_s_over_lambda"):
+            PhysicalConfig(0.0, 16.0)
+        with pytest.raises(ValueError, match="L_r_over_lambda"):
+            PhysicalConfig(16.0, -1.0)
+        with pytest.raises(ValueError, match="L_r_over_lambda"):
+            PhysicalConfig(16.0, math.inf)
+
+    def test_fields_are_the_two_ratios(self):
+        # the geometry is dimensionless: a wavelength, a separation or a
+        # wavenumber given to it fails loudly
+        assert [f.name for f in dataclasses.fields(PhysicalConfig)] == [
+            "L_s_over_lambda", "L_r_over_lambda",
+        ]
+        with pytest.raises(TypeError):
+            PhysicalConfig(0.01, 1.28, 1.28, 0.0)
+        with pytest.raises(TypeError):
+            PhysicalConfig(wavelength=0.01, L_s=1.28, L_r=1.28)
 
     def test_small_aperture_warns(self):
         with pytest.warns(UserWarning, match="8 wavelengths"):
@@ -76,7 +81,7 @@ class TestPhysicalConfig:
     def test_small_aperture_warning_points_at_the_caller(self):
         # not at the __init__ the dataclass generates, whose file is "<string>"
         with pytest.warns(UserWarning, match="8 wavelengths") as record:
-            PhysicalConfig(0.01, 0.04, 0.04)
+            PhysicalConfig(4, 4)
         assert [w.filename for w in record] == [__file__]
 
     def test_mode_counts(self, cfg128):
@@ -85,7 +90,7 @@ class TestPhysicalConfig:
         with pytest.raises(ValueError):
             cfg128.mode_count("sideways")
         with pytest.raises(ValueError, match="no finite mode count"):
-            PhysicalConfig(1.0, 1e308, 1e308).mode_count("source")
+            PhysicalConfig(1e308, 1e308).mode_count("source")
 
 
 class TestBuildGrid:
@@ -123,17 +128,33 @@ class TestBuildGrid:
     def test_cardinality_and_visibility(self, ratio):
         cfg = config(ratio)
         indices = build_grid(cfg, "source")
-        assert indices.size == math.floor(2 * cfg.L_s / cfg.wavelength + 1e-9)
-        # every retained index is a propagating direction
-        assert np.all(np.abs(2 * math.pi * indices / cfg.L_s) <= cfg.k * (1 + 1e-9))
+        assert indices.size == math.floor(2 * ratio + 1e-9)
+        # every retained index is a propagating direction, |m| <= L/lambda
+        assert np.all(np.abs(indices) <= ratio * (1 + 1e-9))
         # the selection rule the closed form replaces: the n visible indices
         # of smallest magnitude, ties toward the negative one
-        m_hi = math.floor(cfg.L_s / cfg.wavelength * (1.0 + 1e-12) + 1e-9)
+        m_hi = math.floor(ratio * (1.0 + 1e-12) + 1e-9)
         candidates = sorted(range(-m_hi, m_hi + 1), key=lambda m: (abs(m), m))
         assert np.array_equal(indices, sorted(candidates[:indices.size]))
 
+    @pytest.mark.filterwarnings("ignore:aperture shorter")
+    def test_integer_ratio_partitions_end_at_0_and_pi(self):
+        # each edge is one division by L/lambda, so the outermost edges are
+        # arccos(1) and arccos(-1) exactly
+        for ratio in range(1, 2049):
+            cfg = config(ratio)
+            lo, hi = _partition_bounds(cfg, "source", build_grid(cfg, "source"))
+            assert (lo.min(), hi.max()) == (0.0, math.pi), ratio
+
 
 class TestVarianceProfile:
+    @pytest.mark.parametrize("ratio", [10, 20, 40, 49, 103])
+    def test_integer_ratio_isotropic_mass_is_whole(self, ratio):
+        # no sliver at 0 or pi: the raw masses sum to 1 within roundoff
+        for side in ("source", "receiver"):
+            profile = variance_profile(config(ratio), ScatteringSpec.isotropic(), side)
+            assert abs(1.0 - profile.variances.sum()) <= 1e-15
+
     @pytest.mark.filterwarnings("ignore:aperture shorter")
     @pytest.mark.parametrize("side", ["source", "receiver"])
     @pytest.mark.parametrize("ratio", [1, 2, 7, 16.5, 128])
@@ -205,8 +226,8 @@ class TestVarianceProfile:
 
 def _partition(cfg, side, m):
     """Directions owned by index m: arccos((m + 1) lambda / L) to arccos(m lambda / L)."""
-    step = cfg.wavelength / cfg.aperture(side)
-    return tuple(math.acos(min(1.0, max(-1.0, step * j))) for j in (m + 1, m))
+    ratio = cfg.aperture(side)
+    return tuple(math.acos(min(1.0, max(-1.0, j / ratio))) for j in (m + 1, m))
 
 
 def _quad_reference(cfg, spec, side):
