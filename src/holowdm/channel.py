@@ -21,7 +21,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .blas import one_thread
 from .specfun import bessel_j0
-from .wavenumber import PhysicalConfig, VarianceProfile
+from .wavenumber import VarianceProfile
 
 __all__ = [
     "CorrelationModel",
@@ -212,22 +212,19 @@ def build_wdm_correlation(
     profile_s: VarianceProfile, profile_r: VarianceProfile
 ) -> CorrelationModel:
     """Diagonal correlation from partition masses, each side scaled to tr(R) = n."""
-    if profile_s.side != "source" or profile_r.side != "receiver":
-        raise ValueError("profiles must be (source, receiver) in that order")
     return CorrelationModel(_to_trace_n(profile_s.variances), _to_trace_n(profile_r.variances))
 
 
-def build_jakes_correlation(cfg: PhysicalConfig) -> CorrelationModel:
+def build_jakes_correlation(n_s: int, n_r: int) -> CorrelationModel:
     """Toeplitz correlation of the lines sampled at half-wavelength spacing.
 
-    The sample count per side matches the wavenumber mode count, so the Jakes
-    and wavenumber spectra live on the same index axis.  Entry (i, j) is
-    J0(k |i - j| lambda/2) = J0(pi |i - j|), from specfun.bessel_j0 on the
-    whole lag array; the diagonal is J0(0) = 1, so tr R = n with no
-    normalization.  Each side is a read-only strided view over its 2 n - 1
+    n_s and n_r are the sample counts, which are the wavenumber mode counts
+    (wavenumber.mode_count), so the Jakes and wavenumber spectra live on the
+    same index axis.  Entry (i, j) is J0(k |i - j| lambda/2) = J0(pi |i - j|),
+    from specfun.bessel_j0 on the whole lag array; the diagonal is J0(0) = 1,
+    so tr R = n with no normalization.  Each side is a read-only strided view over its 2 n - 1
     lag values, and equal sides are one array.
     """
-    n_s, n_r = cfg.mode_count("source"), cfg.mode_count("receiver")
     lags = bessel_j0(math.pi * np.arange(max(n_s, n_r)))
     R_s = _toeplitz_view(lags[:n_s])
     return CorrelationModel(R_s, R_s if n_r == n_s else _toeplitz_view(lags[:n_r]))

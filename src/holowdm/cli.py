@@ -91,7 +91,7 @@ def _physical(raw: dict, default: PhysicalConfig) -> PhysicalConfig:
     lambda_m and d_m are checked, then unread: every statistic of the study
     depends on the apertures through L / lambda alone.  A side whose
     2 L / lambda is past the range of a double, or too short to carry a mode,
-    raises here, naming the key, before any experiment runs.
+    is refused by PhysicalConfig, naming the key, before any experiment runs.
     """
     if "lambda_m" in raw:
         _positive("lambda_m", raw["lambda_m"])
@@ -99,22 +99,19 @@ def _physical(raw: dict, default: PhysicalConfig) -> PhysicalConfig:
         d = _number("d_m", raw["d_m"])
         if not (math.isfinite(d) and d >= 0.0):
             raise ValueError(f"d_m must be non-negative and finite, got {d}")
-    phys = PhysicalConfig(
+    return PhysicalConfig(
         _positive("L_s_over_lambda", raw.get("L_s_over_lambda", default.L_s_over_lambda)),
         _positive("L_r_over_lambda", raw.get("L_r_over_lambda", default.L_r_over_lambda)),
     )
-    for key, side in (("L_s_over_lambda", "source"), ("L_r_over_lambda", "receiver")):
-        try:
-            phys.mode_count(side)
-        except ValueError as exc:
-            raise ValueError(f"{key}: {exc}") from None
-    return phys
 
 
 def _unique_keys(pairs):
-    keys = [key for key, _ in pairs]
-    if len(set(keys)) < len(keys):
-        raise ValueError(f"key {next(k for k in keys if keys.count(k) > 1)!r} is given twice")
+    # one pass: the first key seen a second time is the one named
+    seen = set()
+    for key, _ in pairs:
+        if key in seen:
+            raise ValueError(f"key {key!r} is given twice")
+        seen.add(key)
     return dict(pairs)
 
 

@@ -26,7 +26,7 @@ from .metrics import check_monte_carlo_args, dbw_to_watts, dof, ergodic_capaciti
 # bound here for bench/tracing.py, which wraps it by this name
 from .metrics import ergodic_capacity  # noqa: F401
 from .scattering import Cluster, ScatteringSpec, psf_density
-from .wavenumber import SIDES, PhysicalConfig, VarianceProfile, variance_profile
+from .wavenumber import PhysicalConfig, VarianceProfile, mode_count, variance_profile
 
 __all__ = [
     "MODEL_NAMES",
@@ -81,9 +81,6 @@ class ExperimentConfig:
     noise_var_dbw: float = 0.0
 
     def __post_init__(self) -> None:
-        for side in SIDES:
-            # a side without modes is refused here, naming it, before any stage
-            self.physical.mode_count(side)
         if not self.models:
             raise ValueError("models must not be empty")
         for name in self.models:
@@ -120,24 +117,25 @@ class Table:
         return list(zip(*self.data, strict=True))
 
 
-def _spec_for(cfg: ExperimentConfig, model: str, side: str) -> ScatteringSpec:
+def _specs(cfg: ExperimentConfig, model: str) -> tuple[ScatteringSpec, ScatteringSpec]:
+    """Source and receiver scattering of a scattering model."""
     if model == "isotropic":
-        return ScatteringSpec.isotropic()
-    return cfg.scattering_s if side == "source" else cfg.scattering_r
+        return (ScatteringSpec.isotropic(),) * 2
+    return cfg.scattering_s, cfg.scattering_r
 
 
 @lru_cache(maxsize=8)
-def _shared_profile(phys: PhysicalConfig, spec: ScatteringSpec, side: str) -> VarianceProfile:
-    """variance_profile, computed once per (geometry, scattering, side).
+def _shared_profile(L_over_lambda: float, spec: ScatteringSpec) -> VarianceProfile:
+    """variance_profile, computed once per (aperture, scattering).
 
-    The eigs, dof and capacity experiments all need the same four profiles;
-    the cached variances are read-only because every caller shares them.
-    The grid has modes (ExperimentConfig checks), so the one ValueError left
-    is a cluster spec that puts no mass on it, which is refused naming
-    clusters.
+    The eigs, dof and capacity experiments all need the same profiles, and
+    the two sides of a symmetric config are one; the cached variances are
+    read-only because every caller shares them.  The grid has modes
+    (PhysicalConfig checks), so the one ValueError left is a cluster spec
+    that puts no mass on it, which is refused naming clusters.
     """
     try:
-        profile = variance_profile(phys, spec, side)
+        profile = variance_profile(L_over_lambda, spec)
     except ValueError as exc:
         raise ValueError(f"clusters: {exc}") from None
     profile.variances.flags.writeable = False
@@ -145,20 +143,20 @@ def _shared_profile(phys: PhysicalConfig, spec: ScatteringSpec, side: str) -> Va
 
 
 def _profiles(cfg: ExperimentConfig, model: str) -> tuple[VarianceProfile, VarianceProfile]:
-    phys = cfg.physical
+    spec_s, spec_r = _specs(cfg, model)
     return (
-        _shared_profile(phys, _spec_for(cfg, model, "source"), "source"),
-        _shared_profile(phys, _spec_for(cfg, model, "receiver"), "receiver"),
+        _shared_profile(cfg.physical.L_s_over_lambda, spec_s),
+        _shared_profile(cfg.physical.L_r_over_lambda, spec_r),
     )
 
 
 def correlation_for(cfg: ExperimentConfig, model: str) -> CorrelationModel:
     """Correlation model backing one experiment model name."""
-    phys = cfg.physical
+    counts = mode_count(cfg.physical.L_s_over_lambda), mode_count(cfg.physical.L_r_over_lambda)
     if model == "iid":
-        return build_iid_correlation(phys.mode_count("source"), phys.mode_count("receiver"))
+        return build_iid_correlation(*counts)
     if model == "jakes":
-        return build_jakes_correlation(phys)
+        return build_jakes_correlation(*counts)
     if model in _SCATTERING_MODELS:
         return build_wdm_correlation(*_profiles(cfg, model))
     raise ValueError(f"unknown model {model!r}")
@@ -172,7 +170,7 @@ def run_psf_profile(cfg: ExperimentConfig) -> Table:
         if model in _SCATTERING_MODELS:
             angles += thetas.tolist()
             labels += [model] * thetas.size
-            values += psf_density(_spec_for(cfg, model, "receiver"), thetas).tolist()
+            values += psf_density(_specs(cfg, model)[1], thetas).tolist()
     return Table(("theta_rad", "model", "psf_density"), (angles, labels, values))
 
 

@@ -32,7 +32,7 @@ from holowdm.specfun import (
     bessel_ratio_i1_i0,
     solve_concentration,
 )
-from holowdm.wavenumber import PhysicalConfig, variance_profile
+from holowdm.wavenumber import PhysicalConfig, mode_count, variance_profile
 
 REFERENCE = default_config()
 PHYS = REFERENCE.physical  # 128-wavelength lines
@@ -49,15 +49,15 @@ def _prefix_index(variances, epsilon=0.003):
 @pytest.fixture(scope="module")
 def mixture_profiles():
     return (
-        variance_profile(PHYS, REFERENCE.scattering_s, "source"),
-        variance_profile(PHYS, REFERENCE.scattering_r, "receiver"),
+        variance_profile(PHYS.L_s_over_lambda, REFERENCE.scattering_s),
+        variance_profile(PHYS.L_r_over_lambda, REFERENCE.scattering_r),
     )
 
 
 def test_criterion_1_isotropic_dof():
     start = time.perf_counter()
-    profile_s = variance_profile(PHYS, ScatteringSpec.isotropic(), "source")
-    profile_r = variance_profile(PHYS, ScatteringSpec.isotropic(), "receiver")
+    profile_s = variance_profile(PHYS.L_s_over_lambda, ScatteringSpec.isotropic())
+    profile_r = variance_profile(PHYS.L_r_over_lambda, ScatteringSpec.isotropic())
     result = dof(profile_s, profile_r, REFERENCE.epsilon, isotropic=True)
     elapsed = time.perf_counter() - start
     assert result.dof == 256
@@ -67,8 +67,8 @@ def test_criterion_1_isotropic_dof():
 
 def test_criterion_2_non_isotropic_dof():
     start = time.perf_counter()
-    profile_s = variance_profile(PHYS, REFERENCE.scattering_s, "source")
-    profile_r = variance_profile(PHYS, REFERENCE.scattering_r, "receiver")
+    profile_s = variance_profile(PHYS.L_s_over_lambda, REFERENCE.scattering_s)
+    profile_r = variance_profile(PHYS.L_r_over_lambda, REFERENCE.scattering_r)
     result = dof(profile_s, profile_r, 0.003, isotropic=False)
     elapsed = time.perf_counter() - start
     assert abs(result.dof - 82) <= 1
@@ -88,10 +88,12 @@ def test_criterion_3_jakes_closed_form():
 
 
 def test_criterion_4_spectrum_coincidence(mixture_profiles):
-    profile_s = variance_profile(PHYS, ScatteringSpec.isotropic(), "source")
-    profile_r = variance_profile(PHYS, ScatteringSpec.isotropic(), "receiver")
+    profile_s = variance_profile(PHYS.L_s_over_lambda, ScatteringSpec.isotropic())
+    profile_r = variance_profile(PHYS.L_r_over_lambda, ScatteringSpec.isotropic())
     wdm_iso = build_wdm_correlation(profile_s, profile_r)
-    jakes = build_jakes_correlation(PHYS)
+    jakes = build_jakes_correlation(
+        mode_count(PHYS.L_s_over_lambda), mode_count(PHYS.L_r_over_lambda)
+    )
 
     iso_eigs, _ = hermitian_eigs(wdm_iso.dense("R_r"))
     jakes_eigs, _ = hermitian_eigs(jakes.R_r)
@@ -154,7 +156,9 @@ def test_criterion_6_kronecker_covariance():
     # Dense-correlation case: the Jakes Toeplitz has unit diagonal, so every
     # vec(H) coefficient has unit variance and the absolute bound is a proper
     # five-sigma test of the Kronecker structure.
-    jakes = build_jakes_correlation(small)
+    jakes = build_jakes_correlation(
+        mode_count(small.L_s_over_lambda), mode_count(small.L_r_over_lambda)
+    )
     assert jakes.R_s.shape[0] == 8
     jakes_dev = _sample_covariance(jakes, draws, 40_000) - np.kron(jakes.R_s, jakes.R_r)
     worst_jakes = float(np.abs(jakes_dev).max())
@@ -163,8 +167,8 @@ def test_criterion_6_kronecker_covariance():
     # Diagonal-correlation case: coefficient variances are unequal, so the
     # same threshold is applied to the studentized deviations (per-entry
     # estimator std is sqrt(C_ii * C_jj / draws)).
-    profile_s = variance_profile(small, ScatteringSpec.isotropic(), "source")
-    profile_r = variance_profile(small, ScatteringSpec.isotropic(), "receiver")
+    profile_s = variance_profile(small.L_s_over_lambda, ScatteringSpec.isotropic())
+    profile_r = variance_profile(small.L_r_over_lambda, ScatteringSpec.isotropic())
     wdm = build_wdm_correlation(profile_s, profile_r)
     expected = np.kron(wdm.dense("R_s"), wdm.dense("R_r"))
     sample = _sample_covariance(wdm, draws, 60_000)

@@ -21,7 +21,7 @@ from holowdm.channel import (
 from holowdm.metrics import ergodic_capacity
 from holowdm.scattering import Cluster, ScatteringSpec
 from holowdm.specfun import bessel_j0
-from holowdm.wavenumber import PhysicalConfig, variance_profile
+from holowdm.wavenumber import PhysicalConfig, mode_count, variance_profile
 
 REJECTED = "{} must be a non-empty variance vector (real, finite, non-negative) or a real symmetric Toeplitz matrix"
 
@@ -40,8 +40,8 @@ def assert_same_spectrum(got, want):
 
 def profiles(cfg, spec):
     return (
-        variance_profile(cfg, spec, "source"),
-        variance_profile(cfg, spec, "receiver"),
+        variance_profile(cfg.L_s_over_lambda, spec),
+        variance_profile(cfg.L_r_over_lambda, spec),
     )
 
 
@@ -95,12 +95,6 @@ class TestWdmCorrelation:
             significant = int(np.sum(np.diag(R) > 1e-6 * np.trace(R)))
             assert significant == 102
 
-    def test_swapped_sides_rejected(self):
-        cfg = config(8)
-        ps, pr = profiles(cfg, ScatteringSpec.isotropic())
-        with pytest.raises(ValueError, match="source, receiver"):
-            build_wdm_correlation(pr, ps)
-
     def test_massless_side_rejected(self):
         ps, pr = profiles(config(8), ScatteringSpec.isotropic())
         with pytest.raises(ValueError, match="non-positive trace"):
@@ -116,7 +110,7 @@ class TestWdmCorrelation:
 
 @pytest.fixture(scope="module")
 def jakes_model():
-    return build_jakes_correlation(config(128))
+    return build_jakes_correlation(256, 256)
 
 
 class TestJakesCorrelation:
@@ -142,15 +136,13 @@ class TestJakesCorrelation:
     def test_matches_wdm_mode_count(self, jakes_model):
         assert jakes_model.R_r.shape == (256, 256)
 
-    @pytest.mark.filterwarnings("ignore:aperture shorter")
     @pytest.mark.parametrize(
         "ratios", [(8, 8), (16, 8), (8, 16), (16.5, 8.25), (3.3, 5.1), (0.5, 0.5), (0.5, 1.5)]
     )
     def test_sides_equal_the_lag_gather_bitwise(self, ratios):
-        cfg = PhysicalConfig(*ratios)
-        model = build_jakes_correlation(cfg)
-        for name, side in (("R_s", "source"), ("R_r", "receiver")):
-            n = cfg.mode_count(side)
+        counts = [mode_count(ratio) for ratio in ratios]
+        model = build_jakes_correlation(*counts)
+        for name, n in zip(("R_s", "R_r"), counts):
             gains = np.array([bessel_j0(math.pi * m) for m in range(n)])
             i = np.arange(n)
             want = gains[np.abs(i[:, None] - i[None, :])]
@@ -161,7 +153,7 @@ class TestJakesCorrelation:
             # a read-only view whose rows step back one lag and columns one
             # lag forward: it addresses 2 n - 1 values, not an n x n gather
             assert not R.flags.writeable and R.strides == (-R.itemsize, R.itemsize)
-        if cfg.mode_count("source") == cfg.mode_count("receiver"):
+        if counts[0] == counts[1]:
             assert model.R_s is model.R_r
         else:
             assert not np.shares_memory(model.R_s, model.R_r)
@@ -231,7 +223,7 @@ class TestDrawChannel:
     @pytest.mark.parametrize("ratios", [(128, 128), (16, 8), (8, 16)])
     def test_diagonal_models_match_dense_product(self, mixture, ratios):
         cfg = PhysicalConfig(*ratios)
-        models = [build_iid_correlation(cfg.mode_count("source"), cfg.mode_count("receiver"))]
+        models = [build_iid_correlation(*(mode_count(ratio) for ratio in ratios))]
         for spec in (ScatteringSpec.isotropic(), mixture):
             models.append(build_wdm_correlation(*profiles(cfg, spec)))
         for model in models:
@@ -303,12 +295,9 @@ class TestCorrelationStorage:
 
         monkeypatch.setattr(channel, "_hermitian_sqrt", counting)
         monkeypatch.setenv("HOLOWDM_THREADS", threads)
-        for cfg, roots in (
-            (config(8), ["R_s"]),
-            (PhysicalConfig(8, 16), ["R_r", "R_s"]),
-        ):
+        for counts, roots in (((16, 16), ["R_s"]), ((16, 32), ["R_r", "R_s"])):
             calls.clear()
-            model = build_jakes_correlation(cfg)
+            model = build_jakes_correlation(*counts)
             assert calls == []
             ergodic_capacity(model, (0.0, 10.0), 1.0, 6, base_seed=3)
             assert calls == []
@@ -332,7 +321,7 @@ class TestCorrelationStorage:
 
         monkeypatch.setattr(channel, "side_spectrum", counting_spectrum)
         monkeypatch.setattr(channel, "_hermitian_sqrt", counting_sqrt)
-        model = build_jakes_correlation(config(8))
+        model = build_jakes_correlation(16, 16)
         angular = model.angular()
         assert spectra == [id(model.R_s)]
         assert angular.R_r is angular.R_s
@@ -342,7 +331,7 @@ class TestCorrelationStorage:
         # unequal sides are two arrays, each solved once
         spectra.clear()
         roots.clear()
-        model = build_jakes_correlation(PhysicalConfig(8, 16))
+        model = build_jakes_correlation(16, 32)
         model.angular()
         assert model.R_r_sqrt is not model.R_s_sqrt
         assert spectra == [id(model.R_s), id(model.R_r)]
@@ -411,10 +400,9 @@ class TestToeplitzSpectrum:
             channel._toeplitz_eigenvalues(jakes_lags(5))
         assert threading.active_count() == alive
 
-    @pytest.mark.filterwarnings("ignore:aperture shorter")
     @pytest.mark.parametrize("ratios", [(16.5, 8.25), (8, 16)])
     def test_non_square_jakes(self, ratios):
-        model = build_jakes_correlation(PhysicalConfig(*ratios))
+        model = build_jakes_correlation(*(mode_count(ratio) for ratio in ratios))
         angular = model.angular()
         for side in ("R_s", "R_r"):
             want = np.linalg.eigvalsh(getattr(model, side))

@@ -19,7 +19,7 @@ import holowdm
 from holowdm import blas, cli
 from holowdm.cli import emit_csv, main, parse_config
 from holowdm.harness import Table, default_config
-from holowdm.wavenumber import PhysicalConfig
+from holowdm.wavenumber import PhysicalConfig, mode_count
 
 
 class TestParseConfig:
@@ -75,7 +75,7 @@ class TestParseConfig:
         # the mode count is 2 L / lambda whatever lambda_m is
         raw = {"lambda_m": 1e308, "L_s_over_lambda": 1, "L_r_over_lambda": 1}
         physical = parse_config(json.dumps(raw)).physical
-        assert physical.mode_count("source") == physical.mode_count("receiver") == 2
+        assert mode_count(physical.L_s_over_lambda) == mode_count(physical.L_r_over_lambda) == 2
 
     def test_negative_length_names_key(self):
         with pytest.raises(ValueError, match="L_s_over_lambda"):
@@ -466,6 +466,37 @@ def test_out_on_a_file_is_refused_in_one_line(tmp_path, under):
     assert "Traceback" not in result.stderr
     assert result.stderr.startswith(f"holowdm: --out {out}: ")
     assert len(result.stderr.splitlines()) == 1
+
+
+@pytest.mark.parametrize("key", ["L_s_over_lambda", "L_r_over_lambda"])
+def test_aperture_without_modes_is_refused_in_one_line(tmp_path, key):
+    # the refusal is all of stderr: no small-aperture warning comes before it
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({key: 0.25}))
+    result = subprocess.run(
+        [sys.executable, "-m", "holowdm", "dof", "--config", str(config),
+         "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=_package_env(), timeout=120,
+    )
+    assert result.returncode == 2
+    assert result.stderr.startswith(f"holowdm: invalid config: {key}: ")
+    assert len(result.stderr.splitlines()) == 1
+
+
+def test_repeated_key_in_a_large_config_is_found_in_one_pass(tmp_path):
+    # 100,000 keys, the last a repeat of the one before it: a search that
+    # counts every key over all of them runs for minutes
+    config = tmp_path / "config.json"
+    config.write_text("{" + "".join(f'"k{i}": 0, ' for i in range(99_999)) + '"k99998": 1}')
+    result = subprocess.run(
+        [sys.executable, "-m", "holowdm", "dof", "--config", str(config),
+         "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=_package_env(), timeout=20,
+    )
+    assert result.returncode == 2
+    assert result.stderr == (
+        "holowdm: invalid config: config is not valid JSON: key 'k99998' is given twice\n"
+    )
 
 
 def test_all_bytes_do_not_depend_on_blas_threads(tmp_path):

@@ -19,7 +19,7 @@ from holowdm.harness import (
     run_psf_profile,
 )
 from holowdm.scattering import ISOTROPIC_DENSITY, Cluster, ScatteringSpec
-from holowdm.wavenumber import PhysicalConfig, variance_profile
+from holowdm.wavenumber import PhysicalConfig, mode_count, variance_profile
 
 
 @pytest.fixture(scope="module")
@@ -58,10 +58,10 @@ class TestDefaultConfig:
         with pytest.raises(ValueError):
             replace(default_config(), power_grid_dbw=())
 
-    @pytest.mark.filterwarnings("ignore:aperture shorter")
     def test_side_without_modes_refused_up_front(self):
-        # not later, from inside a profile, where it would read as a clusters error
-        with pytest.raises(ValueError, match="^source aperture shorter than half a wavelength"):
+        # by the geometry itself, naming its field; not later, from inside a
+        # profile, where it would read as a clusters error
+        with pytest.raises(ValueError, match="^L_s_over_lambda: an aperture shorter than half"):
             replace(default_config(), physical=PhysicalConfig(0.4, 16))
 
     @pytest.mark.parametrize(
@@ -114,7 +114,7 @@ class TestEigenSpectrum:
     def test_iid_spectrum_flat(self, desk_cfg):
         table = run_eigen_spectrum(desk_cfg)
         assert table.columns == ("index", "model", "normalized_eigenvalue")
-        n = desk_cfg.physical.mode_count("receiver")
+        n = mode_count(desk_cfg.physical.L_r_over_lambda)
         iid = [r for r in table.rows if r[1] == "iid"]
         assert len(iid) == n
         assert all(r[2] == pytest.approx(1.0 / n, rel=1e-12) for r in iid)
@@ -154,7 +154,7 @@ class TestDofTable:
         assert table.columns == ("model", "dof", "n_s_prime", "n_r_prime", "epsilon")
         by_model = {r[0]: r for r in table.rows}
         assert set(by_model) == {"isotropic", "non_isotropic"}
-        n = desk_cfg.physical.mode_count("source")
+        n = mode_count(desk_cfg.physical.L_s_over_lambda)
         assert by_model["isotropic"][1] == n
         assert by_model["non_isotropic"][1] <= n
 
@@ -204,7 +204,9 @@ class TestCapacityTable:
 
 
 class TestSharedProfiles:
-    def test_each_quadrature_runs_once(self, desk_cfg, monkeypatch):
+    @pytest.fixture
+    def quadratures(self, monkeypatch):
+        """The arguments of every variance_profile call the harness makes."""
         calls = []
 
         def counting(*args):
@@ -213,18 +215,38 @@ class TestSharedProfiles:
 
         harness._shared_profile.cache_clear()
         monkeypatch.setattr(harness, "variance_profile", counting)
-        try:
-            run_eigen_spectrum(desk_cfg)
-            run_dof(desk_cfg)
-            run_capacity(replace(desk_cfg, realizations=1))
-            # (isotropic, mixture) x (source, receiver)
-            assert len(calls) == 4
-            profile = harness._shared_profile(*calls[0])
-            assert len(calls) == 4
-            with pytest.raises(ValueError):
-                profile.variances[0] = 0.0
-        finally:
-            harness._shared_profile.cache_clear()
+        yield calls
+        harness._shared_profile.cache_clear()
+
+    @staticmethod
+    def run_all(cfg):
+        run_eigen_spectrum(cfg)
+        run_dof(cfg)
+        run_capacity(replace(cfg, realizations=1))
+
+    def test_each_quadrature_runs_once(self, desk_cfg, quadratures):
+        self.run_all(desk_cfg)
+        # isotropic and mixture; the two sides of a symmetric config share
+        # one profile
+        assert len(quadratures) == 2
+        profile = harness._shared_profile(*quadratures[0])
+        assert len(quadratures) == 2
+        with pytest.raises(ValueError):
+            profile.variances[0] = 0.0
+        for model in ("isotropic", "non_isotropic"):
+            profile_s, profile_r = harness._profiles(desk_cfg, model)
+            assert profile_s is profile_r
+
+    def test_asymmetric_sides_run_one_quadrature_each(self, desk_cfg, quadratures):
+        # (isotropic, mixture) x (16, 8 wavelengths)
+        self.run_all(replace(desk_cfg, physical=PhysicalConfig(16, 8)))
+        assert len(quadratures) == 4
+        # one isotropic profile serves both sides; the mixtures differ
+        harness._shared_profile.cache_clear()
+        quadratures.clear()
+        narrow = ScatteringSpec.mixture((Cluster(1.0, math.radians(45.0), 0.001),))
+        self.run_all(replace(desk_cfg, scattering_r=narrow))
+        assert len(quadratures) == 3
 
 
 class TestLazySquareRoots:
@@ -312,7 +334,7 @@ class TestClustersNearTheEdges:
             return
         assert np.all(np.isfinite(spectrum)) and np.all(np.diff(spectrum) <= 0.0)
         assert spectrum.sum() == pytest.approx(1.0, rel=1e-12)
-        assert dofs[0] <= cfg.physical.mode_count("receiver")
+        assert dofs[0] <= mode_count(cfg.physical.L_r_over_lambda)
 
     @pytest.mark.parametrize("ratio, mean_deg, circ_var", SLIVERS)
     @pytest.mark.parametrize("runner", [run_eigen_spectrum, run_dof, run_capacity])

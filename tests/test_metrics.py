@@ -33,14 +33,14 @@ from holowdm.metrics import (
     worker_count,
 )
 from holowdm.scattering import Cluster, ScatteringSpec
-from holowdm.wavenumber import PhysicalConfig, variance_profile
+from holowdm.wavenumber import PhysicalConfig, VarianceProfile, variance_profile
 
 
 def iso_profiles(ratio):
-    cfg = PhysicalConfig(ratio, ratio)
+    # two profiles, not one object: some tests replace a side's variances
     return (
-        variance_profile(cfg, ScatteringSpec.isotropic(), "source"),
-        variance_profile(cfg, ScatteringSpec.isotropic(), "receiver"),
+        variance_profile(ratio, ScatteringSpec.isotropic()),
+        variance_profile(ratio, ScatteringSpec.isotropic()),
     )
 
 
@@ -92,9 +92,8 @@ class TestDof:
         assert result.per_side == (256, 256)
 
     def test_isotropic_counts_come_from_the_profiles(self):
-        cfg = PhysicalConfig(16, 8)
-        ps = variance_profile(cfg, ScatteringSpec.isotropic(), "source")
-        pr = variance_profile(cfg, ScatteringSpec.isotropic(), "receiver")
+        ps = variance_profile(16, ScatteringSpec.isotropic())
+        pr = variance_profile(8, ScatteringSpec.isotropic())
         result = dof(ps, pr, 0.003, isotropic=True)
         assert result.per_side == (32, 16)
         assert result.dof == 16
@@ -104,10 +103,8 @@ class TestDof:
     )
     def test_non_isotropic_dof_is_the_smaller_side(self, ratios, per_side):
         # n_s != n_r, each side the larger in turn
-        cfg = PhysicalConfig(*ratios)
         mixture = default_config().scattering_s
-        ps = variance_profile(cfg, mixture, "source")
-        pr = variance_profile(cfg, mixture, "receiver")
+        ps, pr = (variance_profile(ratio, mixture) for ratio in ratios)
         result = dof(ps, pr, 0.003, isotropic=False)
         assert result.per_side == per_side
         assert result.dof == 6
@@ -124,10 +121,8 @@ class TestDof:
     @pytest.mark.parametrize("scale", [2.0, 0.5])
     def test_scale_free(self, scale):
         # the prefix is a share of each side's own total mass
-        cfg = PhysicalConfig(32, 32)
         mixture = default_config().scattering_s
-        ps = variance_profile(cfg, mixture, "source")
-        pr = variance_profile(cfg, mixture, "receiver")
+        ps = pr = variance_profile(32, mixture)
         scaled = replace(ps, variances=ps.variances * scale)
         for epsilon in (0.003, 0.1, 0.5):
             want = dof(ps, pr, epsilon, isotropic=False)
@@ -146,6 +141,13 @@ class TestDof:
             for e in (0.003, 0.1, 0.5)
         ]
         assert counts[0] >= counts[1] >= counts[2]
+
+    def test_prefix_share_grazed_by_roundoff_counts_one(self):
+        # the first variance holds 1 - epsilon of the total but for one ulp;
+        # the 1e-12 slack counts it alone, where the exact share counts 2
+        first = np.nextafter(0.997, 0.0)
+        profile = VarianceProfile(np.arange(2), np.array([first, 1.0 - first]))
+        assert dof(profile, profile, 0.003, isotropic=False).per_side == (1, 1)
 
 
 class TestWaterfill:
@@ -193,6 +195,15 @@ class TestWaterfill:
         assert allocation.sum() == pytest.approx(1e-300, rel=1e-12)
         assert np.all(allocation >= 0.0)
 
+    def test_mode_turned_on_by_roundoff_gets_no_negative_power(self):
+        # the power sits a few ulps past the third mode's breakpoint, so its
+        # level mu - 1 / gain is smaller than the rounding remainder taken
+        # back from the active modes: unclipped, it would read -5.9e-16
+        gains = [3.791692910721645, 16.455075879696142, 0.06644909651374312]
+        allocation = waterfill(gains, 29.773721178276453, 1.0)
+        assert np.all(allocation >= 0.0)
+        assert allocation.sum() == 29.773721178276453
+
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             waterfill([0.0, 0.0], 1.0, 1.0)
@@ -219,10 +230,7 @@ class TestWaterfill:
 
 class TestWdmDiagonalShortcut:
     def test_eigenvalues_equal_sorted_diagonal(self):
-        cfg = PhysicalConfig(32, 32)
-        ps = variance_profile(cfg, ScatteringSpec.isotropic(), "source")
-        pr = variance_profile(cfg, ScatteringSpec.isotropic(), "receiver")
-        model = build_wdm_correlation(ps, pr)
+        model = build_wdm_correlation(*iso_profiles(32))
         R_r = model.dense("R_r")
         w, _ = hermitian_eigs(R_r)
         assert np.allclose(w, np.sort(np.diag(R_r))[::-1], atol=1e-12)
@@ -505,9 +513,8 @@ class TestAngularDomainCapacity:
         )
         assert np.allclose(base.capacity_bits, scaled.capacity_bits, rtol=1e-12, atol=0.0)
 
-    @pytest.mark.filterwarnings("ignore:aperture shorter")
     def test_jakes_is_the_model_of_its_eigenvalues(self):
-        jakes = build_jakes_correlation(PhysicalConfig(8, 4))
+        jakes = build_jakes_correlation(16, 8)
         grid = (0.0, 10.0, 30.0)
         got = ergodic_capacity(jakes, grid, 1.0, 20, base_seed=17).capacity_bits
         want = ergodic_capacity(_spectrum_model(jakes), grid, 1.0, 20, base_seed=17).capacity_bits
@@ -515,9 +522,8 @@ class TestAngularDomainCapacity:
         # from a dense eigvalsh: the two round differently
         assert np.allclose(got, want, rtol=1e-12, atol=0.0)
 
-    @pytest.mark.filterwarnings("ignore:aperture shorter")
     def test_jakes_against_physical_basis_monte_carlo(self):
-        jakes = build_jakes_correlation(PhysicalConfig(4, 8))
+        jakes = build_jakes_correlation(8, 16)
         assert (jakes.R_s.shape[0], jakes.R_r.shape[0]) == (8, 16)
         grid = (0.0, 10.0, 30.0)
         got = ergodic_capacity(jakes, grid, 1.0, 2000, base_seed=71)
@@ -530,9 +536,25 @@ class TestAngularDomainCapacity:
             raise AssertionError(f"square root of {name} taken")
 
         monkeypatch.setattr(channel, "_hermitian_sqrt", refuse)
-        jakes = build_jakes_correlation(PhysicalConfig(8, 8))
+        jakes = build_jakes_correlation(16, 16)
         result = ergodic_capacity(jakes, (0.0, 30.0), 1.0, 4, base_seed=2)
         assert np.all(result.capacity_bits > 0.0)
+
+    def test_dropped_modes_move_the_capacity_by_roundoff_alone(self, monkeypatch):
+        # the reason for _NEGLIGIBLE_VARIANCE: the default non-isotropic
+        # model keeps 137 of its 256 modes, and the capacity from those is
+        # the capacity from all of them within roundoff
+        cfg = default_config()
+        model = correlation_for(cfg, "non_isotropic")
+        assert metrics._significant_modes(model.R_s).size < model.R_s.size
+        runs = []
+        for threshold in (metrics._NEGLIGIBLE_VARIANCE, 0.0):
+            monkeypatch.setattr(metrics, "_NEGLIGIBLE_VARIANCE", threshold)
+            runs.append(ergodic_capacity(
+                model, cfg.power_grid_dbw, cfg.noise_var_watts(), 20, cfg.seed
+            ).capacity_bits)
+        kept, every = runs
+        assert np.max(np.abs(kept - every) / every) <= 1e-14
 
     def test_capacity_caches_no_root_on_a_diagonal_model(self):
         # a diagonal model is its own angular form, so a root cached there

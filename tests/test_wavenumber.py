@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 from functools import cache
 
 import mpmath
@@ -17,17 +18,9 @@ from holowdm.wavenumber import (
     PhysicalConfig,
     _partition_bounds,
     build_grid,
+    mode_count,
     variance_profile,
 )
-
-
-def config(ratio_s, ratio_r=None):
-    return PhysicalConfig(ratio_s, ratio_s if ratio_r is None else ratio_r)
-
-
-@pytest.fixture(scope="module")
-def cfg128():
-    return config(128)
 
 
 @pytest.fixture
@@ -76,7 +69,7 @@ class TestPhysicalConfig:
 
     def test_small_aperture_warns(self):
         with pytest.warns(UserWarning, match="8 wavelengths"):
-            config(4)
+            PhysicalConfig(4, 4)
 
     def test_small_aperture_warning_points_at_the_caller(self):
         # not at the __init__ the dataclass generates, whose file is "<string>"
@@ -84,41 +77,49 @@ class TestPhysicalConfig:
             PhysicalConfig(4, 4)
         assert [w.filename for w in record] == [__file__]
 
-    def test_mode_counts(self, cfg128):
-        assert cfg128.mode_count("source") == 256
-        assert cfg128.mode_count("receiver") == 256
-        with pytest.raises(ValueError):
-            cfg128.mode_count("sideways")
+    def test_mode_counts(self):
+        assert mode_count(128) == 256
+        assert mode_count(16.5) == mode_count(16.75) == 33
         with pytest.raises(ValueError, match="no finite mode count"):
-            PhysicalConfig(1e308, 1e308).mode_count("source")
+            mode_count(1e308)
+        with pytest.raises(ValueError, match="carries no modes"):
+            mode_count(0.4)
+
+    def test_side_without_modes_is_refused_naming_its_field(self):
+        with pytest.raises(ValueError, match="^L_s_over_lambda: .*no finite mode count"):
+            PhysicalConfig(1e308, 1e308)
+        with pytest.raises(ValueError, match="^L_r_over_lambda: .*carries no modes"):
+            PhysicalConfig(16, 0.25)
+
+    def test_side_without_modes_is_refused_before_the_warning(self):
+        # the refusal is the one message: no small-aperture warning precedes it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^L_s_over_lambda: .*carries no modes"):
+                PhysicalConfig(0.25, 16)
 
 
 class TestBuildGrid:
-    def test_reference_length(self, cfg128):
-        indices = build_grid(cfg128, "source")
+    def test_reference_length(self):
+        indices = build_grid(128)
         assert indices.size == 256
         assert indices[0] == -128 and indices[-1] == 127
         assert np.array_equal(indices, np.arange(-128, 128))
 
-    @pytest.mark.filterwarnings("ignore:aperture shorter")
     def test_sub_wavelength(self):
-        assert list(build_grid(config(0.6), "source")) == [0]
+        assert list(build_grid(0.6)) == [0]
 
-    @pytest.mark.filterwarnings("ignore:aperture shorter")
     def test_fractional_ratio(self):
-        assert list(build_grid(config(2.5), "receiver")) == [-2, -1, 0, 1, 2]
+        assert list(build_grid(2.5)) == [-2, -1, 0, 1, 2]
 
-    @pytest.mark.filterwarnings("ignore:aperture shorter")
     def test_too_short_for_any_mode(self):
         with pytest.raises(ValueError, match="no modes"):
-            build_grid(config(0.4), "source")
+            build_grid(0.4)
 
-    @pytest.mark.filterwarnings("ignore:aperture shorter")
     @given(st.integers(min_value=1, max_value=256))
     def test_integer_ratio_exact_index_set(self, q):
-        assert np.array_equal(build_grid(config(q), "source"), np.arange(-q, q))
+        assert np.array_equal(build_grid(q), np.arange(-q, q))
 
-    @pytest.mark.filterwarnings("ignore:aperture shorter")
     @given(st.floats(min_value=0.5, max_value=300.0))
     @example(0.5 + 1e-10)
     @example(2.5 - 1e-10)
@@ -126,8 +127,7 @@ class TestBuildGrid:
     @example(127.5 - 1e-10)
     @example(127.5 + 1e-10)
     def test_cardinality_and_visibility(self, ratio):
-        cfg = config(ratio)
-        indices = build_grid(cfg, "source")
+        indices = build_grid(ratio)
         assert indices.size == math.floor(2 * ratio + 1e-9)
         # every retained index is a propagating direction, |m| <= L/lambda
         assert np.all(np.abs(indices) <= ratio * (1 + 1e-9))
@@ -137,13 +137,11 @@ class TestBuildGrid:
         candidates = sorted(range(-m_hi, m_hi + 1), key=lambda m: (abs(m), m))
         assert np.array_equal(indices, sorted(candidates[:indices.size]))
 
-    @pytest.mark.filterwarnings("ignore:aperture shorter")
     def test_integer_ratio_partitions_end_at_0_and_pi(self):
         # each edge is one division by L/lambda, so the outermost edges are
         # arccos(1) and arccos(-1) exactly
         for ratio in range(1, 2049):
-            cfg = config(ratio)
-            lo, hi = _partition_bounds(cfg, "source", build_grid(cfg, "source"))
+            lo, hi = _partition_bounds(ratio, build_grid(ratio))
             assert (lo.min(), hi.max()) == (0.0, math.pi), ratio
 
 
@@ -151,21 +149,16 @@ class TestVarianceProfile:
     @pytest.mark.parametrize("ratio", [10, 20, 40, 49, 103])
     def test_integer_ratio_isotropic_mass_is_whole(self, ratio):
         # no sliver at 0 or pi: the raw masses sum to 1 within roundoff
-        for side in ("source", "receiver"):
-            profile = variance_profile(config(ratio), ScatteringSpec.isotropic(), side)
-            assert abs(1.0 - profile.variances.sum()) <= 1e-15
+        profile = variance_profile(ratio, ScatteringSpec.isotropic())
+        assert abs(1.0 - profile.variances.sum()) <= 1e-15
 
-    @pytest.mark.filterwarnings("ignore:aperture shorter")
-    @pytest.mark.parametrize("side", ["source", "receiver"])
     @pytest.mark.parametrize("ratio", [1, 2, 7, 16.5, 128])
-    def test_isotropic_closed_form(self, ratio, side):
+    def test_isotropic_closed_form(self, ratio):
         # index m owns the directions between arccos((m + 1) lambda / L) and
         # arccos(m lambda / L), so the centre partition ends at pi / 2 and
         # the outermost ones at 0 and, for integer L/lambda, pi
-        cfg = config(ratio, 8) if side == "source" else config(8, ratio)
-        profile = variance_profile(cfg, ScatteringSpec.isotropic(), side)
+        profile = variance_profile(ratio, ScatteringSpec.isotropic())
         idx = profile.indices
-        assert profile.side == side
         expected = (
             np.arccos(np.clip(idx / ratio, -1, 1)) - np.arccos(np.clip((idx + 1) / ratio, -1, 1))
         ) / math.pi
@@ -176,30 +169,30 @@ class TestVarianceProfile:
         assert (sliver == 0.0) == (ratio == int(ratio))
         assert profile.variances.sum() == pytest.approx(1.0 - sliver / math.pi, abs=1e-12)
 
-    def test_isotropic_center_entry(self, cfg128):
-        profile = variance_profile(cfg128, ScatteringSpec.isotropic(), "receiver")
+    def test_isotropic_center_entry(self):
+        profile = variance_profile(128, ScatteringSpec.isotropic())
         center = profile.variances[profile.indices == 0][0]
         assert center == pytest.approx((math.pi / 2 - math.acos(1 / 128)) / math.pi, rel=1e-12)
         # first-order arccos expansion puts it near 1/(128 pi)
         assert center == pytest.approx(1.0 / (128 * math.pi), rel=2e-5)
 
-    def test_isotropic_mirror_symmetry(self, cfg128):
-        profile = variance_profile(cfg128, ScatteringSpec.isotropic(), "source")
+    def test_isotropic_mirror_symmetry(self):
+        profile = variance_profile(128, ScatteringSpec.isotropic())
         v = profile.variances
         idx = profile.indices
         for n in (0, 3, 77, 127):
             assert v[idx == n][0] == pytest.approx(v[idx == -n - 1][0], rel=1e-12)
 
-    def test_mixture_prefix_count(self, cfg128, mixture):
-        profile = variance_profile(cfg128, mixture, "receiver")
+    def test_mixture_prefix_count(self, mixture):
+        profile = variance_profile(128, mixture)
         ordered = np.sort(profile.variances)[::-1]
         count = int(np.searchsorted(np.cumsum(ordered) / ordered.sum(), 1 - 0.003)) + 1
         assert count == 82
 
-    def test_missing_mass_is_the_vmf_mass_outside_the_half_circle(self, cfg128, mixture):
+    def test_missing_mass_is_the_vmf_mass_outside_the_half_circle(self, mixture):
         # the masses are raw, so what they lack of 1 is the density's mass
         # on [pi, 2 pi), here taken at 40 digits
-        profile = variance_profile(cfg128, mixture, "source")
+        profile = variance_profile(128, mixture)
         with mpmath.workdps(40):
             outside = mpmath.quad(
                 lambda t: mpmath.fsum(
@@ -213,29 +206,28 @@ class TestVarianceProfile:
         assert float(outside) > 1e-8
         assert 1.0 - profile.variances.sum() == pytest.approx(float(outside), abs=1e-12)
 
-    def test_non_negative(self, cfg128, mixture):
-        profile = variance_profile(cfg128, mixture, "receiver")
+    def test_non_negative(self, mixture):
+        profile = variance_profile(128, mixture)
         assert np.all(profile.variances >= 0.0)
 
     def test_massless_density_raises(self, monkeypatch):
         # a ValueError, as for a narrow cluster in an uncovered sliver
         monkeypatch.setattr(scattering, "_raw_density", lambda spec, theta: 0.0 * theta)
-        with pytest.raises(ValueError, match="carries no mass on the source"):
-            variance_profile(config(8), ScatteringSpec.isotropic(), "source")
+        with pytest.raises(ValueError, match="carries no mass on the partitions"):
+            variance_profile(8, ScatteringSpec.isotropic())
 
 
-def _partition(cfg, side, m):
+def _partition(ratio, m):
     """Directions owned by index m: arccos((m + 1) lambda / L) to arccos(m lambda / L)."""
-    ratio = cfg.aperture(side)
     return tuple(math.acos(min(1.0, max(-1.0, j / ratio))) for j in (m + 1, m))
 
 
-def _quad_reference(cfg, spec, side):
+def _quad_reference(ratio, spec):
     """Unnormalized profile by one adaptive quadrature per partition."""
     means = [c.mean_angle for c in spec.clusters]
     values = []
-    for n in build_grid(cfg, side):
-        lo, hi = _partition(cfg, side, int(n))
+    for n in build_grid(ratio):
+        lo, hi = _partition(ratio, int(n))
         value, _ = integrate.quad(
             lambda t: psf_density(spec, t), lo, hi, epsabs=1e-13, epsrel=1e-12,
             limit=200, points=[m for m in means if lo < m < hi] or None,
@@ -249,7 +241,6 @@ def _mpmath_reference(ratio, spec):
     """Unnormalized profile of spec on the L/lambda = ratio grid, each
     partition integrated by mpmath at 40 digits with the density's own
     concentrations."""
-    cfg = config(ratio)
     with mpmath.workdps(40):
         terms = [
             (
@@ -264,8 +255,8 @@ def _mpmath_reference(ratio, spec):
             return mpmath.fsum(s * mpmath.exp(k * mpmath.cos(t - m)) for k, m, s in terms)
 
         values = []
-        for n in build_grid(cfg, "source"):
-            lo, hi = _partition(cfg, "source", int(n))
+        for n in build_grid(ratio):
+            lo, hi = _partition(ratio, int(n))
             points = [lo, *(m for _, m, _ in terms if lo < m < hi), hi]
             values.append(float(mpmath.quad(density, [mpmath.mpf(p) for p in points])))
     return np.array(values)
@@ -296,29 +287,27 @@ class TestPartitionQuadrature:
             "isotropic": ScatteringSpec.isotropic(),
             "edge": EDGE_CLUSTERS,
         }[spec_name]
-        cfg = config(*ratios)
-        for side, ratio in zip(("source", "receiver"), ratios):
-            got = variance_profile(cfg, spec, side).variances
+        for ratio in ratios:
+            got = variance_profile(ratio, spec).variances
             if spec_name == "edge":
                 want = _mpmath_reference(ratio, spec)
                 assert np.abs(got - want).max() <= 1e-13
             else:
-                want = _quad_reference(cfg, spec, side)
+                want = _quad_reference(ratio, spec)
                 assert np.abs(got - want).max() <= 1e-15
 
     @pytest.mark.parametrize("ratio", [16.5, 32])
     def test_single_cluster_matches_mpmath(self, ratio):
         # kappa ~ 1e5 at 71.3 degrees: the partition holding the mean sums
         # its panels over several passes
-        got = variance_profile(config(ratio), SINGLE, "source").variances
+        got = variance_profile(ratio, SINGLE).variances
         assert np.abs(got - _mpmath_reference(ratio, SINGLE)).max() <= 1e-13
 
     def test_refinement_runs_where_the_rule_is_not_enough(self, mixture, gauss_passes):
         # the first pass holds every partition, split at the means inside
         # it; each later pass holds the halves of the panels it refines
-        cfg = config(8)
-        variance_profile(cfg, mixture, "receiver")
-        bounds = [_partition(cfg, "receiver", int(n)) for n in build_grid(cfg, "receiver")]
+        variance_profile(8, mixture)
+        bounds = [_partition(8, int(n)) for n in build_grid(8)]
         refined = {
             i for a in gauss_passes[1:] for x in a for i, (lo, hi) in enumerate(bounds)
             if lo <= x < hi
@@ -331,14 +320,14 @@ class TestPartitionQuadrature:
         # to those whose error estimate is too large, but not to all of them
         assert refined - holding and len(refined) < len(bounds)
         gauss_passes.clear()
-        variance_profile(config(128), ScatteringSpec.isotropic(), "receiver")
+        variance_profile(128, ScatteringSpec.isotropic())
         assert len(gauss_passes) == 1
 
     def test_refinement_error_still_raises(self, mixture, monkeypatch):
         # with one panel allowed, a partition holding a mean stays unconverged
         monkeypatch.setattr(scattering, "_PANEL_LIMIT", 1)
         with pytest.raises(RuntimeError, match="partition quadrature error"):
-            variance_profile(config(8), mixture, "receiver")
+            variance_profile(8, mixture)
 
     def test_refinement_finds_a_peak_narrower_than_the_node_spacing(self):
         # kappa ~ 5e5 at the end of a 3 rad interval: the nearest Gauss node
@@ -356,7 +345,7 @@ class TestPartitionQuadrature:
         # unconverged value
         monkeypatch.setattr(scattering, "_PANEL_LIMIT", 8)
         with pytest.raises(RuntimeError, match="partition quadrature error"):
-            variance_profile(config(8), NARROW, "receiver")
+            variance_profile(8, NARROW)
         # the first pass holds the 16 partitions, the one holding the mean
         # as the two panels either side of it; each later pass holds the
         # two halves of every panel split
@@ -402,6 +391,6 @@ class TestPartitionQuadrature:
         # profile would not converge.  The floor left is the peak height
         # sqrt(kappa / 2 pi) ~ 3e3 times the ~1e-16 spacing of the doubles
         # that place the nodes.
-        got = variance_profile(config(8), NARROW, "source").variances
+        got = variance_profile(8, NARROW).variances
         assert np.abs(got - _mpmath_reference(8, NARROW)).max() <= 1e-12
         assert got.sum() == pytest.approx(1.0, abs=1e-12)
