@@ -13,6 +13,6 @@ from .channel import build_wdm_correlation, draw_channel
 from .harness import default_config
 from .metrics import ergodic_capacity
 from .scattering import Cluster, ScatteringSpec
-from .wavenumber import PhysicalConfig, variance_profile
+from .wavenumber import variance_profile
 
 __version__ = "0.1.0"

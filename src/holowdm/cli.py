@@ -7,25 +7,22 @@ import csv
 import json
 import math
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .harness import (
     ExperimentConfig,
     Table,
-    default_config,
     run_capacity,
     run_dof,
     run_eigen_spectrum,
     run_psf_profile,
 )
 from .scattering import Cluster, ScatteringSpec
-from .wavenumber import PhysicalConfig
 
 __all__ = ["parse_config", "emit_csv", "main"]
 
-_PHYSICAL_KEYS = ("lambda_m", "L_s_over_lambda", "L_r_over_lambda", "d_m")
-_KEYS = _PHYSICAL_KEYS + (
+_KEYS = (
+    "lambda_m", "L_s_over_lambda", "L_r_over_lambda", "d_m",
     "epsilon", "noise_var_dbw", "power_grid_dbw", "realizations", "seed", "models", "clusters",
 )
 
@@ -85,26 +82,6 @@ def _parse_clusters(raw) -> ScatteringSpec:
         raise ValueError(f"clusters.weight: {exc}") from None
 
 
-def _physical(raw: dict, default: PhysicalConfig) -> PhysicalConfig:
-    """The geometry from the keys in wavelengths, each omitted one at its default.
-
-    lambda_m and d_m are checked, then unread: every statistic of the study
-    depends on the apertures through L / lambda alone.  A side whose
-    2 L / lambda is past the range of a double, or too short to carry a mode,
-    is refused by PhysicalConfig, naming the key, before any experiment runs.
-    """
-    if "lambda_m" in raw:
-        _positive("lambda_m", raw["lambda_m"])
-    if "d_m" in raw:
-        d = _number("d_m", raw["d_m"])
-        if not (math.isfinite(d) and d >= 0.0):
-            raise ValueError(f"d_m must be non-negative and finite, got {d}")
-    return PhysicalConfig(
-        _positive("L_s_over_lambda", raw.get("L_s_over_lambda", default.L_s_over_lambda)),
-        _positive("L_r_over_lambda", raw.get("L_r_over_lambda", default.L_r_over_lambda)),
-    )
-
-
 def _unique_keys(pairs):
     # one pass: the first key seen a second time is the one named
     seen = set()
@@ -120,7 +97,9 @@ def parse_config(text: str) -> ExperimentConfig:
 
     An empty document yields the full default configuration.  Unknown keys and
     out-of-range values raise ValueError naming the offending key; the ranges
-    are checked by ExperimentConfig itself.
+    are checked by ExperimentConfig itself.  lambda_m and d_m are checked,
+    then unread: every statistic of the study depends on the apertures
+    through L / lambda alone.
     """
     if text.strip():
         try:
@@ -136,10 +115,16 @@ def parse_config(text: str) -> ExperimentConfig:
         if key not in _KEYS:
             raise ValueError(f"unknown config key {key!r}")
 
-    cfg = default_config()
+    if "lambda_m" in raw:
+        _positive("lambda_m", raw["lambda_m"])
+    if "d_m" in raw:
+        d = _number("d_m", raw["d_m"])
+        if not (math.isfinite(d) and d >= 0.0):
+            raise ValueError(f"d_m must be non-negative and finite, got {d}")
     changes = {}
-    if any(key in raw for key in _PHYSICAL_KEYS):
-        changes["physical"] = _physical(raw, cfg.physical)
+    for key in ("L_s_over_lambda", "L_r_over_lambda"):
+        if key in raw:
+            changes[key] = _positive(key, raw[key])
     for key in ("epsilon", "noise_var_dbw"):
         if key in raw:
             changes[key] = _number(key, raw[key])
@@ -159,7 +144,7 @@ def parse_config(text: str) -> ExperimentConfig:
         changes["models"] = tuple(raw["models"])
     if "clusters" in raw:
         changes["scattering_s"] = changes["scattering_r"] = _parse_clusters(raw["clusters"])
-    return replace(cfg, **changes)
+    return ExperimentConfig(**changes)
 
 
 def _format_column(name: str, values) -> list[str]:

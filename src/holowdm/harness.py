@@ -9,6 +9,7 @@ weights), epsilon = 0.003, noise at 0 dBW, and 500 channel realizations.
 from __future__ import annotations
 
 import math
+import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -26,7 +27,7 @@ from .metrics import check_monte_carlo_args, dbw_to_watts, dof, ergodic_capaciti
 # bound here for bench/tracing.py, which wraps it by this name
 from .metrics import ergodic_capacity  # noqa: F401
 from .scattering import Cluster, ScatteringSpec, psf_density
-from .wavenumber import PhysicalConfig, VarianceProfile, mode_count, variance_profile
+from .wavenumber import VarianceProfile, mode_count, variance_profile
 
 __all__ = [
     "MODEL_NAMES",
@@ -65,12 +66,17 @@ def _default_mixture() -> ScatteringSpec:
 class ExperimentConfig:
     """Full experiment parameterization; defaults reproduce the reference setup.
 
+    L_s_over_lambda / L_r_over_lambda are the source and receiver line lengths
+    in wavelengths, each of which must give its line at least one mode; a
+    ValueError names the field.  The Fourier-series channel model assumes
+    electrically large lines, so a warning is emitted below 8 wavelengths.
     scattering_s / scattering_r describe the non-isotropic model (the
     isotropic model needs no parameters); they default to the same mixture on
     both sides, but asymmetric specs are allowed.
     """
 
-    physical: PhysicalConfig = field(default_factory=lambda: PhysicalConfig(128.0, 128.0))
+    L_s_over_lambda: float = 128.0
+    L_r_over_lambda: float = 128.0
     scattering_s: ScatteringSpec = field(default_factory=_default_mixture)
     scattering_r: ScatteringSpec = field(default_factory=_default_mixture)
     models: tuple[str, ...] = MODEL_NAMES
@@ -81,6 +87,17 @@ class ExperimentConfig:
     noise_var_dbw: float = 0.0
 
     def __post_init__(self) -> None:
+        for name in ("L_s_over_lambda", "L_r_over_lambda"):
+            try:
+                mode_count(getattr(self, name))
+            except ValueError as exc:
+                raise ValueError(f"{name}: {exc}") from None
+        if min(self.L_s_over_lambda, self.L_r_over_lambda) < 8.0:
+            warnings.warn(
+                "aperture shorter than 8 wavelengths; the Fourier-series channel "
+                "model degrades on electrically small lines",
+                stacklevel=3,
+            )
         if not self.models:
             raise ValueError("models must not be empty")
         for name in self.models:
@@ -131,7 +148,7 @@ def _shared_profile(L_over_lambda: float, spec: ScatteringSpec) -> VarianceProfi
     The eigs, dof and capacity experiments all need the same profiles, and
     the two sides of a symmetric config are one; the cached variances are
     read-only because every caller shares them.  The grid has modes
-    (PhysicalConfig checks), so the one ValueError left is a cluster spec
+    (ExperimentConfig checks), so the one ValueError left is a cluster spec
     that puts no mass on it, which is refused naming clusters.
     """
     try:
@@ -145,14 +162,14 @@ def _shared_profile(L_over_lambda: float, spec: ScatteringSpec) -> VarianceProfi
 def _profiles(cfg: ExperimentConfig, model: str) -> tuple[VarianceProfile, VarianceProfile]:
     spec_s, spec_r = _specs(cfg, model)
     return (
-        _shared_profile(cfg.physical.L_s_over_lambda, spec_s),
-        _shared_profile(cfg.physical.L_r_over_lambda, spec_r),
+        _shared_profile(cfg.L_s_over_lambda, spec_s),
+        _shared_profile(cfg.L_r_over_lambda, spec_r),
     )
 
 
 def correlation_for(cfg: ExperimentConfig, model: str) -> CorrelationModel:
     """Correlation model backing one experiment model name."""
-    counts = mode_count(cfg.physical.L_s_over_lambda), mode_count(cfg.physical.L_r_over_lambda)
+    counts = mode_count(cfg.L_s_over_lambda), mode_count(cfg.L_r_over_lambda)
     if model == "iid":
         return build_iid_correlation(*counts)
     if model == "jakes":
@@ -204,7 +221,7 @@ def run_dof(cfg: ExperimentConfig) -> Table:
     results = [dof(*_profiles(cfg, m), cfg.epsilon, m == "isotropic") for m in models]
     return Table(("model", "dof", "n_s_prime", "n_r_prime", "epsilon"), (
         models, [r.dof for r in results], [r.per_side[0] for r in results],
-        [r.per_side[1] for r in results], [float(r.epsilon) for r in results],
+        [r.per_side[1] for r in results], [float(cfg.epsilon)] * len(results),
     ))
 
 

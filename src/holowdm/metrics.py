@@ -57,7 +57,6 @@ class DoFResult:
 
     dof: int
     per_side: tuple[int, int]
-    epsilon: float
 
 
 def _prefix_count(profile: VarianceProfile, epsilon: float) -> int:
@@ -87,10 +86,10 @@ def dof(
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
     if isotropic:
         n_s, n_r = profile_s.variances.size, profile_r.variances.size
-        return DoFResult(dof=min(n_s, n_r), per_side=(n_s, n_r), epsilon=epsilon)
+        return DoFResult(dof=min(n_s, n_r), per_side=(n_s, n_r))
     side_s = _prefix_count(profile_s, epsilon)
     side_r = _prefix_count(profile_r, epsilon)
-    return DoFResult(dof=min(side_s, side_r), per_side=(side_s, side_r), epsilon=epsilon)
+    return DoFResult(dof=min(side_s, side_r), per_side=(side_s, side_r))
 
 
 def waterfill(eigenvalues, total_power: float, noise_var: float) -> np.ndarray:

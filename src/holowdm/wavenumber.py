@@ -12,7 +12,6 @@ takes one line's L/lambda: a source and a receiver differ in nothing else.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,14 +19,16 @@ import numpy as np
 from .scattering import ScatteringSpec, integrate_density
 
 __all__ = [
-    "PhysicalConfig",
     "VarianceProfile",
     "build_grid",
     "mode_count",
     "variance_profile",
 ]
 
-# Tolerance for 2L/lambda landing a hair under an integer in floating point.
+# Doubling is exact, so a half-integer L/lambda read from a config needs no
+# snap; it serves a ratio a caller computed as a quotient: 1.2 / 0.1 is
+# 11.999999999999998, whose 2 L / lambda lands a hair under 24.  A ratio
+# within 5e-10 below a half-integer counts as that half-integer.
 _SNAP = 1e-9
 
 
@@ -40,33 +41,6 @@ def mode_count(L_over_lambda: float) -> int:
     if n < 1:
         raise ValueError("an aperture shorter than half a wavelength carries no modes")
     return n
-
-
-@dataclass(frozen=True)
-class PhysicalConfig:
-    """Geometry of the coaxial parallel line apertures, in wavelengths.
-
-    Each field is a line's length L divided by the wavelength, and must give
-    that line at least one mode; a ValueError names the field.  The
-    Fourier-series channel model assumes electrically large lines; a warning
-    is emitted below L/lambda = 8.
-    """
-
-    L_s_over_lambda: float
-    L_r_over_lambda: float
-
-    def __post_init__(self) -> None:
-        for name in ("L_s_over_lambda", "L_r_over_lambda"):
-            try:
-                mode_count(getattr(self, name))
-            except ValueError as exc:
-                raise ValueError(f"{name}: {exc}") from None
-        if min(self.L_s_over_lambda, self.L_r_over_lambda) < 8.0:
-            warnings.warn(
-                "aperture shorter than 8 wavelengths; the Fourier-series channel "
-                "model degrades on electrically small lines",
-                stacklevel=3,
-            )
 
 
 @dataclass(eq=False)

@@ -23,7 +23,7 @@ from holowdm.channel import (
     build_wdm_correlation,
     draw_channel,
 )
-from holowdm.harness import default_config, run_capacity
+from holowdm.harness import ExperimentConfig, default_config, run_capacity
 from holowdm.metrics import dof, hermitian_eigs, waterfill
 from holowdm.scattering import ScatteringSpec, acf_quadrature
 from holowdm.specfun import (
@@ -32,10 +32,10 @@ from holowdm.specfun import (
     bessel_ratio_i1_i0,
     solve_concentration,
 )
-from holowdm.wavenumber import PhysicalConfig, mode_count, variance_profile
+from holowdm.wavenumber import mode_count, variance_profile
 
 REFERENCE = default_config()
-PHYS = REFERENCE.physical  # 128-wavelength lines
+PHYS = REFERENCE  # 128-wavelength lines
 LAMBDA = 0.01  # the ACF of criterion 3 at a 1 cm wavelength
 K = 2.0 * math.pi / LAMBDA
 
@@ -151,7 +151,7 @@ def _sample_covariance(model, draws, seed_base):
 def test_criterion_6_kronecker_covariance():
     draws = 20_000
     bound = 5.0 / math.sqrt(draws)
-    small = PhysicalConfig(4, 4)
+    small = ExperimentConfig(L_s_over_lambda=4, L_r_over_lambda=4)
 
     # Dense-correlation case: the Jakes Toeplitz has unit diagonal, so every
     # vec(H) coefficient has unit variance and the absolute bound is a proper

@@ -21,13 +21,9 @@ from holowdm.channel import (
 from holowdm.metrics import ergodic_capacity
 from holowdm.scattering import Cluster, ScatteringSpec
 from holowdm.specfun import bessel_j0
-from holowdm.wavenumber import PhysicalConfig, mode_count, variance_profile
+from holowdm.wavenumber import mode_count, variance_profile
 
 REJECTED = "{} must be a non-empty variance vector (real, finite, non-negative) or a real symmetric Toeplitz matrix"
-
-
-def config(ratio):
-    return PhysicalConfig(ratio, ratio)
 
 
 def assert_same_spectrum(got, want):
@@ -38,11 +34,9 @@ def assert_same_spectrum(got, want):
     assert np.max(np.abs(got - want)) <= 1e-13 * want.max()
 
 
-def profiles(cfg, spec):
-    return (
-        variance_profile(cfg.L_s_over_lambda, spec),
-        variance_profile(cfg.L_r_over_lambda, spec),
-    )
+def profiles(ratios, spec):
+    """The source and receiver profiles of one spec at (L_s/lambda, L_r/lambda)."""
+    return tuple(variance_profile(ratio, spec) for ratio in ratios)
 
 
 @pytest.fixture(scope="module")
@@ -57,24 +51,20 @@ def mixture():
 
 @pytest.fixture(scope="module")
 def wdm_iso_small():
-    cfg = config(8)
-    ps, pr = profiles(cfg, ScatteringSpec.isotropic())
+    ps, pr = profiles((8, 8), ScatteringSpec.isotropic())
     return build_wdm_correlation(ps, pr)
 
 
 class TestWdmCorrelation:
-    @pytest.mark.filterwarnings("ignore:aperture shorter")
     def test_single_index_grid_normalizes_to_one(self):
-        cfg = config(0.6)
-        ps, pr = profiles(cfg, ScatteringSpec.isotropic())
+        ps, pr = profiles((0.6, 0.6), ScatteringSpec.isotropic())
         model = build_wdm_correlation(ps, pr)
         R_s = model.dense("R_s")
         assert R_s.shape == (1, 1)
         assert R_s[0, 0] == pytest.approx(1.0, rel=1e-14)
 
     def test_isotropic_trace_normalized(self):
-        cfg = config(128)
-        ps, pr = profiles(cfg, ScatteringSpec.isotropic())
+        ps, pr = profiles((128, 128), ScatteringSpec.isotropic())
         model = build_wdm_correlation(ps, pr)
         R_s, R_r = model.dense("R_s"), model.dense("R_r")
         assert np.trace(R_s) == pytest.approx(256.0, rel=1e-12)
@@ -88,15 +78,14 @@ class TestWdmCorrelation:
         # the vMF tails die off fast: only the partitions under the two
         # clusters carry non-negligible variance (value frozen from the
         # quadrature profile itself)
-        cfg = config(128)
-        ps, pr = profiles(cfg, mixture)
+        ps, pr = profiles((128, 128), mixture)
         model = build_wdm_correlation(ps, pr)
         for R in (model.dense("R_s"), model.dense("R_r")):
             significant = int(np.sum(np.diag(R) > 1e-6 * np.trace(R)))
             assert significant == 102
 
     def test_massless_side_rejected(self):
-        ps, pr = profiles(config(8), ScatteringSpec.isotropic())
+        ps, pr = profiles((8, 8), ScatteringSpec.isotropic())
         with pytest.raises(ValueError, match="non-positive trace"):
             build_wdm_correlation(replace(ps, variances=np.zeros(ps.indices.size)), pr)
 
@@ -222,10 +211,9 @@ class TestDrawChannel:
 
     @pytest.mark.parametrize("ratios", [(128, 128), (16, 8), (8, 16)])
     def test_diagonal_models_match_dense_product(self, mixture, ratios):
-        cfg = PhysicalConfig(*ratios)
         models = [build_iid_correlation(*(mode_count(ratio) for ratio in ratios))]
         for spec in (ScatteringSpec.isotropic(), mixture):
-            models.append(build_wdm_correlation(*profiles(cfg, spec)))
+            models.append(build_wdm_correlation(*profiles(ratios, spec)))
         for model in models:
             assert model.diagonal
             n_s, n_r = model.R_s.shape[0], model.R_r.shape[0]

@@ -19,14 +19,15 @@ import holowdm
 from holowdm import blas, cli
 from holowdm.cli import emit_csv, main, parse_config
 from holowdm.harness import Table, default_config
-from holowdm.wavenumber import PhysicalConfig, mode_count
+from holowdm.wavenumber import mode_count
 
 
 class TestParseConfig:
     def test_empty_document_yields_defaults(self):
         cfg = parse_config("")
         ref = default_config()
-        assert cfg.physical == ref.physical
+        assert cfg.L_s_over_lambda == ref.L_s_over_lambda
+        assert cfg.L_r_over_lambda == ref.L_r_over_lambda
         assert cfg.models == ref.models
         assert cfg.power_grid_dbw == ref.power_grid_dbw
         assert cfg.realizations == ref.realizations
@@ -34,7 +35,7 @@ class TestParseConfig:
         assert cfg.scattering_r == ref.scattering_r
 
     def test_empty_object_yields_defaults(self):
-        assert parse_config("{}").physical == default_config().physical
+        assert parse_config("{}") == parse_config("") == default_config()
 
     def test_cluster_list(self):
         cfg = parse_config(json.dumps({
@@ -74,8 +75,15 @@ class TestParseConfig:
     def test_largest_wavelength_keeps_its_mode_count(self):
         # the mode count is 2 L / lambda whatever lambda_m is
         raw = {"lambda_m": 1e308, "L_s_over_lambda": 1, "L_r_over_lambda": 1}
-        physical = parse_config(json.dumps(raw)).physical
-        assert mode_count(physical.L_s_over_lambda) == mode_count(physical.L_r_over_lambda) == 2
+        cfg = parse_config(json.dumps(raw))
+        assert mode_count(cfg.L_s_over_lambda) == mode_count(cfg.L_r_over_lambda) == 2
+
+    def test_small_aperture_warning_points_at_the_parser(self):
+        # ExperimentConfig is built in parse_config itself, not through
+        # dataclasses.replace, so the one warning names cli.py
+        with pytest.warns(UserWarning, match="8 wavelengths") as record:
+            parse_config('{"L_s_over_lambda": 4}')
+        assert [w.filename for w in record] == [cli.__file__]
 
     def test_negative_length_names_key(self):
         with pytest.raises(ValueError, match="L_s_over_lambda"):
@@ -139,7 +147,7 @@ class TestParseConfig:
         }
         cfg = parse_config(json.dumps(raw))
         # the geometry is L / lambda alone: lambda_m and d_m are checked, then unread
-        assert cfg.physical == PhysicalConfig(16, 32)
+        assert (cfg.L_s_over_lambda, cfg.L_r_over_lambda) == (16, 32)
         unread = {key: value for key, value in raw.items() if key not in ("lambda_m", "d_m")}
         assert parse_config(json.dumps(unread)) == cfg
         assert cfg.realizations == 7 and cfg.seed == 9

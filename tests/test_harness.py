@@ -1,7 +1,9 @@
 """Experiment pipelines: table shapes, reference values, determinism."""
 
+import dataclasses
 import importlib.util
 import math
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -11,6 +13,7 @@ import pytest
 from holowdm import channel, harness
 from holowdm.harness import (
     MODEL_NAMES,
+    ExperimentConfig,
     correlation_for,
     default_config,
     run_capacity,
@@ -19,7 +22,7 @@ from holowdm.harness import (
     run_psf_profile,
 )
 from holowdm.scattering import ISOTROPIC_DENSITY, Cluster, ScatteringSpec
-from holowdm.wavenumber import PhysicalConfig, mode_count, variance_profile
+from holowdm.wavenumber import mode_count, variance_profile
 
 
 @pytest.fixture(scope="module")
@@ -27,7 +30,8 @@ def desk_cfg():
     """Small, fast configuration for pipeline checks."""
     return replace(
         default_config(),
-        physical=PhysicalConfig(16, 16),
+        L_s_over_lambda=16,
+        L_r_over_lambda=16,
         realizations=6,
         power_grid_dbw=(0.0, 15.0, 30.0),
     )
@@ -36,7 +40,7 @@ def desk_cfg():
 class TestDefaultConfig:
     def test_reference_parameters(self):
         cfg = default_config()
-        assert cfg.physical == PhysicalConfig(128.0, 128.0)
+        assert (cfg.L_s_over_lambda, cfg.L_r_over_lambda) == (128.0, 128.0)
         assert cfg.epsilon == 0.003
         assert cfg.realizations == 500
         assert cfg.noise_var_dbw == 0.0
@@ -59,10 +63,10 @@ class TestDefaultConfig:
             replace(default_config(), power_grid_dbw=())
 
     def test_side_without_modes_refused_up_front(self):
-        # by the geometry itself, naming its field; not later, from inside a
+        # by the config itself, naming its field; not later, from inside a
         # profile, where it would read as a clusters error
         with pytest.raises(ValueError, match="^L_s_over_lambda: an aperture shorter than half"):
-            replace(default_config(), physical=PhysicalConfig(0.4, 16))
+            replace(default_config(), L_s_over_lambda=0.4)
 
     @pytest.mark.parametrize(
         "key, value",
@@ -80,6 +84,52 @@ class TestDefaultConfig:
     def test_unrunnable_value_names_its_key(self, key, value):
         with pytest.raises(ValueError, match=key):
             replace(default_config(), **{key: value})
+
+
+class TestApertures:
+    """The two line lengths in wavelengths, checked by ExperimentConfig."""
+
+    def test_validation(self):
+        with pytest.raises(ValueError, match="L_s_over_lambda"):
+            ExperimentConfig(L_s_over_lambda=0.0)
+        with pytest.raises(ValueError, match="L_r_over_lambda"):
+            ExperimentConfig(L_r_over_lambda=-1.0)
+        with pytest.raises(ValueError, match="L_r_over_lambda"):
+            ExperimentConfig(L_r_over_lambda=math.inf)
+
+    def test_apertures_are_two_ratios(self):
+        # the geometry is dimensionless: a wavelength, a separation or a
+        # wavenumber given to the config fails loudly
+        names = [f.name for f in dataclasses.fields(ExperimentConfig)]
+        assert names[:2] == ["L_s_over_lambda", "L_r_over_lambda"]
+        for key in ("wavelength", "L_s", "L_r", "d", "k"):
+            with pytest.raises(TypeError):
+                ExperimentConfig(**{key: 1.28})
+
+    def test_small_aperture_warns(self):
+        with pytest.warns(UserWarning, match="8 wavelengths"):
+            ExperimentConfig(L_s_over_lambda=4, L_r_over_lambda=4)
+        with pytest.warns(UserWarning, match="8 wavelengths"):
+            ExperimentConfig(L_r_over_lambda=7.5)
+
+    def test_small_aperture_warning_points_at_the_caller(self):
+        # not at the __init__ the dataclass generates, whose file is "<string>"
+        with pytest.warns(UserWarning, match="8 wavelengths") as record:
+            ExperimentConfig(L_s_over_lambda=4, L_r_over_lambda=4)
+        assert [w.filename for w in record] == [__file__]
+
+    def test_side_without_modes_is_refused_naming_its_field(self):
+        with pytest.raises(ValueError, match="^L_s_over_lambda: .*no finite mode count"):
+            ExperimentConfig(L_s_over_lambda=1e308, L_r_over_lambda=1e308)
+        with pytest.raises(ValueError, match="^L_r_over_lambda: .*carries no modes"):
+            ExperimentConfig(L_s_over_lambda=16, L_r_over_lambda=0.25)
+
+    def test_side_without_modes_is_refused_before_the_warning(self):
+        # the refusal is the one message: no small-aperture warning precedes it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^L_s_over_lambda: .*carries no modes"):
+                ExperimentConfig(L_s_over_lambda=0.25, L_r_over_lambda=16)
 
 
 class TestPsfProfile:
@@ -114,7 +164,7 @@ class TestEigenSpectrum:
     def test_iid_spectrum_flat(self, desk_cfg):
         table = run_eigen_spectrum(desk_cfg)
         assert table.columns == ("index", "model", "normalized_eigenvalue")
-        n = mode_count(desk_cfg.physical.L_r_over_lambda)
+        n = mode_count(desk_cfg.L_r_over_lambda)
         iid = [r for r in table.rows if r[1] == "iid"]
         assert len(iid) == n
         assert all(r[2] == pytest.approx(1.0 / n, rel=1e-12) for r in iid)
@@ -154,7 +204,7 @@ class TestDofTable:
         assert table.columns == ("model", "dof", "n_s_prime", "n_r_prime", "epsilon")
         by_model = {r[0]: r for r in table.rows}
         assert set(by_model) == {"isotropic", "non_isotropic"}
-        n = mode_count(desk_cfg.physical.L_s_over_lambda)
+        n = mode_count(desk_cfg.L_s_over_lambda)
         assert by_model["isotropic"][1] == n
         assert by_model["non_isotropic"][1] <= n
 
@@ -239,7 +289,7 @@ class TestSharedProfiles:
 
     def test_asymmetric_sides_run_one_quadrature_each(self, desk_cfg, quadratures):
         # (isotropic, mixture) x (16, 8 wavelengths)
-        self.run_all(replace(desk_cfg, physical=PhysicalConfig(16, 8)))
+        self.run_all(replace(desk_cfg, L_r_over_lambda=8))
         assert len(quadratures) == 4
         # one isotropic profile serves both sides; the mixtures differ
         harness._shared_profile.cache_clear()
@@ -279,11 +329,7 @@ class TestLazySquareRoots:
         try:
             tracer = tracing.Tracer()
             tracer.install()
-            cfg = replace(
-                default_config(),
-                physical=PhysicalConfig(8, 8),
-                realizations=2,
-            )
+            cfg = replace(default_config(), L_s_over_lambda=8, L_r_over_lambda=8, realizations=2)
             harness.run_eigen_spectrum(cfg)
             harness.run_capacity(cfg)
             layers = tracer.layers()
@@ -305,7 +351,8 @@ def one_cluster(ratio, mean_deg, circ_var):
     spec = ScatteringSpec.mixture([Cluster(1.0, math.radians(mean_deg), circ_var)])
     return replace(
         default_config(),
-        physical=PhysicalConfig(ratio, ratio),
+        L_s_over_lambda=ratio,
+        L_r_over_lambda=ratio,
         models=("non_isotropic",),
         scattering_s=spec,
         scattering_r=spec,
@@ -334,7 +381,7 @@ class TestClustersNearTheEdges:
             return
         assert np.all(np.isfinite(spectrum)) and np.all(np.diff(spectrum) <= 0.0)
         assert spectrum.sum() == pytest.approx(1.0, rel=1e-12)
-        assert dofs[0] <= mode_count(cfg.physical.L_r_over_lambda)
+        assert dofs[0] <= mode_count(cfg.L_r_over_lambda)
 
     @pytest.mark.parametrize("ratio, mean_deg, circ_var", SLIVERS)
     @pytest.mark.parametrize("runner", [run_eigen_spectrum, run_dof, run_capacity])

@@ -33,7 +33,7 @@ from holowdm.metrics import (
     worker_count,
 )
 from holowdm.scattering import Cluster, ScatteringSpec
-from holowdm.wavenumber import PhysicalConfig, VarianceProfile, variance_profile
+from holowdm.wavenumber import VarianceProfile, variance_profile
 
 
 def iso_profiles(ratio):
@@ -432,12 +432,11 @@ def _spectrum_model(model):
 def test_ergodic_capacity_matches_plain_reference(ratios):
     # WDM runs the recipe on its own variances, Jakes on its eigenvalues,
     # and iid on the bidiagonal model: each within 1e-12 relative
-    physical = PhysicalConfig(*ratios)
-    cfg = default_config()
+    cfg = replace(default_config(), L_s_over_lambda=ratios[0], L_r_over_lambda=ratios[1])
     grid = (-10.0, 10.0, 30.0)
     realizations = 3 if ratios == (128, 128) else 12
     for name in MODEL_NAMES:
-        model = correlation_for(replace(cfg, physical=physical), name)
+        model = correlation_for(cfg, name)
         got = ergodic_capacity(model, grid, 1.0, realizations, base_seed=31).capacity_bits
         if name == "iid":
             n_s, n_r = model.R_s.size, model.R_r.size
@@ -627,10 +626,7 @@ class TestOnePassCapacity:
     @pytest.mark.filterwarnings("ignore:aperture shorter")
     @pytest.mark.parametrize("ratios", [(128, 128), (16.5, 8.25), (8, 16)])
     def test_all_models_in_one_pass_equal_each_alone_bitwise(self, ratios):
-        cfg = replace(
-            default_config(),
-            physical=PhysicalConfig(*ratios),
-        )
+        cfg = replace(default_config(), L_s_over_lambda=ratios[0], L_r_over_lambda=ratios[1])
         models = [correlation_for(cfg, name) for name in MODEL_NAMES]
         # two narrow clusters far apart leave a gap of negligible modes
         gap = correlation_for(
@@ -662,10 +658,7 @@ class TestOnePassCapacity:
         monkeypatch.setattr(metrics, "draw_w", counting)
         # forked workers would count in their own memory
         monkeypatch.setattr(metrics, "worker_count", lambda: 1)
-        cfg = replace(
-            default_config(), physical=PhysicalConfig(8, 8),
-            realizations=5,
-        )
+        cfg = replace(default_config(), L_s_over_lambda=8, L_r_over_lambda=8, realizations=5)
         run_capacity(cfg)
         # jakes, isotropic and non_isotropic share each draw; iid needs none
         assert seeds == [int(s) for s in realization_seeds(cfg.seed, 5)]
@@ -717,7 +710,7 @@ class TestOnePassCapacity:
 
 
 def _pool_models():
-    cfg = replace(default_config(), physical=PhysicalConfig(8, 6))
+    cfg = replace(default_config(), L_s_over_lambda=8, L_r_over_lambda=6)
     return [correlation_for(cfg, name) for name in MODEL_NAMES] + [
         # all gains zero: a constant side of zeros, and a dense side whose
         # other side keeps no mode
