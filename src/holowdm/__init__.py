@@ -10,7 +10,7 @@ name is imported from its module.
 """
 
 from .channel import build_wdm_correlation, draw_channel
-from .harness import default_config
+from .harness import ExperimentConfig
 from .metrics import ergodic_capacity
 from .scattering import Cluster, ScatteringSpec
 from .wavenumber import variance_profile

@@ -9,6 +9,7 @@ weights), epsilon = 0.003, noise at 0 dBW, and 500 channel realizations.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -33,7 +34,6 @@ __all__ = [
     "MODEL_NAMES",
     "ExperimentConfig",
     "Table",
-    "default_config",
     "correlation_for",
     "run_psf_profile",
     "run_eigen_spectrum",
@@ -93,10 +93,15 @@ class ExperimentConfig:
             except ValueError as exc:
                 raise ValueError(f"{name}: {exc}") from None
         if min(self.L_s_over_lambda, self.L_r_over_lambda) < 8.0:
+            # name the first caller outside the generated __init__ and dataclasses
+            frame, level = sys._getframe(1), 2
+            while frame.f_code is ExperimentConfig.__init__.__code__ or (
+                    frame.f_globals.get("__name__") == "dataclasses"):
+                frame, level = frame.f_back, level + 1
             warnings.warn(
                 "aperture shorter than 8 wavelengths; the Fourier-series channel "
                 "model degrades on electrically small lines",
-                stacklevel=3,
+                stacklevel=level,
             )
         if not self.models:
             raise ValueError("models must not be empty")
@@ -113,13 +118,6 @@ class ExperimentConfig:
             dbw_to_watts("power_grid_dbw", p)
         check_monte_carlo_args(self.realizations, self.seed, "seed")
         dbw_to_watts("noise_var_dbw", self.noise_var_dbw)
-
-    def noise_var_watts(self) -> float:
-        return dbw_to_watts("noise_var_dbw", self.noise_var_dbw)
-
-
-def default_config() -> ExperimentConfig:
-    return ExperimentConfig()
 
 
 @dataclass(frozen=True, eq=False)
@@ -242,13 +240,13 @@ def run_capacity(cfg: ExperimentConfig) -> Table:
     results = ergodic_capacities(
         (correlation_for(cfg, model) for model in cfg.models),
         cfg.power_grid_dbw,
-        cfg.noise_var_watts(),
+        dbw_to_watts("noise_var_dbw", cfg.noise_var_dbw),
         cfg.realizations,
         cfg.seed,
     )
     powers, labels, values = [], [], []
     for model, result in zip(cfg.models, results):
-        powers += result.power_grid_dbw
-        labels += [model] * len(result.power_grid_dbw)
+        powers += map(float, cfg.power_grid_dbw)
+        labels += [model] * len(cfg.power_grid_dbw)
         values += result.capacity_bits.tolist()
     return Table(("p_dbw", "model", "capacity_bits_per_s_per_hz"), (powers, labels, values))

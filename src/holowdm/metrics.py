@@ -277,8 +277,6 @@ class CapacityResult:
     """
 
     capacity_bits: np.ndarray
-    power_grid_dbw: tuple[float, ...]
-    realizations: int
     stderr_bits: np.ndarray
 
 
@@ -434,12 +432,7 @@ def ergodic_capacities(
             stderr = per_model.std(axis=0, ddof=1) / math.sqrt(realizations)
         else:
             stderr = np.full(len(power_grid_dbw), np.nan)
-        results.append(CapacityResult(
-            capacity_bits=per_model.mean(axis=0),
-            power_grid_dbw=power_grid_dbw,
-            realizations=realizations,
-            stderr_bits=stderr,
-        ))
+        results.append(CapacityResult(capacity_bits=per_model.mean(axis=0), stderr_bits=stderr))
     return results
 
 

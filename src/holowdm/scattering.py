@@ -162,6 +162,8 @@ def integrate_density(spec: ScatteringSpec, lo: np.ndarray, hi: np.ndarray, weig
             return sums(own, values.real) + 1j * sums(own, values.imag)
         return np.bincount(own, weights=values, minlength=lo.size)
 
+    # 16 spreads is a margin: a peak at a panel end is lost only past 2000
+    # spreads; at 32 or 1024 no profile of variance 1e-1 to 1e-9 moves
     peaks = [(c.mean_angle, 16.0 / math.sqrt(c.concentration))
              for c in spec.clusters if c.concentration > 0.0]
     means = np.fromiter({m for m, _ in peaks}, float)
@@ -176,6 +178,9 @@ def integrate_density(spec: ScatteringSpec, lo: np.ndarray, hi: np.ndarray, weig
     while a.size:
         g20, g10 = _gauss_pair(spec, a, b, weight)
         gap = np.abs(g20 - g10)
+        # the floor of 1e-15 is a margin: at 0 a cluster of circular variance
+        # 1e-9 runs into the panel limit; at 1e-14 the default profiles keep
+        # their bits, and up to variance 1e-6 no value moves by 1.5e-15
         done = gap <= np.maximum(1e-15, 1e-13 * np.abs(g20))
         for mean, width in peaks:
             done &= ~(((a == mean) | (b == mean)) & (b - a > width))
@@ -203,10 +208,14 @@ def acf_quadrature(spec: ScatteringSpec, k: float, r_x: float) -> complex:
     def weight(theta):
         return np.exp(1j * phase * np.cos(theta))
 
+    # 64 radians is a margin: up to 12800 radians the summed estimate stays
+    # near 4e-13 at one piece per 320 radians, and passes 1e-9 near 512
     pieces = max(1, math.ceil(min(200.0, abs(phase) / 64.0)))
     edges = np.linspace(0.0, math.pi, pieces + 1)
     values, err = integrate_density(spec, edges[:-1], edges[1:], weight)
     err = err.sum()
+    # the estimate is the 10-point rule's error and overstates the value's:
+    # at 1.2e5 radians it reads 1.3e-8 and raises, with the value 1.4e-14 off J0
     if not err <= 1e-9:
         raise RuntimeError(f"ACF quadrature error {err:.3e} at r_x={r_x}")
     return values.sum()

@@ -51,12 +51,9 @@ class VarianceProfile:
     channel.build_wdm_correlation scales a side, to tr R = n.
     """
 
-    indices: np.ndarray
     variances: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.variances.shape != self.indices.shape:
-            raise ValueError("variance vector does not match the index count")
         if np.any(self.variances < 0.0):
             raise ValueError("variances must be non-negative")
 
@@ -99,4 +96,4 @@ def variance_profile(L_over_lambda: float, spec: ScatteringSpec) -> VarianceProf
         raise RuntimeError(f"partition quadrature error {err[worst]:.3e} at index {indices[worst]}")
     if float(variances.sum()) <= 0.0:
         raise ValueError("scattering density carries no mass on the partitions")
-    return VarianceProfile(indices=indices, variances=variances)
+    return VarianceProfile(variances)

@@ -23,8 +23,8 @@ from holowdm.channel import (
     build_wdm_correlation,
     draw_channel,
 )
-from holowdm.harness import ExperimentConfig, default_config, run_capacity
-from holowdm.metrics import dof, hermitian_eigs, waterfill
+from holowdm.harness import ExperimentConfig, run_capacity
+from holowdm.metrics import dbw_to_watts, dof, hermitian_eigs, waterfill
 from holowdm.scattering import ScatteringSpec, acf_quadrature
 from holowdm.specfun import (
     bessel_i0_scaled,
@@ -34,7 +34,7 @@ from holowdm.specfun import (
 )
 from holowdm.wavenumber import mode_count, variance_profile
 
-REFERENCE = default_config()
+REFERENCE = ExperimentConfig()
 PHYS = REFERENCE  # 128-wavelength lines
 LAMBDA = 0.01  # the ACF of criterion 3 at a 1 cm wavelength
 K = 2.0 * math.pi / LAMBDA
@@ -115,7 +115,7 @@ def test_criterion_4_spectrum_coincidence(mixture_profiles):
 def test_criterion_5_capacity_ordering():
     start = time.perf_counter()
     cfg = replace(REFERENCE, realizations=100, power_grid_dbw=(0.0, 10.0, 20.0, 30.0))
-    assert cfg.noise_var_watts() == 1.0
+    assert dbw_to_watts("noise_var_dbw", cfg.noise_var_dbw) == 1.0
     table = run_capacity(cfg)
     curves = {
         model: [row[2] for row in table.rows if row[1] == model]

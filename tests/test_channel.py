@@ -87,7 +87,7 @@ class TestWdmCorrelation:
     def test_massless_side_rejected(self):
         ps, pr = profiles((8, 8), ScatteringSpec.isotropic())
         with pytest.raises(ValueError, match="non-positive trace"):
-            build_wdm_correlation(replace(ps, variances=np.zeros(ps.indices.size)), pr)
+            build_wdm_correlation(replace(ps, variances=np.zeros(ps.variances.size)), pr)
 
     def test_sqrt_is_elementwise(self, wdm_iso_small):
         assert np.allclose(

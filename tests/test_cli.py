@@ -18,14 +18,15 @@ from hypothesis import strategies as st
 import holowdm
 from holowdm import blas, cli
 from holowdm.cli import emit_csv, main, parse_config
-from holowdm.harness import Table, default_config
+from holowdm.harness import ExperimentConfig, Table
+from holowdm.metrics import dbw_to_watts
 from holowdm.wavenumber import mode_count
 
 
 class TestParseConfig:
     def test_empty_document_yields_defaults(self):
         cfg = parse_config("")
-        ref = default_config()
+        ref = ExperimentConfig()
         assert cfg.L_s_over_lambda == ref.L_s_over_lambda
         assert cfg.L_r_over_lambda == ref.L_r_over_lambda
         assert cfg.models == ref.models
@@ -35,7 +36,7 @@ class TestParseConfig:
         assert cfg.scattering_r == ref.scattering_r
 
     def test_empty_object_yields_defaults(self):
-        assert parse_config("{}") == parse_config("") == default_config()
+        assert parse_config("{}") == parse_config("") == ExperimentConfig()
 
     def test_cluster_list(self):
         cfg = parse_config(json.dumps({
@@ -77,13 +78,6 @@ class TestParseConfig:
         raw = {"lambda_m": 1e308, "L_s_over_lambda": 1, "L_r_over_lambda": 1}
         cfg = parse_config(json.dumps(raw))
         assert mode_count(cfg.L_s_over_lambda) == mode_count(cfg.L_r_over_lambda) == 2
-
-    def test_small_aperture_warning_points_at_the_parser(self):
-        # ExperimentConfig is built in parse_config itself, not through
-        # dataclasses.replace, so the one warning names cli.py
-        with pytest.warns(UserWarning, match="8 wavelengths") as record:
-            parse_config('{"L_s_over_lambda": 4}')
-        assert [w.filename for w in record] == [cli.__file__]
 
     def test_negative_length_names_key(self):
         with pytest.raises(ValueError, match="L_s_over_lambda"):
@@ -153,7 +147,7 @@ class TestParseConfig:
         assert cfg.realizations == 7 and cfg.seed == 9
         assert cfg.models == ("iid",)
         assert cfg.power_grid_dbw == (5.0, 25.0)
-        assert cfg.noise_var_watts() == pytest.approx(10 ** 0.3)
+        assert dbw_to_watts("noise_var_dbw", cfg.noise_var_dbw) == pytest.approx(10 ** 0.3)
 
 
 def _format_cell(value) -> str:
@@ -418,10 +412,10 @@ def _package_env(**extra) -> dict:
 _IMPORT_PROBE = """
 import json, sys
 from holowdm.cli import main
-from holowdm.harness import default_config
+from holowdm.harness import ExperimentConfig
 from holowdm.scattering import acf_quadrature
 code = main(["all", "--config", sys.argv[1], "--out", sys.argv[2]])
-acf_quadrature(default_config().scattering_s, 628.0, 0.05)
+acf_quadrature(ExperimentConfig().scattering_s, 628.0, 0.05)
 print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]))
 """
 

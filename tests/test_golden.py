@@ -10,6 +10,11 @@ The files in tests/data/golden/asymmetric were written on ASYMMETRIC (16.5-
 and 8.25-wavelength lines, 30 realizations) and are held to the README's
 contract across CPU kernels: psf.csv, dof.csv and the non-Jakes rows of
 eigs.csv by bytes, the Jakes rows and capacity.csv within 1e-12 relative.
+The files in tests/data/golden/wide were written by `holowdm eigs` and `dof`
+on WIDE (1024-wavelength lines, 2048 modes a side) and are held to the same
+contract; its 2048 Jakes rows come from the half-size Toeplitz split.  There
+is no psf.csv there: the PSF does not depend on the aperture, and the
+asymmetric psf.csv already holds its bytes for the default clusters.
 """
 
 import csv
@@ -42,6 +47,7 @@ ASYMMETRIC = {
     "realizations": 30,
     "power_grid_dbw": [0, 30],
 }
+WIDE = {"L_s_over_lambda": 1024, "L_r_over_lambda": 1024}
 
 
 def _read(path):
@@ -49,12 +55,13 @@ def _read(path):
         return list(csv.reader(handle))
 
 
-def _run_all(tmp_path_factory, config):
+def _run_all(tmp_path_factory, config, commands=("all",)):
     root = tmp_path_factory.mktemp("golden")
     path = root / "config.json"
     path.write_text(json.dumps(config))
     out = root / "out"
-    assert main(["all", "--config", str(path), "--out", str(out)]) == 0
+    for command in commands:
+        assert main([command, "--config", str(path), "--out", str(out)]) == 0
     return out
 
 
@@ -66,6 +73,11 @@ def outputs(tmp_path_factory):
 @pytest.fixture(scope="module")
 def asymmetric_outputs(tmp_path_factory):
     return _run_all(tmp_path_factory, ASYMMETRIC)
+
+
+@pytest.fixture(scope="module")
+def wide_outputs(tmp_path_factory):
+    return _run_all(tmp_path_factory, WIDE, ("eigs", "dof"))
 
 
 def _assert_rows_match(name, got, want, exact=lambda row: False):
@@ -91,16 +103,24 @@ def test_matches_golden(outputs, name):
     _assert_rows_match(name, _read(outputs / f"{name}.csv"), _read(GOLDEN / f"{name}.csv"))
 
 
-@pytest.mark.parametrize("name", ["psf", "dof"])
-def test_asymmetric_matches_golden_bytes(asymmetric_outputs, name):
-    got = (asymmetric_outputs / f"{name}.csv").read_bytes()
-    assert got == (GOLDEN / "asymmetric" / f"{name}.csv").read_bytes()
+@pytest.mark.parametrize("outputs_of, name", [
+    ("asymmetric", "psf"),
+    ("asymmetric", "dof"),
+    ("wide", "dof"),
+])
+def test_matches_golden_bytes(request, outputs_of, name):
+    got = (request.getfixturevalue(f"{outputs_of}_outputs") / f"{name}.csv").read_bytes()
+    assert got == (GOLDEN / outputs_of / f"{name}.csv").read_bytes()
 
 
-@pytest.mark.parametrize("name", ["eigs", "capacity"])
-def test_asymmetric_matches_golden(asymmetric_outputs, name):
+@pytest.mark.parametrize("outputs_of, name", [
+    ("asymmetric", "eigs"),
+    ("asymmetric", "capacity"),
+    ("wide", "eigs"),
+])
+def test_matches_golden_rows(request, outputs_of, name):
     # only the eigen-solves of the Jakes rows and the capacity Monte Carlo
     # may round differently on another CPU kernel
-    got = _read(asymmetric_outputs / f"{name}.csv")
-    want = _read(GOLDEN / "asymmetric" / f"{name}.csv")
+    got = _read(request.getfixturevalue(f"{outputs_of}_outputs") / f"{name}.csv")
+    want = _read(GOLDEN / outputs_of / f"{name}.csv")
     _assert_rows_match(name, got, want, exact=lambda row: name == "eigs" and row[1] != "jakes")

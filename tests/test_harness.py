@@ -10,17 +10,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from holowdm import channel, harness
+from holowdm import channel, cli, harness
 from holowdm.harness import (
     MODEL_NAMES,
     ExperimentConfig,
     correlation_for,
-    default_config,
     run_capacity,
     run_dof,
     run_eigen_spectrum,
     run_psf_profile,
 )
+from holowdm.metrics import dbw_to_watts
 from holowdm.scattering import ISOTROPIC_DENSITY, Cluster, ScatteringSpec
 from holowdm.wavenumber import mode_count, variance_profile
 
@@ -28,8 +28,7 @@ from holowdm.wavenumber import mode_count, variance_profile
 @pytest.fixture(scope="module")
 def desk_cfg():
     """Small, fast configuration for pipeline checks."""
-    return replace(
-        default_config(),
+    return ExperimentConfig(
         L_s_over_lambda=16,
         L_r_over_lambda=16,
         realizations=6,
@@ -39,12 +38,12 @@ def desk_cfg():
 
 class TestDefaultConfig:
     def test_reference_parameters(self):
-        cfg = default_config()
+        cfg = ExperimentConfig()
         assert (cfg.L_s_over_lambda, cfg.L_r_over_lambda) == (128.0, 128.0)
         assert cfg.epsilon == 0.003
         assert cfg.realizations == 500
         assert cfg.noise_var_dbw == 0.0
-        assert cfg.noise_var_watts() == 1.0
+        assert dbw_to_watts("noise_var_dbw", cfg.noise_var_dbw) == 1.0
         assert cfg.models == MODEL_NAMES
         angles = sorted(math.degrees(c.mean_angle) for c in cfg.scattering_r.clusters)
         assert angles == pytest.approx([30.0, 60.0], abs=1e-12)
@@ -54,19 +53,19 @@ class TestDefaultConfig:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            replace(default_config(), models=("banana",))
+            ExperimentConfig(models=("banana",))
         with pytest.raises(ValueError):
-            replace(default_config(), epsilon=1.5)
+            ExperimentConfig(epsilon=1.5)
         with pytest.raises(ValueError):
-            replace(default_config(), realizations=0)
+            ExperimentConfig(realizations=0)
         with pytest.raises(ValueError):
-            replace(default_config(), power_grid_dbw=())
+            ExperimentConfig(power_grid_dbw=())
 
     def test_side_without_modes_refused_up_front(self):
         # by the config itself, naming its field; not later, from inside a
         # profile, where it would read as a clusters error
         with pytest.raises(ValueError, match="^L_s_over_lambda: an aperture shorter than half"):
-            replace(default_config(), L_s_over_lambda=0.4)
+            ExperimentConfig(L_s_over_lambda=0.4)
 
     @pytest.mark.parametrize(
         "key, value",
@@ -83,7 +82,7 @@ class TestDefaultConfig:
     )
     def test_unrunnable_value_names_its_key(self, key, value):
         with pytest.raises(ValueError, match=key):
-            replace(default_config(), **{key: value})
+            ExperimentConfig(**{key: value})
 
 
 class TestApertures:
@@ -112,11 +111,18 @@ class TestApertures:
         with pytest.warns(UserWarning, match="8 wavelengths"):
             ExperimentConfig(L_r_over_lambda=7.5)
 
-    def test_small_aperture_warning_points_at_the_caller(self):
-        # not at the __init__ the dataclass generates, whose file is "<string>"
+    @pytest.mark.parametrize("build, where", [
+        (lambda: ExperimentConfig(L_s_over_lambda=4, L_r_over_lambda=4), __file__),
+        (lambda: replace(ExperimentConfig(), L_s_over_lambda=4), __file__),
+        (lambda: cli.parse_config('{"L_s_over_lambda": 4}'), cli.__file__),
+    ], ids=["direct", "replace", "parse_config"])
+    def test_small_aperture_warning_points_at_the_caller(self, build, where):
+        # one warning however many sides are short, naming neither the
+        # __init__ the dataclass generates, whose file is "<string>", nor
+        # the line of dataclasses that replace builds in
         with pytest.warns(UserWarning, match="8 wavelengths") as record:
-            ExperimentConfig(L_s_over_lambda=4, L_r_over_lambda=4)
-        assert [w.filename for w in record] == [__file__]
+            build()
+        assert [w.filename for w in record] == [where]
 
     def test_side_without_modes_is_refused_naming_its_field(self):
         with pytest.raises(ValueError, match="^L_s_over_lambda: .*no finite mode count"):
@@ -329,7 +335,7 @@ class TestLazySquareRoots:
         try:
             tracer = tracing.Tracer()
             tracer.install()
-            cfg = replace(default_config(), L_s_over_lambda=8, L_r_over_lambda=8, realizations=2)
+            cfg = ExperimentConfig(L_s_over_lambda=8, L_r_over_lambda=8, realizations=2)
             harness.run_eigen_spectrum(cfg)
             harness.run_capacity(cfg)
             layers = tracer.layers()
@@ -349,8 +355,7 @@ class TestLazySquareRoots:
 def one_cluster(ratio, mean_deg, circ_var):
     """The non-isotropic model alone, with one cluster on both sides of an L/lambda line."""
     spec = ScatteringSpec.mixture([Cluster(1.0, math.radians(mean_deg), circ_var)])
-    return replace(
-        default_config(),
+    return ExperimentConfig(
         L_s_over_lambda=ratio,
         L_r_over_lambda=ratio,
         models=("non_isotropic",),

@@ -22,7 +22,7 @@ from holowdm.channel import (
     build_wdm_correlation,
     draw_channel,
 )
-from holowdm.harness import MODEL_NAMES, correlation_for, default_config, run_capacity
+from holowdm.harness import MODEL_NAMES, ExperimentConfig, correlation_for, run_capacity
 from holowdm.metrics import (
     dof,
     ergodic_capacities,
@@ -103,7 +103,7 @@ class TestDof:
     )
     def test_non_isotropic_dof_is_the_smaller_side(self, ratios, per_side):
         # n_s != n_r, each side the larger in turn
-        mixture = default_config().scattering_s
+        mixture = ExperimentConfig().scattering_s
         ps, pr = (variance_profile(ratio, mixture) for ratio in ratios)
         result = dof(ps, pr, 0.003, isotropic=False)
         assert result.per_side == per_side
@@ -111,7 +111,7 @@ class TestDof:
 
     def test_two_equal_atoms(self):
         ps, pr = iso_profiles(8)
-        atoms = np.zeros(ps.indices.size)
+        atoms = np.zeros(ps.variances.size)
         atoms[0] = atoms[1] = 0.5
         ps.variances = atoms.copy()
         pr.variances = atoms.copy()
@@ -121,7 +121,7 @@ class TestDof:
     @pytest.mark.parametrize("scale", [2.0, 0.5])
     def test_scale_free(self, scale):
         # the prefix is a share of each side's own total mass
-        mixture = default_config().scattering_s
+        mixture = ExperimentConfig().scattering_s
         ps = pr = variance_profile(32, mixture)
         scaled = replace(ps, variances=ps.variances * scale)
         for epsilon in (0.003, 0.1, 0.5):
@@ -146,7 +146,7 @@ class TestDof:
         # the first variance holds 1 - epsilon of the total but for one ulp;
         # the 1e-12 slack counts it alone, where the exact share counts 2
         first = np.nextafter(0.997, 0.0)
-        profile = VarianceProfile(np.arange(2), np.array([first, 1.0 - first]))
+        profile = VarianceProfile(np.array([first, 1.0 - first]))
         assert dof(profile, profile, 0.003, isotropic=False).per_side == (1, 1)
 
 
@@ -432,7 +432,7 @@ def _spectrum_model(model):
 def test_ergodic_capacity_matches_plain_reference(ratios):
     # WDM runs the recipe on its own variances, Jakes on its eigenvalues,
     # and iid on the bidiagonal model: each within 1e-12 relative
-    cfg = replace(default_config(), L_s_over_lambda=ratios[0], L_r_over_lambda=ratios[1])
+    cfg = ExperimentConfig(L_s_over_lambda=ratios[0], L_r_over_lambda=ratios[1])
     grid = (-10.0, 10.0, 30.0)
     realizations = 3 if ratios == (128, 128) else 12
     for name in MODEL_NAMES:
@@ -543,15 +543,15 @@ class TestAngularDomainCapacity:
         # the reason for _NEGLIGIBLE_VARIANCE: the default non-isotropic
         # model keeps 137 of its 256 modes, and the capacity from those is
         # the capacity from all of them within roundoff
-        cfg = default_config()
+        cfg = ExperimentConfig()
         model = correlation_for(cfg, "non_isotropic")
         assert metrics._significant_modes(model.R_s).size < model.R_s.size
         runs = []
         for threshold in (metrics._NEGLIGIBLE_VARIANCE, 0.0):
             monkeypatch.setattr(metrics, "_NEGLIGIBLE_VARIANCE", threshold)
-            runs.append(ergodic_capacity(
-                model, cfg.power_grid_dbw, cfg.noise_var_watts(), 20, cfg.seed
-            ).capacity_bits)
+            # noise at the default 0 dBW is 1 W
+            result = ergodic_capacity(model, cfg.power_grid_dbw, 1.0, 20, cfg.seed)
+            runs.append(result.capacity_bits)
         kept, every = runs
         assert np.max(np.abs(kept - every) / every) <= 1e-14
 
@@ -623,10 +623,9 @@ def _two_narrow_clusters():
 
 
 class TestOnePassCapacity:
-    @pytest.mark.filterwarnings("ignore:aperture shorter")
     @pytest.mark.parametrize("ratios", [(128, 128), (16.5, 8.25), (8, 16)])
     def test_all_models_in_one_pass_equal_each_alone_bitwise(self, ratios):
-        cfg = replace(default_config(), L_s_over_lambda=ratios[0], L_r_over_lambda=ratios[1])
+        cfg = ExperimentConfig(L_s_over_lambda=ratios[0], L_r_over_lambda=ratios[1])
         models = [correlation_for(cfg, name) for name in MODEL_NAMES]
         # two narrow clusters far apart leave a gap of negligible modes
         gap = correlation_for(
@@ -658,7 +657,7 @@ class TestOnePassCapacity:
         monkeypatch.setattr(metrics, "draw_w", counting)
         # forked workers would count in their own memory
         monkeypatch.setattr(metrics, "worker_count", lambda: 1)
-        cfg = replace(default_config(), L_s_over_lambda=8, L_r_over_lambda=8, realizations=5)
+        cfg = ExperimentConfig(L_s_over_lambda=8, L_r_over_lambda=8, realizations=5)
         run_capacity(cfg)
         # jakes, isotropic and non_isotropic share each draw; iid needs none
         assert seeds == [int(s) for s in realization_seeds(cfg.seed, 5)]
@@ -710,7 +709,7 @@ class TestOnePassCapacity:
 
 
 def _pool_models():
-    cfg = replace(default_config(), L_s_over_lambda=8, L_r_over_lambda=6)
+    cfg = ExperimentConfig(L_s_over_lambda=8, L_r_over_lambda=6)
     return [correlation_for(cfg, name) for name in MODEL_NAMES] + [
         # all gains zero: a constant side of zeros, and a dense side whose
         # other side keeps no mode

@@ -155,6 +155,16 @@ class TestAcf:
         with pytest.raises(RuntimeError, match="ACF quadrature error"):
             acf_quadrature(two_cluster_spec, K, 1e4)
 
+    def test_refusal_starts_at_an_error_estimate_of_1e_9(self):
+        # the isotropic ACF on its 200 pieces, whose summed estimate grows
+        # smoothly with the phase: at 1.04e5 rad it reads 8.5e-10 and the
+        # value is returned; at 1.06e5 rad it reads 1.2e-9 and the lag is
+        # refused, so the threshold sits within 20% of 1e-9 either way
+        spec = ScatteringSpec.isotropic()
+        assert abs(acf_quadrature(spec, 1.0, 1.04e5) - bessel_j0(1.04e5)) < 1e-12
+        with pytest.raises(RuntimeError, match=r"ACF quadrature error 1\.2\d+e-09"):
+            acf_quadrature(spec, 1.0, 1.06e5)
+
     @pytest.mark.parametrize("spec_name", ["isotropic", "mixture"])
     @pytest.mark.parametrize("r", [1e308, -1e308])
     def test_lag_whose_phase_overflows_names_r_x(self, two_cluster_spec, spec_name, r):

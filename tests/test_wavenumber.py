@@ -115,7 +115,7 @@ class TestVarianceProfile:
         # arccos(m lambda / L), so the centre partition ends at pi / 2 and
         # the outermost ones at 0 and, for integer L/lambda, pi
         profile = variance_profile(ratio, ScatteringSpec.isotropic())
-        idx = profile.indices
+        idx = build_grid(ratio)
         expected = (
             np.arccos(np.clip(idx / ratio, -1, 1)) - np.arccos(np.clip((idx + 1) / ratio, -1, 1))
         ) / math.pi
@@ -128,7 +128,7 @@ class TestVarianceProfile:
 
     def test_isotropic_center_entry(self):
         profile = variance_profile(128, ScatteringSpec.isotropic())
-        center = profile.variances[profile.indices == 0][0]
+        center = profile.variances[build_grid(128) == 0][0]
         assert center == pytest.approx((math.pi / 2 - math.acos(1 / 128)) / math.pi, rel=1e-12)
         # first-order arccos expansion puts it near 1/(128 pi)
         assert center == pytest.approx(1.0 / (128 * math.pi), rel=2e-5)
@@ -136,7 +136,7 @@ class TestVarianceProfile:
     def test_isotropic_mirror_symmetry(self):
         profile = variance_profile(128, ScatteringSpec.isotropic())
         v = profile.variances
-        idx = profile.indices
+        idx = build_grid(128)
         for n in (0, 3, 77, 127):
             assert v[idx == n][0] == pytest.approx(v[idx == -n - 1][0], rel=1e-12)
 
