@@ -67,8 +67,8 @@ class ExperimentConfig:
     """Full experiment parameterization; defaults reproduce the reference setup.
 
     L_s_over_lambda / L_r_over_lambda are the source and receiver line lengths
-    in wavelengths, each of which must give its line at least one mode; a
-    ValueError names the field.  The Fourier-series channel model assumes
+    in wavelengths, each a whole number of at least 1 (wavenumber.mode_count);
+    a ValueError names the field.  The Fourier-series channel model assumes
     electrically large lines, so a warning is emitted below 8 wavelengths.
     scattering_s / scattering_r describe the non-isotropic model (the
     isotropic model needs no parameters); they default to the same mixture on
@@ -145,9 +145,9 @@ def _shared_profile(L_over_lambda: float, spec: ScatteringSpec) -> VarianceProfi
 
     The eigs, dof and capacity experiments all need the same profiles, and
     the two sides of a symmetric config are one; the cached variances are
-    read-only because every caller shares them.  The grid has modes
-    (ExperimentConfig checks), so the one ValueError left is a cluster spec
-    that puts no mass on it, which is refused naming clusters.
+    read-only because every caller shares them.  The aperture is whole
+    (ExperimentConfig checks), so the one ValueError left is a cluster too
+    narrow for the partition quadrature, which is refused naming clusters.
     """
     try:
         profile = variance_profile(L_over_lambda, spec)

@@ -64,8 +64,7 @@ def _prefix_count(profile: VarianceProfile, epsilon: float) -> int:
     cum = np.cumsum(ordered)
     # the threshold is a share of the profile's own total; 1e-12 slack keeps
     # the count stable when the cumulative sum grazes it by roundoff alone
-    idx = int(np.searchsorted(cum, (1.0 - epsilon - 1e-12) * cum[-1]))
-    return min(idx + 1, ordered.size)
+    return int(np.searchsorted(cum, (1.0 - epsilon - 1e-12) * cum[-1])) + 1
 
 
 def dof(

@@ -1,12 +1,13 @@
 """Discrete wavenumber grids and their per-index variance profiles.
 
 The propagating plane-wave directions of a line aperture of length L discretize
-into the integers m with |m| <= L/lambda; there are floor(2L/lambda) of them.
-Each index owns an angular partition between consecutive arccos values, and
-integrating the scattering density over a partition gives that index's
-coupling variance.  Every quantity here depends on the apertures through
-L/lambda alone, so the geometry is given in wavelengths, and each function
-takes one line's L/lambda: a source and a receiver differ in nothing else.
+into the 2 L/lambda integers m from -L/lambda to L/lambda - 1.  Each index owns
+an angular partition between consecutive arccos values, and these tile [0, pi]
+only at a whole L/lambda, the one kind of ratio accepted.  Integrating the
+scattering density over a partition gives that index's coupling variance.
+Every quantity here depends on the apertures through L/lambda alone, so the
+geometry is given in wavelengths, and each function takes one line's
+L/lambda: a source and a receiver differ in nothing else.
 """
 
 from __future__ import annotations
@@ -25,22 +26,24 @@ __all__ = [
     "variance_profile",
 ]
 
-# Doubling is exact, so a half-integer L/lambda read from a config needs no
-# snap; it serves a ratio a caller computed as a quotient: 1.2 / 0.1 is
-# 11.999999999999998, whose 2 L / lambda lands a hair under 24.  A ratio
-# within 5e-10 below a half-integer counts as that half-integer.
-_SNAP = 1e-9
-
 
 def mode_count(L_over_lambda: float) -> int:
-    """Propagating modes of a line L/lambda wavelengths long: floor(2 L / lambda)."""
+    """Propagating modes of a line L/lambda wavelengths long: 2 L / lambda.
+
+    A ratio that is not a whole number of wavelengths is refused: its
+    partitions would leave the ends of [0, pi] to no index.
+    """
     ratio = 2.0 * L_over_lambda
     if not math.isfinite(ratio):
         raise ValueError(f"2 L / lambda = {ratio} has no finite mode count")
-    n = math.floor(ratio + _SNAP)
-    if n < 1:
+    if ratio < 1.0:
         raise ValueError("an aperture shorter than half a wavelength carries no modes")
-    return n
+    if not float(L_over_lambda).is_integer():
+        raise ValueError(
+            f"{L_over_lambda!r} is not a whole number of wavelengths, "
+            "so its partitions would not tile [0, pi]"
+        )
+    return int(ratio)
 
 
 @dataclass(eq=False)
@@ -54,27 +57,21 @@ class VarianceProfile:
     variances: np.ndarray
 
     def __post_init__(self) -> None:
-        if np.any(self.variances < 0.0):
-            raise ValueError("variances must be non-negative")
+        if not np.all(np.isfinite(self.variances) & (self.variances >= 0.0)):
+            raise ValueError("variances must be finite and non-negative")
 
 
 def build_grid(L_over_lambda: float) -> np.ndarray:
-    """Ordered propagating-mode indices of a line L/lambda wavelengths long.
-
-    The n = floor(2L/lambda) integers of smallest magnitude, ties between +m
-    and -m resolved toward the negative index: {-(n // 2), ..., n - n // 2 - 1}.
-    All satisfy |m| <= L/lambda, and an integer L/lambda yields exactly
-    {-L/lambda, ..., L/lambda - 1}, whose angular partitions tile [0, pi].
-    """
-    n = mode_count(L_over_lambda)
-    return np.arange(-(n // 2), n - n // 2, dtype=np.int64)
+    """Ordered propagating-mode indices of a line L/lambda wavelengths long:
+    {-L/lambda, ..., L/lambda - 1}, whose angular partitions tile [0, pi]."""
+    half = mode_count(L_over_lambda) // 2
+    return np.arange(-half, half, dtype=np.int64)
 
 
 def _partition_bounds(L_over_lambda: float, indices: np.ndarray):
-    # one division per edge: at an integer L/lambda the ends are exactly 0 and pi
-    lo = np.arccos(np.clip((indices + 1) / L_over_lambda, -1.0, 1.0))
-    hi = np.arccos(np.clip(indices / L_over_lambda, -1.0, 1.0))
-    return lo, hi
+    # one division per edge: every quotient lies in [-1, 1], and the ends
+    # are exactly 0 and pi
+    return np.arccos((indices + 1) / L_over_lambda), np.arccos(indices / L_over_lambda)
 
 
 def variance_profile(L_over_lambda: float, spec: ScatteringSpec) -> VarianceProfile:
@@ -84,16 +81,13 @@ def variance_profile(L_over_lambda: float, spec: ScatteringSpec) -> VarianceProf
     One call to scattering.integrate_density takes all partitions: each is
     split at the cluster means inside it and bisected until every panel's
     20- and 10-point Gauss-Legendre values agree.  A partition error above
-    1e-10 raises a RuntimeError.  A profile without mass, as of a narrow
-    cluster in the sliver near 0 or pi that the partitions leave uncovered
-    at non-integer L/lambda, raises a ValueError.  Entries are independent
-    of each other and of any evaluation parallelism a caller might add.
+    1e-10, as of a cluster too narrow for the quadrature, raises a
+    ValueError.  Entries are independent of each other and of any
+    evaluation parallelism a caller might add.
     """
     indices = build_grid(L_over_lambda)
     variances, err = integrate_density(spec, *_partition_bounds(L_over_lambda, indices))
     worst = int(np.argmax(err))
     if err[worst] > 1e-10:
-        raise RuntimeError(f"partition quadrature error {err[worst]:.3e} at index {indices[worst]}")
-    if float(variances.sum()) <= 0.0:
-        raise ValueError("scattering density carries no mass on the partitions")
+        raise ValueError(f"partition quadrature error {err[worst]:.3e} at index {indices[worst]}")
     return VarianceProfile(variances)

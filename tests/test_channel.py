@@ -56,12 +56,12 @@ def wdm_iso_small():
 
 
 class TestWdmCorrelation:
-    def test_single_index_grid_normalizes_to_one(self):
-        ps, pr = profiles((0.6, 0.6), ScatteringSpec.isotropic())
+    def test_one_wavelength_grid_normalizes_to_one(self):
+        ps, pr = profiles((1, 1), ScatteringSpec.isotropic())
         model = build_wdm_correlation(ps, pr)
         R_s = model.dense("R_s")
-        assert R_s.shape == (1, 1)
-        assert R_s[0, 0] == pytest.approx(1.0, rel=1e-14)
+        assert R_s.shape == (2, 2)
+        assert np.diag(R_s) == pytest.approx([1.0, 1.0], rel=1e-14)
 
     def test_isotropic_trace_normalized(self):
         ps, pr = profiles((128, 128), ScatteringSpec.isotropic())
@@ -125,11 +125,12 @@ class TestJakesCorrelation:
     def test_matches_wdm_mode_count(self, jakes_model):
         assert jakes_model.R_r.shape == (256, 256)
 
+    # odd and single-mode sides come from no whole aperture, but
+    # build_jakes_correlation takes any mode counts
     @pytest.mark.parametrize(
-        "ratios", [(8, 8), (16, 8), (8, 16), (16.5, 8.25), (3.3, 5.1), (0.5, 0.5), (0.5, 1.5)]
+        "counts", [(16, 16), (32, 16), (16, 32), (33, 16), (6, 10), (1, 1), (1, 3)]
     )
-    def test_sides_equal_the_lag_gather_bitwise(self, ratios):
-        counts = [mode_count(ratio) for ratio in ratios]
+    def test_sides_equal_the_lag_gather_bitwise(self, counts):
         model = build_jakes_correlation(*counts)
         for name, n in zip(("R_s", "R_r"), counts):
             gains = np.array([bessel_j0(math.pi * m) for m in range(n)])
@@ -388,9 +389,9 @@ class TestToeplitzSpectrum:
             channel._toeplitz_eigenvalues(jakes_lags(5))
         assert threading.active_count() == alive
 
-    @pytest.mark.parametrize("ratios", [(16.5, 8.25), (8, 16)])
-    def test_non_square_jakes(self, ratios):
-        model = build_jakes_correlation(*(mode_count(ratio) for ratio in ratios))
+    @pytest.mark.parametrize("counts", [(33, 16), (16, 32)])
+    def test_non_square_jakes(self, counts):
+        model = build_jakes_correlation(*counts)
         angular = model.angular()
         for side in ("R_s", "R_r"):
             want = np.linalg.eigvalsh(getattr(model, side))

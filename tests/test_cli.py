@@ -20,6 +20,7 @@ from holowdm import blas, cli
 from holowdm.cli import emit_csv, main, parse_config
 from holowdm.harness import ExperimentConfig, Table
 from holowdm.metrics import dbw_to_watts
+from holowdm.scattering import Cluster, ScatteringSpec
 from holowdm.wavenumber import mode_count
 
 
@@ -49,6 +50,16 @@ class TestParseConfig:
         assert len(spec.clusters) == 2
         assert spec.clusters[0].mean_angle == pytest.approx(math.radians(30))
         assert spec.clusters[1].circ_variance == 0.005
+
+    def test_cluster_list_sets_both_sides(self):
+        # clusters unlike the default mixture, so a side left at the
+        # default would show
+        cfg = parse_config(json.dumps({
+            "clusters": [{"mean_deg": 90, "circ_var": 0.05, "weight": 1}]
+        }))
+        want = ScatteringSpec.mixture([Cluster(1.0, math.radians(90), 0.05)])
+        assert cfg.scattering_s == want
+        assert cfg.scattering_r == want
 
     def test_weight_sum_error_names_key(self):
         # 5e-10 off is outside the 1e-12 that ScatteringSpec allows
@@ -290,16 +301,18 @@ class TestMain:
 
     @pytest.mark.filterwarnings("ignore:aperture shorter")
     def test_invalid_config_value(self, tmp_path, capsys):
-        # an aperture without modes fails here too, before any CSV is written,
-        # and so does a file that is not UTF-8; a key given twice is not taken
-        # as its last value, and nesting past the recursion limit is refused
-        # as invalid JSON, not with a traceback
+        # an aperture that is not a whole number of wavelengths fails here
+        # too, before any CSV is written, and so does a file that is not
+        # UTF-8; a key given twice is not taken as its last value, and
+        # nesting past the recursion limit is refused as invalid JSON, not
+        # with a traceback
         bad = tmp_path / "bad.json"
         out = tmp_path / "out"
         cluster = b'{"mean_deg": 30, "circ_var": 0.01, "mean_deg": 40, "weight": 1}'
         for text, named in (
             (json.dumps({"epsilon": 7}).encode(), "epsilon"),
-            (json.dumps({"L_s_over_lambda": 0.4}).encode(), "L_s_over_lambda"),
+            *((json.dumps({"L_s_over_lambda": ratio}).encode(), "L_s_over_lambda")
+              for ratio in (0.4, 16.5, 8.25, 0.5, 0.25, 1.2 / 0.1, math.nan, 0.0)),
             (b"\xff\xfe{", "utf-8"),
             (b'{"realizations": 500, "realizations": 5}', "key 'realizations' is given twice"),
             (b'{"clusters": [' + cluster + b"]}", "key 'mean_deg' is given twice"),
@@ -311,6 +324,7 @@ class TestMain:
             assert code == 2
             err = capsys.readouterr().err
             assert err.startswith("holowdm: invalid config: ") and named in err
+            assert len(err.splitlines()) == 1
             assert not out.exists()
 
     @pytest.mark.filterwarnings("ignore:aperture shorter")
@@ -349,16 +363,18 @@ class TestMain:
         # the run stops at the failing experiment
         assert (tmp_path / "psf.csv").is_file() and not (tmp_path / "dof.csv").exists()
 
-    def test_cluster_in_a_sliver_names_clusters(self, tmp_path, capsys):
-        # at 16.5 lambda the partitions leave the sliver next to pi
-        # uncovered, and a narrow cluster there puts no mass on the grid
-        bad = tmp_path / "sliver.json"
-        bad.write_text(json.dumps({
-            "L_s_over_lambda": 16.5, "L_r_over_lambda": 16.5, "models": ["non_isotropic"],
-            "clusters": [{"mean_deg": 179.9, "circ_var": 1e-5, "weight": 1}],
+    def test_receiver_clusters_reach_the_dof_table(self, tmp_path):
+        # one wide cluster at 90 degrees holds 1 - epsilon of its mass in
+        # 162 of 256 modes on both sides; the default receiver holds it in 82
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "realizations": 2, "power_grid_dbw": [0],
+            "clusters": [{"mean_deg": 90, "circ_var": 0.05, "weight": 1}],
         }))
-        assert main(["eigs", "--config", str(bad), "--out", str(tmp_path / "out")]) == 1
-        assert "'eigs' failed: clusters: " in capsys.readouterr().err
+        out = tmp_path / "out"
+        assert main(["dof", "--config", str(config), "--out", str(out)]) == 0
+        rows = (out / "dof.csv").read_text().splitlines()
+        assert rows[2].startswith("non_isotropic,162,162,162,")
 
     def test_single_experiment(self, tmp_path, config_file):
         out = tmp_path / "out"
@@ -470,11 +486,12 @@ def test_out_on_a_file_is_refused_in_one_line(tmp_path, under):
     assert len(result.stderr.splitlines()) == 1
 
 
+@pytest.mark.parametrize("value", [0.25, 16.5])
 @pytest.mark.parametrize("key", ["L_s_over_lambda", "L_r_over_lambda"])
-def test_aperture_without_modes_is_refused_in_one_line(tmp_path, key):
+def test_aperture_without_modes_is_refused_in_one_line(tmp_path, key, value):
     # the refusal is all of stderr: no small-aperture warning comes before it
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({key: 0.25}))
+    config.write_text(json.dumps({key: value}))
     result = subprocess.run(
         [sys.executable, "-m", "holowdm", "dof", "--config", str(config),
          "--out", str(tmp_path / "out")],
@@ -483,6 +500,27 @@ def test_aperture_without_modes_is_refused_in_one_line(tmp_path, key):
     assert result.returncode == 2
     assert result.stderr.startswith(f"holowdm: invalid config: {key}: ")
     assert len(result.stderr.splitlines()) == 1
+
+
+@pytest.mark.parametrize("config", [
+    {"realizations": 2, "clusters": [{"mean_deg": 30, "circ_var": 1e-16, "weight": 1}]},
+    {"L_s_over_lambda": 8, "L_r_over_lambda": 8,
+     "clusters": [{"mean_deg": 179.9, "circ_var": 1e-12, "weight": 1}]},
+], ids=["128-lambda", "8-lambda"])
+def test_cluster_too_narrow_for_the_quadrature_is_refused_naming_clusters(tmp_path, config):
+    # the partition quadrature cannot reach 1e-10 on either cluster; the
+    # run stops with one line that names the config key, not a traceback
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    result = subprocess.run(
+        [sys.executable, "-m", "holowdm", "all", "--config", str(path),
+         "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=_package_env(), timeout=120,
+    )
+    assert result.returncode == 1
+    assert "Traceback" not in result.stderr
+    assert len(result.stderr.splitlines()) == 1
+    assert "failed: clusters: partition quadrature error" in result.stderr
 
 
 def test_repeated_key_in_a_large_config_is_found_in_one_pass(tmp_path):

@@ -99,7 +99,7 @@ class TestDof:
         assert result.dof == 16
 
     @pytest.mark.parametrize(
-        "ratios, per_side", [((16.5, 8.25), (11, 6)), ((8.25, 16.5), (6, 11))]
+        "ratios, per_side", [((16, 8), (11, 6)), ((8, 16), (6, 11))]
     )
     def test_non_isotropic_dof_is_the_smaller_side(self, ratios, per_side):
         # n_s != n_r, each side the larger in turn
@@ -479,6 +479,15 @@ def test_single_mode_capacity_at_any_snr(power, noise_var):
 
 
 class TestAngularDomainCapacity:
+    @pytest.mark.parametrize("n_r, n_s", [(16, 32), (32, 16)])
+    def test_mode_gains_are_the_smaller_sides_gram_spectrum(self, n_r, n_s):
+        # min(n_r, n_s) gains, the squared singular values of the draw: the
+        # larger side's Gram matrix would add max - min zeros
+        H = channel.draw_w(n_r, n_s, 5)
+        gains = metrics._mode_gains(H)
+        assert gains.shape == (min(n_r, n_s),)
+        assert np.allclose(gains, np.linalg.svd(H, compute_uv=False) ** 2, rtol=1e-12, atol=0)
+
     @pytest.mark.parametrize("n_r, n_s", [(3, 5), (5, 3), (8, 8)])
     def test_bidiagonal_gains_against_dense_wishart(self, n_r, n_s):
         grid = (0.0, 10.0, 30.0)
@@ -623,7 +632,7 @@ def _two_narrow_clusters():
 
 
 class TestOnePassCapacity:
-    @pytest.mark.parametrize("ratios", [(128, 128), (16.5, 8.25), (8, 16)])
+    @pytest.mark.parametrize("ratios", [(128, 128), (16, 8), (8, 16)])
     def test_all_models_in_one_pass_equal_each_alone_bitwise(self, ratios):
         cfg = ExperimentConfig(L_s_over_lambda=ratios[0], L_r_over_lambda=ratios[1])
         models = [correlation_for(cfg, name) for name in MODEL_NAMES]
