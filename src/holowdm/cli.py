@@ -26,7 +26,8 @@ _KEYS = (
     "epsilon", "noise_var_dbw", "power_grid_dbw", "realizations", "seed", "models", "clusters",
 )
 
-_CLUSTER_KEYS = {"mean_deg", "circ_var", "weight"}
+# each cluster key with a value that passes Cluster's checks, in the order read
+_CLUSTER_NEUTRAL = {"mean_deg": 0.0, "weight": 1.0, "circ_var": 1.0}
 
 _EXPERIMENTS = (
     ("psf", run_psf_profile, "angular power density table"),
@@ -40,14 +41,10 @@ def _number(key: str, value) -> float:
     # JSON true and false arrive as bools, which float() would take as 1 and 0
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{key} must be a number, got {value!r}")
-    return float(value)
-
-
-def _positive(key: str, value) -> float:
-    v = _number(key, value)
-    if not (math.isfinite(v) and v > 0.0):
-        raise ValueError(f"{key} must be positive and finite, got {value!r}")
-    return v
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{key} is an integer past the range of a double") from None
 
 
 def _parse_clusters(raw) -> ScatteringSpec:
@@ -57,24 +54,25 @@ def _parse_clusters(raw) -> ScatteringSpec:
     for i, entry in enumerate(raw):
         if not isinstance(entry, dict):
             raise ValueError(f"clusters[{i}] must be an object")
-        unknown = set(entry) - _CLUSTER_KEYS
+        unknown = entry.keys() - _CLUSTER_NEUTRAL.keys()
         if unknown:
             raise ValueError(f"clusters[{i}]: unknown key {sorted(unknown)[0]!r}")
-        missing = _CLUSTER_KEYS - set(entry)
+        missing = _CLUSTER_NEUTRAL.keys() - entry.keys()
         if missing:
             raise ValueError(f"clusters[{i}]: missing key {sorted(missing)[0]!r}")
-        mean_deg = _number(f"clusters[{i}].mean_deg", entry["mean_deg"])
-        if not (0.0 <= mean_deg < 180.0):
-            raise ValueError(f"clusters[{i}].mean_deg must lie in [0, 180), got {mean_deg}")
-        circ_var = _number(f"clusters[{i}].circ_var", entry["circ_var"])
-        if not (0.0 < circ_var <= 1.0):
-            raise ValueError(f"clusters[{i}].circ_var must lie in (0, 1], got {circ_var}")
-        weight = _positive(f"clusters[{i}].weight", entry["weight"])
-        try:
-            clusters.append(Cluster(weight, math.radians(mean_deg), circ_var))
-        except ValueError as exc:
-            # the concentration solve is the one cluster rule left unchecked above
-            raise ValueError(f"clusters[{i}].circ_var: {exc}") from None
+        # Cluster checks each field on its own, so a probe of the fields read
+        # so far, the rest neutral, names the field it refuses; circular
+        # variance 1 needs no concentration solve, so only the last probe,
+        # the cluster itself, solves one
+        fields = dict(_CLUSTER_NEUTRAL)
+        for key in fields:
+            fields[key] = _number(f"clusters[{i}].{key}", entry[key])
+            try:
+                cluster = Cluster(
+                    fields["weight"], math.radians(fields["mean_deg"]), fields["circ_var"])
+            except ValueError as exc:
+                raise ValueError(f"clusters[{i}].{key}: {exc}") from None
+        clusters.append(cluster)
     try:
         return ScatteringSpec.mixture(clusters)
     except ValueError as exc:
@@ -95,11 +93,12 @@ def _unique_keys(pairs):
 def parse_config(text: str) -> ExperimentConfig:
     """Build an ExperimentConfig from JSON text; omitted keys take defaults.
 
-    An empty document yields the full default configuration.  Unknown keys and
-    out-of-range values raise ValueError naming the offending key; the ranges
-    are checked by ExperimentConfig itself.  lambda_m and d_m are checked,
-    then unread: every statistic of the study depends on the apertures
-    through L / lambda alone.
+    An empty document yields the full default configuration.  This module
+    refuses unknown keys and wrong JSON types, and each range is refused by
+    its owner (wavenumber.mode_count, Cluster, ScatteringSpec or
+    ExperimentConfig) in a ValueError that starts with the key's path, as
+    clusters[i].weight.  lambda_m and d_m, which no record holds, are checked
+    here, then unread: every statistic depends on L / lambda alone.
     """
     if text.strip():
         try:
@@ -116,16 +115,15 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ValueError(f"unknown config key {key!r}")
 
     if "lambda_m" in raw:
-        _positive("lambda_m", raw["lambda_m"])
+        lam = _number("lambda_m", raw["lambda_m"])
+        if not (math.isfinite(lam) and lam > 0.0):
+            raise ValueError(f"lambda_m must be positive and finite, got {raw['lambda_m']!r}")
     if "d_m" in raw:
         d = _number("d_m", raw["d_m"])
         if not (math.isfinite(d) and d >= 0.0):
             raise ValueError(f"d_m must be non-negative and finite, got {d}")
     changes = {}
-    for key in ("L_s_over_lambda", "L_r_over_lambda"):
-        if key in raw:
-            changes[key] = _positive(key, raw[key])
-    for key in ("epsilon", "noise_var_dbw"):
+    for key in ("L_s_over_lambda", "L_r_over_lambda", "epsilon", "noise_var_dbw"):
         if key in raw:
             changes[key] = _number(key, raw[key])
     if "power_grid_dbw" in raw:

@@ -31,7 +31,12 @@ ISOTROPIC_DENSITY = 1.0 / math.pi
 
 @dataclass(frozen=True)
 class Cluster:
-    """One vMF cluster; its concentration a solves circ_variance = 1 - (I1(a)/I0(a))^2."""
+    """One vMF cluster; its concentration a solves circ_variance = 1 - (I1(a)/I0(a))^2.
+
+    Each field is checked on its own, by a ValueError: weight positive and
+    finite, mean_angle in [0, pi), and circ_variance in (0, 1] with a root
+    that specfun.solve_concentration can reach.
+    """
 
     weight: float
     mean_angle: float
@@ -40,7 +45,7 @@ class Cluster:
 
     def __post_init__(self) -> None:
         if not (self.weight > 0.0 and math.isfinite(self.weight)):
-            raise ValueError(f"cluster weight must be positive, got {self.weight}")
+            raise ValueError(f"cluster weight must be positive and finite, got {self.weight}")
         if not (0.0 <= self.mean_angle < math.pi):
             raise ValueError(f"mean_angle must lie in [0, pi), got {self.mean_angle}")
         if not (0.0 < self.circ_variance <= 1.0):

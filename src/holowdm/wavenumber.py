@@ -33,7 +33,11 @@ def mode_count(L_over_lambda: float) -> int:
     A ratio that is not a whole number of wavelengths is refused: its
     partitions would leave the ends of [0, pi] to no index.
     """
-    ratio = 2.0 * L_over_lambda
+    try:
+        ratio = 2.0 * L_over_lambda
+    except OverflowError:
+        # an int past the range of a double
+        ratio = math.inf
     if not math.isfinite(ratio):
         raise ValueError(f"2 L / lambda = {ratio} has no finite mode count")
     if ratio < 1.0:

@@ -1,6 +1,7 @@
 """Config parsing, CSV emission, and command-line behavior."""
 
 import argparse
+import copy
 import csv
 import ctypes
 import json
@@ -12,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import holowdm
@@ -197,6 +198,115 @@ def _tables(draw) -> Table:
     kinds = draw(st.lists(st.sampled_from([_FLOATS, _INTS, _LABELS]), min_size=1, max_size=4))
     data = tuple(draw(st.lists(kind, min_size=n, max_size=n)) for kind in kinds)
     return Table(tuple(f"c{i}" for i in range(len(data))), data)
+
+
+_HUGE = 10**400  # a valid JSON integer, and past the range of a double
+_BASE = {
+    "power_grid_dbw": [0, 30],
+    "clusters": [
+        {"mean_deg": 30, "circ_var": 0.01, "weight": 0.5},
+        {"mean_deg": 60, "circ_var": 0.005, "weight": 0.5},
+    ],
+}
+
+
+def _path_text(field) -> str:
+    return "".join(f"[{part}]" if isinstance(part, int) else f".{part}" for part in field)[1:]
+
+
+def _replaced(config, field, value) -> dict:
+    """A copy of config with value at field, a path of JSON keys and indices."""
+    config = copy.deepcopy(config)
+    *parents, last = field
+    target = config
+    for part in parents:
+        target = target[part]
+    target[last] = value
+    return config
+
+
+# each refused value: Cluster refuses a cluster field and mode_count an
+# aperture, and the one-line refusal starts with the path of that field
+_REFUSALS = [
+    *((("clusters", 0, "mean_deg"), v) for v in (180, 360, -1e-300, math.nan, math.inf)),
+    *((("clusters", 0, "circ_var"), v) for v in (0, 1.0000000000000002, math.nan, 1e-19)),
+    *((("clusters", 0, "weight"), v) for v in (0, -1, math.inf, math.nan)),
+    *((("clusters", 1, key), v) for key, v in (("mean_deg", 180), ("circ_var", 0), ("weight", 0))),
+    *(((key,), v) for key in ("L_s_over_lambda", "L_r_over_lambda")
+      for v in (-2, 0, math.nan, math.inf, _HUGE)),
+    *((field, _HUGE) for field in [("epsilon",), ("power_grid_dbw", 1),
+                                   ("clusters", 0, "mean_deg")]),
+]
+
+
+@pytest.mark.parametrize("field, value", _REFUSALS, ids=[
+    f"{_path_text(field)}={'10**400' if value is _HUGE else value}" for field, value in _REFUSALS])
+def test_refusal_names_its_key_path(tmp_path, capsys, field, value):
+    text = json.dumps(_replaced(_BASE, field, value))
+    with pytest.raises(ValueError) as err:
+        parse_config(text)
+    assert str(err.value).startswith((f"{_path_text(field)}:", f"{_path_text(field)} "))
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    out = tmp_path / "out"
+    assert main(["all", "--config", str(bad), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"holowdm: invalid config: {err.value}\n"
+    assert not out.exists()
+
+
+# the values that replace one field of a valid config: edge doubles, bools,
+# strings, null, ints, lists of these, and integers past the range of a double
+_EDGE_DOUBLES = st.one_of(
+    st.sampled_from([0.0, -5e-324, -1e-300, 1.0, 1.0000000000000002, 1e-19, 180.0]), _FLOATS)
+_HUGE_INTS = st.builds(lambda sign, digits: sign * 10**digits,
+                       st.sampled_from([1, -1]), st.integers(309, 4000))
+_SCALARS = st.one_of(_EDGE_DOUBLES, st.booleans(), _LABELS, st.none(), _INTS, _HUGE_INTS)
+_REPLACEMENTS = st.one_of(_SCALARS, st.lists(_SCALARS, max_size=3))
+# every field of a config: each top-level key, each cluster and each
+# cluster's key
+_FIELDS = [(key,) for key in cli._KEYS] + [
+    ("clusters", i, *key) for i in range(2) for key in [(), ("mean_deg",), ("circ_var",),
+                                                          ("weight",)]]
+
+
+@st.composite
+def _valid_configs(draw) -> dict:
+    weight = draw(st.sampled_from([0.5, 0.25, 0.75]))
+    return {
+        "lambda_m": draw(st.floats(1e-3, 1.0)),
+        "L_s_over_lambda": draw(st.integers(8, 40)),
+        "L_r_over_lambda": draw(st.integers(8, 40)),
+        "d_m": draw(st.floats(0.0, 10.0)),
+        "epsilon": draw(st.floats(1e-6, 0.5)),
+        "noise_var_dbw": draw(st.floats(-100.0, 100.0)),
+        "power_grid_dbw": draw(st.lists(st.floats(-100.0, 100.0), min_size=1, max_size=3)),
+        "realizations": draw(st.integers(1, 3)),
+        "seed": draw(st.integers(0, 2**64 - 1)),
+        "models": draw(st.permutations(["iid", "jakes", "isotropic", "non_isotropic"]))[
+            :draw(st.integers(1, 4))],
+        "clusters": [
+            {"mean_deg": draw(st.floats(0.0, 179.0)), "circ_var": draw(st.floats(1e-4, 1.0)),
+             "weight": w}
+            for w in (weight, 1.0 - weight)
+        ],
+    }
+
+
+@pytest.mark.filterwarnings("ignore:aperture shorter")
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_valid_configs(), st.sampled_from(_FIELDS), _REPLACEMENTS)
+@example(_BASE, ("epsilon",), _HUGE)
+@example(_BASE, ("clusters", 0, "mean_deg"), 180)
+def test_one_bad_field_is_refused_under_its_path(base, field, value):
+    # parse only, so an accepted realizations count is never run
+    parse_config(json.dumps(base))
+    path = _path_text(field)
+    try:
+        parse_config(json.dumps(_replaced(base, field, value)))
+    except ValueError as exc:
+        # the weights' sum is ScatteringSpec's rule, over every cluster
+        prefixes = (path, "clusters.weight") if field[-1] == "weight" else (path,)
+        assert str(exc).startswith(prefixes), (path, str(exc))
 
 
 class TestEmitCsv:

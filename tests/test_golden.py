@@ -15,9 +15,12 @@ that the quadrature's panel tolerance reaches: at 8 wavelengths, a tolerance
 ten times looser moves no bit of eigs.csv.
 The files in tests/data/golden/wide were written by `holowdm eigs` and `dof`
 on WIDE (1024-wavelength lines, 2048 modes a side) and are held to the same
-contract; its 2048 Jakes rows come from the half-size Toeplitz split.  There
-is no psf.csv there: the PSF does not depend on the aperture, and the
-asymmetric psf.csv already holds its bytes for the default clusters.
+contract; its 2048 Jakes rows come from the half-size Toeplitz split.
+The files in tests/data/golden/default were written by `holowdm all` with no
+config (the reference study: 128-wavelength lines, 500 realizations) and are
+held to the asymmetric contract.  Neither holds a psf.csv: the PSF does not
+depend on the aperture, and the asymmetric psf.csv already holds its bytes for
+the default clusters.
 """
 
 import csv
@@ -51,6 +54,7 @@ ASYMMETRIC = {
     "power_grid_dbw": [0, 30],
 }
 WIDE = {"L_s_over_lambda": 1024, "L_r_over_lambda": 1024}
+DEFAULT = {}  # every key takes its default, as with no config
 
 
 def _read(path):
@@ -83,6 +87,11 @@ def wide_outputs(tmp_path_factory):
     return _run_all(tmp_path_factory, WIDE, ("eigs", "dof"))
 
 
+@pytest.fixture(scope="module")
+def default_outputs(tmp_path_factory):
+    return _run_all(tmp_path_factory, DEFAULT)
+
+
 def _assert_rows_match(name, got, want, exact=lambda row: False):
     """Rows for which exact(row) holds match by bytes; the others as in the module docstring."""
     assert got[0] == want[0]
@@ -110,6 +119,7 @@ def test_matches_golden(outputs, name):
     ("asymmetric", "psf"),
     ("asymmetric", "dof"),
     ("wide", "dof"),
+    ("default", "dof"),
 ])
 def test_matches_golden_bytes(request, outputs_of, name):
     got = (request.getfixturevalue(f"{outputs_of}_outputs") / f"{name}.csv").read_bytes()
@@ -120,6 +130,8 @@ def test_matches_golden_bytes(request, outputs_of, name):
     ("asymmetric", "eigs"),
     ("asymmetric", "capacity"),
     ("wide", "eigs"),
+    ("default", "eigs"),
+    ("default", "capacity"),
 ])
 def test_matches_golden_rows(request, outputs_of, name):
     # only the eigen-solves of the Jakes rows and the capacity Monte Carlo

@@ -49,8 +49,10 @@ class TestBuildGrid:
     def test_mode_counts(self):
         assert mode_count(128) == 256
         assert mode_count(1) == 2
-        with pytest.raises(ValueError, match="no finite mode count"):
-            mode_count(1e308)
+        # an int past the range of a double, too, with no OverflowError
+        for ratio in (1e308, 10**400):
+            with pytest.raises(ValueError, match="no finite mode count"):
+                mode_count(ratio)
         with pytest.raises(ValueError, match="carries no modes"):
             mode_count(0.4)
 
