@@ -9,6 +9,8 @@ The package exports the names of the README's library example; every other
 name is imported from its module.
 """
 
+# first, so that it loads numpy's OpenBLAS where the package comes before numpy
+from . import blas  # noqa: F401
 from .channel import build_wdm_correlation, draw_channel
 from .harness import ExperimentConfig
 from .metrics import ergodic_capacity

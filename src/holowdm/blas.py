@@ -1,22 +1,75 @@
-"""numpy's OpenBLAS through ctypes: its functions, its thread count, its idle
-threads, and LAPACK's tridiagonal eigen-solve.
+"""numpy's OpenBLAS through ctypes: how it is loaded, its functions, its
+thread count, its idle threads, and LAPACK's tridiagonal eigen-solve.
 
-This is the one module of holowdm that calls foreign code.  OpenBLAS starts a
-server thread when numpy loads it, and again after every threaded call; that
-thread busy-waits for a while before it sleeps.  This module joins it as soon
-as it is imported (stop_idle_threads), which the package does right after
-numpy loads, and one_thread holds the count at one for a block of work.
-Where numpy links another BLAS, every function here is a no-op or None, and
-tridiagonal_eigvalsh takes numpy's dense eigvalsh.
+This is the one module of holowdm that calls foreign code, and the package
+imports it first.  OpenBLAS starts a server thread when numpy loads it, and
+again after every threaded call; that thread busy-waits for a while before
+it sleeps.  Where numpy is not loaded yet, no thread variable of OpenBLAS is
+set and numpy is a Linux wheel with scipy-openblas, this module imports
+numpy with OpenBLAS at one thread, so that no server thread starts, then
+sets the count OpenBLAS would have chosen (one per CPU this process may run
+on) and leaves the environment as it found it.  Either way it joins the
+server thread before its import ends (stop_idle_threads), and one_thread
+holds the count at one for a block of work.  Where numpy links another BLAS,
+every function here is a no-op or None, and tridiagonal_eigvalsh takes
+numpy's dense eigvalsh.
 """
 
 from __future__ import annotations
 
 import ctypes
+import importlib.util
+import os
+import sys
 from contextlib import contextmanager
 from functools import cache
 
-import numpy as np
+# the variables OpenBLAS reads for its thread count when numpy loads it
+_THREAD_VARIABLES = (
+    "OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS", "OPENBLAS_DEFAULT_NUM_THREADS",
+)
+
+
+def _ships_scipy_openblas() -> bool:
+    """Whether the numpy an import would load is a Linux wheel that ships
+    scipy-openblas, told by its files without importing it.
+
+    Such a wheel puts the shared object in numpy.libs next to the package,
+    and its symbols resolve through numpy's extension (_openblas).  A numpy
+    that links another BLAS has none there, and other platforms' wheels keep
+    the library elsewhere, so for them this says no.
+    """
+    spec = importlib.util.find_spec("numpy")
+    if spec is None or spec.origin is None:
+        return False
+    libs = os.path.dirname(spec.origin) + ".libs"
+    return os.path.isdir(libs) and any(
+        name.startswith("libscipy_openblas") and name.endswith(".so") for name in os.listdir(libs))
+
+
+def _import_numpy_at_one_thread() -> bool:
+    """Import numpy with its OpenBLAS at one thread, so that it starts no
+    server thread, and say whether it was.
+
+    Only where the count can be set back to OpenBLAS's own choice: numpy is
+    not loaded yet, no variable chooses the count, and numpy is a Linux
+    wheel with scipy-openblas.  OPENBLAS_NUM_THREADS is removed again, so no
+    later BLAS call of the process runs at one thread because of it.
+    """
+    if ("numpy" in sys.modules or any(name in os.environ for name in _THREAD_VARIABLES)
+            or not _ships_scipy_openblas()):
+        return False
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy  # noqa: F401
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]
+    return True
+
+
+_LOADED_AT_ONE_THREAD = _import_numpy_at_one_thread()
+
+import numpy as np  # noqa: E402
 
 __all__ = ["symbol", "thread_calls", "stop_idle_threads", "one_thread", "tridiagonal_eigvalsh"]
 
@@ -115,4 +168,15 @@ def tridiagonal_eigvalsh(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
     return diag
 
 
+def _set_default_thread_count() -> None:
+    """Set the count OpenBLAS takes when no variable is set: one thread per
+    CPU this process may run on, as its get_num_procs counts them."""
+    procs = symbol("scipy_openblas_get_num_procs64_", (), ctypes.c_int)
+    calls = thread_calls()
+    if procs is not None and calls is not None:
+        calls[1](procs())
+
+
+if _LOADED_AT_ONE_THREAD:
+    _set_default_thread_count()
 stop_idle_threads()

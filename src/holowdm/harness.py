@@ -114,8 +114,8 @@ class ExperimentConfig:
             raise ValueError(f"epsilon must lie in (0, 1), got {self.epsilon}")
         if not self.power_grid_dbw:
             raise ValueError("power_grid_dbw must not be empty")
-        for p in self.power_grid_dbw:
-            dbw_to_watts("power_grid_dbw", p)
+        for i, p in enumerate(self.power_grid_dbw):
+            dbw_to_watts(f"power_grid_dbw[{i}]", p)
         check_monte_carlo_args(self.realizations, self.seed, "seed")
         dbw_to_watts("noise_var_dbw", self.noise_var_dbw)
 

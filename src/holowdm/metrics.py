@@ -417,7 +417,8 @@ def ergodic_capacities(
         raise ValueError("power grid must not be empty")
     seeds = realization_seeds(base_seed, realizations)
     _check_noise_var(noise_var)
-    powers_w = np.array([dbw_to_watts("power_grid_dbw", p) for p in power_grid_dbw])
+    powers_w = np.array([dbw_to_watts(f"power_grid_dbw[{i}]", p)
+                         for i, p in enumerate(power_grid_dbw)])
     plans = [_plan(model.angular()) for model in models]
     with blas.one_thread():
         workers = min(worker_count(), realizations)

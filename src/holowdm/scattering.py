@@ -206,7 +206,10 @@ def acf_quadrature(spec: ScatteringSpec, k: float, r_x: float) -> complex:
     per 64 radians of k |r_x| (at most 200) so that a long lag does not run
     into one interval's panel limit; the intervals' values and errors are
     summed.  An error estimate above 1e-9 raises; so does a phase k r_x that
-    is not finite.
+    is not finite.  The estimate is the 10-point rule's |G20 - G10|, while the
+    value is the 20-point rule's, so the refusal is conservative: a lag
+    refused near 1.2e5 radians, with an estimate of 1.3e-8, is within 1.4e-14
+    of J0.
     """
     phase = _phase(k, r_x)
 
@@ -219,8 +222,6 @@ def acf_quadrature(spec: ScatteringSpec, k: float, r_x: float) -> complex:
     edges = np.linspace(0.0, math.pi, pieces + 1)
     values, err = integrate_density(spec, edges[:-1], edges[1:], weight)
     err = err.sum()
-    # the estimate is the 10-point rule's error and overstates the value's:
-    # at 1.2e5 radians it reads 1.3e-8 and raises, with the value 1.4e-14 off J0
     if not err <= 1e-9:
         raise RuntimeError(f"ACF quadrature error {err:.3e} at r_x={r_x}")
     return values.sum()

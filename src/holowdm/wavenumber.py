@@ -86,8 +86,10 @@ def variance_profile(L_over_lambda: float, spec: ScatteringSpec) -> VarianceProf
     split at the cluster means inside it and bisected until every panel's
     20- and 10-point Gauss-Legendre values agree.  A partition error above
     1e-10, as of a cluster too narrow for the quadrature, raises a
-    ValueError.  Entries are independent of each other and of any
-    evaluation parallelism a caller might add.
+    ValueError.  The error estimate is the 10-point rule's |G20 - G10|, while
+    each entry is the 20-point rule's value, so the refusal is conservative.
+    Entries are independent of each other and of any evaluation parallelism
+    a caller might add.
     """
     indices = build_grid(L_over_lambda)
     variances, err = integrate_density(spec, *_partition_bounds(L_over_lambda, indices))

@@ -458,6 +458,23 @@ class TestMain:
         assert key in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", [4000, -4000])
+    def test_bad_power_names_its_index(self, tmp_path, capsys, value):
+        # a refusal of one entry of the grid says which entry
+        grid = [0, value, 30]
+        message = f"power_grid_dbw[1] must be a positive finite power in watts, got {value:.1f} dBW"
+        for build in (lambda: parse_config(json.dumps({"power_grid_dbw": grid})),
+                      lambda: ExperimentConfig(power_grid_dbw=tuple(map(float, grid)))):
+            with pytest.raises(ValueError) as err:
+                build()
+            assert str(err.value) == message
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"power_grid_dbw": grid}))
+        out = tmp_path / "out"
+        assert main(["all", "--config", str(bad), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"holowdm: invalid config: {message}\n"
+        assert not out.exists()
+
     def test_experiment_failure_aborts_with_context(self, tmp_path, config_file, capsys,
                                                     monkeypatch):
         def broken(cfg):
@@ -649,16 +666,22 @@ def test_repeated_key_in_a_large_config_is_found_in_one_pass(tmp_path):
     )
 
 
+# the variables that choose OpenBLAS's thread count when numpy loads it
+_BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS",
+                          "OPENBLAS_DEFAULT_NUM_THREADS")
+
+
 def test_all_bytes_do_not_depend_on_blas_threads(tmp_path):
     # 20 realizations run on the worker pool wherever two CPUs allow it; the
     # Monte Carlo and the Jakes halves run at one BLAS thread, and no other
-    # stage calls a threaded BLAS routine
+    # stage calls a threaded BLAS routine.  With no thread variable set,
+    # holowdm loads numpy's OpenBLAS at one thread and then sets its count
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"realizations": 20, "power_grid_dbw": [0, 30]}))
     outs = []
     for threads in (None, "1", "2"):
         env = _package_env()
-        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        for var in (*_BLAS_THREAD_VARIABLES, "MKL_NUM_THREADS"):
             env.pop(var, None)
         if threads is not None:
             env["OPENBLAS_NUM_THREADS"] = threads
@@ -819,3 +842,82 @@ def test_no_idle_blas_thread_after_import_or_run(tmp_path, command, models):
     assert held == [1, 1]
     assert released == [loaded[0], 1]
     assert ran == [loaded[0], 1]
+
+
+# Imports the modules named on the command line in order, then numpy, in a
+# fresh interpreter, and prints numpy's OpenBLAS thread count and
+# get_num_procs, this process's OS threads, OPENBLAS_NUM_THREADS, and the CPU
+# time the process spent off its main thread; prints null where the count
+# cannot be read.
+_LOAD_PROBE = """
+import ctypes, json, os, resource, sys, time
+for name in sys.argv[1:]:
+    __import__(name)
+import numpy as np
+usage = resource.getrusage(resource.RUSAGE_SELF)
+off_main = usage.ru_utime + usage.ru_stime - time.thread_time()
+handle = ctypes.CDLL(np._core._multiarray_umath.__file__)
+get, procs = (getattr(handle, f"scipy_openblas_{name}64_", None)
+              for name in ("get_num_threads", "get_num_procs"))
+if get is None or procs is None:
+    print(json.dumps(None))
+    sys.exit()
+print(json.dumps({"threads": get(), "procs": procs(), "tasks": len(os.listdir("/proc/self/task")),
+                  "variable": os.environ.get("OPENBLAS_NUM_THREADS"), "off_main_s": off_main}))
+"""
+
+
+def _load(*modules, **variables) -> dict:
+    """What _LOAD_PROBE reports after importing modules, with the BLAS thread
+    variables given and the others unset; skips where it cannot read it."""
+    if not os.path.isdir("/proc/self/task"):
+        pytest.skip("needs /proc/self/task")
+    env = _package_env(**variables)
+    for var in (*_BLAS_THREAD_VARIABLES, "MKL_NUM_THREADS"):
+        if var not in variables:
+            env.pop(var, None)
+    result = subprocess.run([sys.executable, "-c", _LOAD_PROBE, *modules],
+                            capture_output=True, text=True, env=env, check=True, timeout=120)
+    report = json.loads(result.stdout.splitlines()[-1])
+    if report is None:
+        pytest.skip("numpy's OpenBLAS thread count cannot be read")
+    return report
+
+
+def test_numpy_is_loaded_at_one_thread_only_where_the_count_can_be_set_back():
+    # a numpy whose OpenBLAS holowdm cannot reach would keep the one thread
+    if blas._ships_scipy_openblas():
+        assert blas.thread_calls() is not None
+        assert blas.symbol("scipy_openblas_get_num_procs64_", (), ctypes.c_int) is not None
+
+
+def test_import_before_numpy_spends_no_cpu_off_the_main_thread():
+    # numpy loads OpenBLAS at one thread under holowdm, so no server thread
+    # busy-waits through the rest of the import; numpy alone spends tens of
+    # milliseconds on it wherever OpenBLAS runs more than one thread
+    report = _load("holowdm")
+    if report["procs"] == 1:
+        pytest.skip("OpenBLAS runs one thread on this machine")
+    assert report["off_main_s"] < 0.010
+
+
+@pytest.mark.parametrize("modules", [("holowdm",), ("numpy", "holowdm")],
+                         ids=["holowdm-first", "numpy-first"])
+def test_import_keeps_numpys_own_thread_count(modules):
+    # the count is the one numpy alone takes, no server thread is left, and
+    # OPENBLAS_NUM_THREADS is not left set for the process's later BLAS calls;
+    # where numpy came first, holowdm only joins the server thread
+    report = _load(*modules)
+    assert report["threads"] == _load()["threads"]
+    assert report["tasks"] == 1
+    assert report["variable"] is None
+
+
+@pytest.mark.parametrize("value", ["1", "3"])
+@pytest.mark.parametrize("variable", _BLAS_THREAD_VARIABLES)
+def test_thread_variable_keeps_numpys_own_thread_count(variable, value):
+    # a set variable chooses the count as it does for numpy alone
+    report = _load("holowdm", **{variable: value})
+    assert report["threads"] == _load(**{variable: value})["threads"]
+    assert report["tasks"] == 1
+    assert report["variable"] == (value if variable == "OPENBLAS_NUM_THREADS" else None)

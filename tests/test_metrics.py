@@ -356,6 +356,10 @@ class TestCapacity:
         with pytest.raises(ValueError, match="power_grid_dbw"):
             ergodic_capacity(build_iid_correlation(2, 2), (power_dbw,), 1.0, 2, 1)
 
+    def test_bad_power_names_its_index(self):
+        with pytest.raises(ValueError, match=r"^power_grid_dbw\[1\] "):
+            ergodic_capacity(build_iid_correlation(2, 2), (0.0, 4000.0), 1.0, 2, 1)
+
     def test_largest_seed_accepted(self):
         grid = (0.0,)
         model = build_iid_correlation(2, 2)
