@@ -10,9 +10,10 @@ numpy with OpenBLAS at one thread, so that no server thread starts, then
 sets the count OpenBLAS would have chosen (one per CPU this process may run
 on) and leaves the environment as it found it.  Either way it joins the
 server thread before its import ends (stop_idle_threads), and one_thread
-holds the count at one for a block of work.  Where numpy links another BLAS,
-every function here is a no-op or None, and tridiagonal_eigvalsh takes
-numpy's dense eigvalsh.
+holds the count at one for a block of work.  Its three eigen-solves run
+LAPACK on buffers holowdm owns: tridiagonal_eigvalsh, eigvalsh_in_place and
+gram_eigvalsh.  Where numpy links another BLAS, every function here is a
+no-op or None, and the eigen-solves take numpy's eigvalsh.
 """
 
 from __future__ import annotations
@@ -71,7 +72,20 @@ _LOADED_AT_ONE_THREAD = _import_numpy_at_one_thread()
 
 import numpy as np  # noqa: E402
 
-__all__ = ["symbol", "thread_calls", "stop_idle_threads", "one_thread", "tridiagonal_eigvalsh"]
+__all__ = [
+    "symbol", "thread_calls", "stop_idle_threads", "one_thread", "tridiagonal_eigvalsh",
+    "eigen_solver", "eigvalsh_in_place", "gram_eigvalsh",
+]
+
+# LAPACK's and BLAS's argument types: a pointer, an integer by reference (64
+# bits in numpy's OpenBLAS), and the hidden length of a character argument,
+# which gfortran passes after all the others
+_POINTER, _INT, _LENGTH = ctypes.c_void_p, ctypes.POINTER(ctypes.c_int64), ctypes.c_size_t
+
+
+def _int(value: int):
+    """value as an _INT argument."""
+    return ctypes.byref(ctypes.c_int64(value))
 
 
 @cache
@@ -156,16 +170,108 @@ def tridiagonal_eigvalsh(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
     if diag.ndim != 1 or off.shape != (diag.size - 1,):
         raise ValueError(f"need a diagonal vector and one entry fewer off it, got shapes "
                          f"{diag.shape} and {off.shape}")
-    int64_p = ctypes.POINTER(ctypes.c_int64)
-    sterf = symbol("scipy_dsterf_64_", (int64_p, ctypes.c_void_p, ctypes.c_void_p, int64_p), None)
+    sterf = symbol("scipy_dsterf_64_", (_INT, _POINTER, _POINTER, _INT), None)
     if sterf is None:
         return np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
     info = ctypes.c_int64(0)
-    sterf(ctypes.byref(ctypes.c_int64(diag.size)), diag.ctypes.data, off.ctypes.data,
-          ctypes.byref(info))
+    sterf(_int(diag.size), diag.ctypes.data, off.ctypes.data, ctypes.byref(info))
     if info.value != 0:
         raise np.linalg.LinAlgError(f"dsterf failed to converge (info {info.value})")
     return diag
+
+
+def eigen_solver(dtype):
+    """LAPACK dsyevd (float64) or zheevd (complex128) of numpy's OpenBLAS
+    with its signature set, or None.
+
+    dsyevd(jobz, uplo, n, a, lda, w, work, lwork, iwork, liwork, info) and
+    zheevd(jobz, uplo, n, a, lda, w, work, lwork, rwork, lrwork, iwork,
+    liwork, info), each followed by the lengths of jobz and uplo.
+    """
+    if np.dtype(dtype) == np.complex128:
+        return symbol("scipy_zheevd_64_", (_POINTER, _POINTER, _INT, _POINTER, _INT, _POINTER)
+                      + (_POINTER, _INT) * 3 + (_INT, _LENGTH, _LENGTH), None)
+    return symbol("scipy_dsyevd_64_", (_POINTER, _POINTER, _INT, _POINTER, _INT, _POINTER)
+                  + (_POINTER, _INT) * 2 + (_INT, _LENGTH, _LENGTH), None)
+
+
+def eigvalsh_in_place(A: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of the square float64 or complex128 matrix A,
+    whose contents it destroys.
+
+    LAPACK dsyevd or zheevd (eigen_solver) with jobz 'N' and uplo 'L' on A's
+    own buffer, which must be C- or F-contiguous and writeable: numpy's
+    eigvalsh runs the same routine on the same triangle, but on a copy.  It
+    reads the lower triangle of A's column-major storage, which is A's upper
+    triangle when A is C-ordered, so a C-ordered A must be exactly symmetric
+    (Hermitian), and an F-ordered one needs only its lower triangle.  The
+    workspace is sized by a query, as numpy does: the minimal one takes
+    LAPACK's unblocked reduction (dsytd2), which is slower and rounds
+    differently.  Where numpy links another BLAS, numpy's eigvalsh.
+    """
+    if (A.ndim != 2 or A.shape[0] != A.shape[1] or A.dtype not in (np.float64, np.complex128)
+            or not A.flags.writeable or not (A.flags.c_contiguous or A.flags.f_contiguous)):
+        raise ValueError(f"need a writeable contiguous square float64 or complex128 matrix, "
+                         f"got shape {A.shape} of {A.dtype}")
+    evd = eigen_solver(A.dtype)
+    if evd is None:
+        return np.linalg.eigvalsh(A)
+    n = A.shape[0]
+    w = np.empty(n)
+    info = ctypes.c_int64(0)
+
+    def run(workspace, query: bool) -> None:
+        arguments = []
+        for buffer in workspace:
+            arguments += [buffer.ctypes.data, _int(-1 if query else buffer.size)]
+        evd(b"N", b"L", _int(n), A.ctypes.data, _int(max(1, n)), w.ctypes.data, *arguments,
+            ctypes.byref(info), 1, 1)
+        if info.value != 0:
+            raise np.linalg.LinAlgError(f"{evd.__name__} failed (info {info.value})")
+
+    # work, rwork (zheevd only) and iwork: the query writes the length each
+    # needs into its first entry
+    query = [np.empty(1, A.dtype), np.empty(1), np.empty(1, np.int64)]
+    if A.dtype == np.float64:
+        del query[1]
+    run(query, True)
+    run([np.empty(int(buffer[0].real), buffer.dtype) for buffer in query], False)
+    return w
+
+
+def gram_eigvalsh(H: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of the Gram matrix of the complex matrix H on its
+    smaller side: H H^H when H has no more rows than columns, else H^H H.
+
+    BLAS zherk(uplo, trans, n, k, alpha, a, lda, beta, c, ldc) writes the
+    lower triangle of the Gram matrix, half the flops of the dense product,
+    into a column-major buffer this function owns, and eigvalsh_in_place
+    solves it there.  trans and lda come from H's layout: column-major BLAS
+    reads an F-ordered H as H and a C-ordered one as H^T, whose Gram matrix
+    is the conjugate of H's, with the same eigenvalues; any other H is
+    copied to C order first.  Where numpy links another BLAS, numpy's
+    eigvalsh of the dense product.
+    """
+    H = np.asarray(H, dtype=np.complex128)
+    if H.ndim != 2:
+        raise ValueError(f"need a matrix, got shape {H.shape}")
+    herk = symbol("scipy_zherk_64_", (_POINTER, _POINTER, _INT, _INT, _POINTER, _POINTER, _INT,
+                                      _POINTER, _POINTER, _INT, _LENGTH, _LENGTH), None)
+    if herk is None:
+        return np.linalg.eigvalsh(H @ H.conj().T if H.shape[0] <= H.shape[1] else H.conj().T @ H)
+    if not H.flags.f_contiguous:
+        H = np.ascontiguousarray(H)
+    fortran = H.flags.f_contiguous
+    n, k = sorted(H.shape)
+    # BLAS reads H or H^T as A, and trans 'N' forms A A^H, 'C' A^H A: H H^H
+    # is 'N' on an F-ordered H, and its conjugate 'C' on a C-ordered one
+    trans = b"N" if (H.shape[0] <= H.shape[1]) == fortran else b"C"
+    lda = H.shape[0] if fortran else H.shape[1]
+    gram = np.empty((n, n), np.complex128, order="F")
+    herk(b"L", trans, _int(n), _int(k), ctypes.byref(ctypes.c_double(1.0)), H.ctypes.data,
+         _int(max(1, lda)), ctypes.byref(ctypes.c_double(0.0)), gram.ctypes.data, _int(max(1, n)),
+         1, 1)
+    return eigvalsh_in_place(gram)
 
 
 def _set_default_thread_count() -> None:

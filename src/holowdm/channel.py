@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .blas import one_thread
+from . import blas
 from .specfun import bessel_j0
 from .wavenumber import VarianceProfile
 
@@ -138,8 +138,12 @@ def _toeplitz_eigenvalues(t: np.ndarray) -> np.ndarray:
 
     The halves are formed and solved side by side, T - H on a second thread
     and T + H on the calling one, both at one BLAS thread (blas.one_thread)
-    whatever the caller's setting, so the bits depend on neither.  The second
-    thread is joined before the return, and an error on it is raised here.
+    whatever the caller's setting, so the bits depend on neither.  Each half
+    is a new, exactly symmetric array that blas.eigvalsh_in_place solves in
+    its own buffer: LAPACK dsyevd on the triangle numpy's eigvalsh reads,
+    with the same blocked workspace, so the bits are eigvalsh's, without its
+    copy.  The second thread is joined before the return, and an error on it
+    is raised here.
     """
     n = t.size
     m = n // 2
@@ -152,11 +156,13 @@ def _toeplitz_eigenvalues(t: np.ndarray) -> np.ndarray:
 
     def solve_minus() -> None:
         try:
-            minus.append(np.linalg.eigvalsh(T - H))
+            minus.append(blas.eigvalsh_in_place(T - H))
         except Exception as exc:
             minus.append(exc)
 
-    with one_thread():
+    with blas.one_thread():
+        # dsyevd is looked up and typed here, not by both threads at once
+        blas.eigen_solver(np.float64)
         beside = threading.Thread(target=solve_minus)
         beside.start()
         try:
@@ -167,7 +173,7 @@ def _toeplitz_eigenvalues(t: np.ndarray) -> np.ndarray:
                 plus[m, m] = t[0]
             else:
                 plus = T + H
-            w_plus = np.linalg.eigvalsh(plus)
+            w_plus = blas.eigvalsh_in_place(plus)
         finally:
             beside.join()
     if isinstance(minus[0], Exception):

@@ -182,10 +182,9 @@ def _waterfill_grid(eigenvalues, powers, noise_var: float) -> np.ndarray:
 
 def _mode_gains(H: np.ndarray) -> np.ndarray:
     # the Gram matrix on the smaller side has exactly the min(n_r, n_s)
-    # eigenmode gains; it is Hermitian by construction, so it goes to eigvalsh
-    # unchecked
-    gram = H @ H.conj().T if H.shape[0] <= H.shape[1] else H.conj().T @ H
-    return np.clip(np.linalg.eigvalsh(gram)[::-1], 0.0, None)
+    # eigenmode gains; it is Hermitian by construction, so blas.gram_eigvalsh
+    # forms one triangle of it (zherk) and solves that with no check
+    return np.clip(blas.gram_eigvalsh(H)[::-1], 0.0, None)
 
 
 def _wishart_gains(n_r: int, n_s: int, seed: int) -> np.ndarray:
@@ -389,9 +388,11 @@ def ergodic_capacities(
       _wishart_gains;
     - otherwise the models share one W per seed, drawn once (by draw_w) and
       scaled by sqrt(a) and sqrt(b) on a copy for each model, and the gains
-      are the eigenvalues of its Gram matrix on the smaller side.  Modes
-      whose variance is at most 1e-15 of the largest are dropped first; they
-      move the gains by no more than roundoff.
+      are the eigenvalues of its Gram matrix on the smaller side, one
+      triangle of it formed by BLAS zherk and solved in place by LAPACK
+      zheevd (blas.gram_eigvalsh).  Modes whose variance is at most 1e-15 of
+      the largest are dropped first; they move the gains by no more than
+      roundoff.
     The gains are then water-filled at every power of the grid from one sort
     and one breakpoint sum; each cell is bitwise what waterfill gives at that
     power alone.

@@ -60,6 +60,9 @@ class ScatteringSpec:
     clusters: tuple[Cluster, ...] = ()
 
     def __post_init__(self) -> None:
+        # stored as a tuple, so that a spec built from a list hashes: the
+        # harness caches profiles by spec
+        object.__setattr__(self, "clusters", tuple(self.clusters))
         total = math.fsum(c.weight for c in self.clusters)
         if self.clusters and abs(total - 1.0) > 1e-12:
             raise ValueError(f"cluster weights must sum to 1, got {total}")
@@ -70,10 +73,10 @@ class ScatteringSpec:
 
     @classmethod
     def mixture(cls, clusters) -> "ScatteringSpec":
-        clusters = tuple(clusters)
-        if not clusters:
+        spec = cls(clusters)
+        if spec.is_isotropic:
             raise ValueError("mixture spec needs at least one cluster")
-        return cls(clusters)
+        return spec
 
     @property
     def is_isotropic(self) -> bool:

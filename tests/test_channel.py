@@ -10,7 +10,7 @@ import pytest
 from conftest import blas_threads
 from scipy import linalg, special
 
-from holowdm import channel
+from holowdm import blas, channel
 from holowdm.channel import (
     CorrelationModel,
     build_iid_correlation,
@@ -344,7 +344,7 @@ class TestToeplitzSpectrum:
     def test_split_matches_dense_eigvalsh(self, monkeypatch, n):
         R = linalg.toeplitz(jakes_lags(n))
         dense = []
-        monkeypatch.setattr(np.linalg, "eigvalsh", _recording(np.linalg.eigvalsh, dense))
+        monkeypatch.setattr(blas, "eigvalsh_in_place", _recording(blas.eigvalsh_in_place, dense))
         got = CorrelationModel(np.ones(1), R).angular().R_r
         # the split solves two halves, never the n x n matrix
         assert sorted(dense) == [n // 2, (n + 1) // 2]
@@ -356,13 +356,13 @@ class TestToeplitzSpectrum:
         # the caller runs two BLAS threads; both halves see one, on two
         # threads, and the caller's count is back on return
         seen = []
-        solve = np.linalg.eigvalsh
+        solve = blas.eigvalsh_in_place
 
         def recording(A):
             seen.append((threading.get_ident(), blas_threads()))
             return solve(A)
 
-        monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+        monkeypatch.setattr(blas, "eigvalsh_in_place", recording)
         alive = threading.active_count()
         got = channel._toeplitz_eigenvalues(jakes_lags(n))
         assert threading.active_count() == alive
@@ -375,7 +375,7 @@ class TestToeplitzSpectrum:
     @pytest.mark.parametrize("half", ["T - H", "T + H"])
     def test_an_error_in_either_half_is_raised(self, monkeypatch, half):
         # n = 5 gives a 2 x 2 T - H and a 3 x 3 T + H
-        solve = np.linalg.eigvalsh
+        solve = blas.eigvalsh_in_place
         failing = 2 if half == "T - H" else 3
 
         def flaky(A):
@@ -383,7 +383,7 @@ class TestToeplitzSpectrum:
                 raise np.linalg.LinAlgError(half)
             return solve(A)
 
-        monkeypatch.setattr(np.linalg, "eigvalsh", flaky)
+        monkeypatch.setattr(blas, "eigvalsh_in_place", flaky)
         alive = threading.active_count()
         with pytest.raises(np.linalg.LinAlgError, match=re.escape(half)):
             channel._toeplitz_eigenvalues(jakes_lags(5))

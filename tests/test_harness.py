@@ -326,6 +326,20 @@ class TestSharedProfiles:
         self.run_all(replace(desk_cfg, scattering_r=narrow))
         assert len(quadratures) == 3
 
+    def test_spec_built_from_a_list_gives_the_tuple_specs_rows(self, desk_cfg):
+        # a list of clusters is stored as a tuple, so the profile cache can
+        # hash the spec
+        clusters = [Cluster(0.3, math.radians(20.0), 0.02), Cluster(0.7, math.radians(70.0), 0.01)]
+        listed = replace(desk_cfg, scattering_s=ScatteringSpec(list(clusters)),
+                         scattering_r=ScatteringSpec(list(clusters)))
+        tupled = replace(desk_cfg, scattering_s=ScatteringSpec(tuple(clusters)),
+                         scattering_r=ScatteringSpec(tuple(clusters)))
+        assert listed.scattering_r.clusters == tuple(clusters)
+        harness._shared_profile.cache_clear()
+        rows = [(run_dof(cfg).rows, run_eigen_spectrum(cfg).rows) for cfg in (listed, tupled)]
+        assert rows[0] == rows[1]
+        run_capacity(replace(listed, realizations=1))
+
 
 class TestLazySquareRoots:
     def test_eigen_spectrum_takes_no_square_root(self, desk_cfg, monkeypatch):
