@@ -67,9 +67,11 @@ class ExperimentConfig:
     """Full experiment parameterization; defaults reproduce the reference setup.
 
     L_s_over_lambda / L_r_over_lambda are the source and receiver line lengths
-    in wavelengths, each a whole number of at least 1 (wavenumber.mode_count);
-    a ValueError names the field.  The Fourier-series channel model assumes
-    electrically large lines, so a warning is emitted below 8 wavelengths.
+    in wavelengths, each a whole number of at least 1 and not a bool
+    (wavenumber.mode_count); a ValueError names the field, as it does for a
+    bool or unrunnable power or noise (metrics.dbw_to_watts).  The
+    Fourier-series channel model assumes electrically large lines, so a
+    warning is emitted below 8 wavelengths.
     scattering_s / scattering_r describe the non-isotropic model (the
     isotropic model needs no parameters); they default to the same mixture on
     both sides, but asymmetric specs are allowed.

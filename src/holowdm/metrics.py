@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import multiprocessing
+import numbers
 import os
 from collections.abc import Iterable
 from dataclasses import dataclass
@@ -232,9 +233,13 @@ def check_monte_carlo_args(realizations, seed, seed_name: str = "base_seed") -> 
 
 
 def dbw_to_watts(key: str, dbw: float) -> float:
-    """dBW in watts; raises naming key unless that is a positive finite double."""
+    """dBW in watts; raises naming key unless dbw is a real number, not a
+    bool, whose watts are a positive finite double."""
+    # numpy's bool is no numbers.Real, but Python's is an int
+    if isinstance(dbw, bool) or not isinstance(dbw, numbers.Real):
+        raise ValueError(f"{key} must be a number of dBW, got {dbw!r}")
     try:
-        watts = 10.0 ** (dbw / 10.0)
+        watts = 10.0 ** (float(dbw) / 10.0)
     except OverflowError:
         watts = math.inf
     if not (math.isfinite(watts) and watts > 0.0):
@@ -268,14 +273,23 @@ def worker_count() -> int:
 
 @dataclass(eq=False)
 class CapacityResult:
-    """Mean water-filling capacity per transmit-power point.
+    """Water-filling capacities of one model, samples[i, j] at seed i and power j.
 
-    stderr_bits is the standard error of each mean over the realizations
-    (NaN when there is only one).
+    stderr_bits is the standard error of each mean (NaN for one realization).
     """
 
-    capacity_bits: np.ndarray
-    stderr_bits: np.ndarray
+    samples: np.ndarray
+
+    @property
+    def capacity_bits(self) -> np.ndarray:
+        return self.samples.mean(axis=0)
+
+    @property
+    def stderr_bits(self) -> np.ndarray:
+        realizations, powers = self.samples.shape
+        if realizations == 1:
+            return np.full(powers, np.nan)
+        return self.samples.std(axis=0, ddof=1) / math.sqrt(realizations)
 
 
 def _capacity_bits(gains: np.ndarray, powers_w: np.ndarray, noise_var: float) -> np.ndarray:
@@ -348,12 +362,17 @@ def _pooled_capacity(
     joined along the seed axis in index order.
 
     Each worker runs at one BLAS thread: the caller holds that setting
-    (blas.one_thread) when it forks them.  Workers are processes, not threads:
-    on 2 vCPUs two threads run complex 256x256 eigvalsh at 0.9-1.0x the speed
-    of one, two processes at 1.7x, and a thread pool took 4.3 s against 2.7 s
-    for `holowdm all` at 100 realizations.  The pool lives for this call: it is
-    closed and joined before the return, and terminated and joined when a
-    worker raises, whose exception propagates.
+    (blas.one_thread) when it forks them.  Workers are processes, not
+    threads, for small arrays.  The LAPACK calls go through ctypes, which
+    releases the GIL, so two threads over two seed blocks match this pool on
+    the default 256x256 study at 100 realizations (1.576 s against 1.558 s
+    median wall, 3.03 s against 3.02 s of CPU, on 2 vCPUs).  A small array
+    is bound by per-realization Python work instead, and each ctypes call
+    drops the GIL and takes it back: at 16x8 wavelengths and 1500
+    realizations the threads took 4.82 s against 1.80 s for the pool, the
+    median of 8 alternating pairs, slower in all 8.  The pool lives for this
+    call: it is closed and joined before the return, and terminated and
+    joined when a worker raises, whose exception propagates.
     """
     blocks = np.array_split(seeds, workers)
     pool = multiprocessing.get_context("fork").Pool(workers)
@@ -378,8 +397,8 @@ def ergodic_capacities(
     The capacity is computed in the angular domain.  W is unitarily
     invariant, so the gains of R_r^(1/2) W R_s^(1/2) are distributed as those
     of diag(a)^(1/2) W diag(b)^(1/2), with a and b the eigenvalues of R_r and
-    R_s (model.angular()).  A dense side (Jakes) costs one spectrum solve
-    before the first realization, and no square root or dense product.
+    R_s (model.angular()): a dense side (Jakes) costs one spectrum solve,
+    and no square root or dense product.
 
     All models run in one pass over the per-realization seeds of base_seed.
     Each seed gives the gains of every model:
@@ -390,9 +409,8 @@ def ergodic_capacities(
       scaled by sqrt(a) and sqrt(b) on a copy for each model, and the gains
       are the eigenvalues of its Gram matrix on the smaller side, one
       triangle of it formed by BLAS zherk and solved in place by LAPACK
-      zheevd (blas.gram_eigvalsh).  Modes whose variance is at most 1e-15 of
-      the largest are dropped first; they move the gains by no more than
-      roundoff.
+      zheevd (blas.gram_eigvalsh), after dropping the modes at most 1e-15
+      of the largest variance, which move the gains by roundoff alone.
     The gains are then water-filled at every power of the grid from one sort
     and one breakpoint sum; each cell is bitwise what waterfill gives at that
     power alone.
@@ -404,16 +422,15 @@ def ergodic_capacities(
     seeds are split into contiguous blocks that run on min(worker_count(),
     realizations) forked workers (_pooled_capacity); otherwise they run in
     this process.  Every realization depends on its seed alone, and the
-    blocks are joined in seed order before the mean and standard error, so
-    both paths give the same bits for any worker count.
+    blocks are joined in seed order, so both paths give the same samples
+    for any worker count, and row i of every model's samples is seed i.
 
-    A channel whose gains are all zero, as when a side has no non-negligible
-    variance, carries 0 bits at every power.  realizations must be a positive
-    integer, base_seed an integer in [0, 2**64) and noise_var a positive
-    finite number, whatever the gains; anything else raises a ValueError
-    naming the argument.
+    A channel whose gains are all zero (a side with no non-negligible
+    variance) carries 0 bits.  realizations must be a positive integer,
+    base_seed an integer in [0, 2**64) and noise_var a positive finite
+    number, whatever the gains; anything else raises a ValueError naming it.
     """
-    power_grid_dbw = tuple(float(p) for p in power_grid_dbw)
+    power_grid_dbw = tuple(power_grid_dbw)
     if not power_grid_dbw:
         raise ValueError("power grid must not be empty")
     seeds = realization_seeds(base_seed, realizations)
@@ -427,14 +444,7 @@ def ergodic_capacities(
             capacity = _pooled_capacity(plans, seeds, powers_w, noise_var, workers)
         else:
             capacity = _capacity_block(plans, seeds, powers_w, noise_var)
-    results = []
-    for per_model in capacity:
-        if realizations > 1:
-            stderr = per_model.std(axis=0, ddof=1) / math.sqrt(realizations)
-        else:
-            stderr = np.full(len(power_grid_dbw), np.nan)
-        results.append(CapacityResult(capacity_bits=per_model.mean(axis=0), stderr_bits=stderr))
-    return results
+    return [CapacityResult(per_model) for per_model in capacity]
 
 
 def ergodic_capacity(

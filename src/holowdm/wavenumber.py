@@ -31,8 +31,11 @@ def mode_count(L_over_lambda: float) -> int:
     """Propagating modes of a line L/lambda wavelengths long: 2 L / lambda.
 
     A ratio that is not a whole number of wavelengths is refused: its
-    partitions would leave the ends of [0, pi] to no index.
+    partitions would leave the ends of [0, pi] to no index.  So is a bool,
+    which Python and numpy would take as 1 or 0.
     """
+    if isinstance(L_over_lambda, (bool, np.bool_)):
+        raise ValueError(f"{L_over_lambda!r} is a bool, not a length in wavelengths")
     try:
         ratio = 2.0 * L_over_lambda
     except OverflowError:

@@ -85,6 +85,22 @@ class TestDefaultConfig:
             ExperimentConfig(**{key: value})
 
 
+@pytest.mark.parametrize("flag", [True, np.True_, False], ids=["True", "np.True_", "False"])
+@pytest.mark.parametrize("field, value, match", [
+    ("L_s_over_lambda", lambda b: b, r"^L_s_over_lambda: "),
+    ("L_r_over_lambda", lambda b: b, r"^L_r_over_lambda: "),
+    ("noise_var_dbw", lambda b: b, r"^noise_var_dbw "),
+    ("power_grid_dbw", lambda b: (b,), r"^power_grid_dbw\[0\] "),
+], ids=["L_s_over_lambda", "L_r_over_lambda", "noise_var_dbw", "power_grid_dbw"])
+def test_bool_is_refused_naming_its_field(field, value, match, flag):
+    # a bool is an int to Python and a number to numpy: True would run a 1
+    # wavelength line, or a power or noise of 1 dBW
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=match):
+            ExperimentConfig(**{field: value(flag)})
+
+
 class TestApertures:
     """The two line lengths in wavelengths, checked by ExperimentConfig."""
 

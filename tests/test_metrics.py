@@ -1,6 +1,7 @@
 """Eigen-analysis, DoF, water-filling, and ergodic-capacity contracts."""
 
 import ast
+import dataclasses
 import math
 import multiprocessing
 import warnings
@@ -24,6 +25,7 @@ from holowdm.channel import (
 )
 from holowdm.harness import MODEL_NAMES, ExperimentConfig, correlation_for, run_capacity
 from holowdm.metrics import (
+    CapacityResult,
     dof,
     ergodic_capacities,
     ergodic_capacity,
@@ -360,6 +362,12 @@ class TestCapacity:
         with pytest.raises(ValueError, match=r"^power_grid_dbw\[1\] "):
             ergodic_capacity(build_iid_correlation(2, 2), (0.0, 4000.0), 1.0, 2, 1)
 
+    @pytest.mark.parametrize("power", [True, np.False_, "10", None])
+    def test_power_that_is_no_real_number_names_its_index(self, power):
+        # float() would run True at 1 dBW and "10" at 10 dBW
+        with pytest.raises(ValueError, match=r"^power_grid_dbw\[1\] must be a number of dBW"):
+            ergodic_capacity(build_iid_correlation(2, 2), (0.0, power), 1.0, 2, 1)
+
     def test_largest_seed_accepted(self):
         grid = (0.0,)
         model = build_iid_correlation(2, 2)
@@ -386,6 +394,38 @@ class TestCapacity:
             result = ergodic_capacity(build_iid_correlation(3, 3), (0.0, 10.0), 1.0, 1, 4)
         assert np.isnan(result.stderr_bits).all() and result.stderr_bits.shape == (2,)
         assert np.all(result.capacity_bits > 0.0)
+
+    @pytest.mark.parametrize("realizations", [1, 2, 7])
+    def test_result_is_its_per_seed_samples(self, realizations):
+        # the one field is the (seeds x powers) capacities of _capacity_block
+        # on the same seeds, bit for bit; the mean and its standard error are
+        # reductions of it, NaN and no warning at one realization
+        assert [f.name for f in dataclasses.fields(CapacityResult)] == ["samples"]
+        cfg = ExperimentConfig(L_s_over_lambda=16, L_r_over_lambda=8)
+        models = [correlation_for(cfg, name) for name in MODEL_NAMES]
+        grid = (-10.0, 0.0, 30.0)
+        results = ergodic_capacities(models, grid, 1.0, realizations, 23)
+        plans = [metrics._plan(model.angular()) for model in models]
+        powers_w = np.array([metrics.dbw_to_watts("p", p) for p in grid])
+        with blas.one_thread():
+            want = metrics._capacity_block(
+                plans, realization_seeds(23, realizations), powers_w, 1.0
+            )
+        for got, samples in zip(results, want, strict=True):
+            assert got.samples.dtype == np.float64
+            assert got.samples.shape == (realizations, len(grid))
+            assert got.samples.tobytes() == samples.tobytes()
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                mean, stderr = got.capacity_bits, got.stderr_bits
+            assert mean.tobytes() == samples.mean(axis=0).tobytes()
+            if realizations == 1:
+                assert stderr.shape == (len(grid),) and np.isnan(stderr).all()
+            else:
+                want_se = samples.std(axis=0, ddof=1) / math.sqrt(realizations)
+                assert stderr.tobytes() == want_se.tobytes()
+            with pytest.raises(AttributeError):
+                got.capacity_bits = mean
 
 
 def _water_filled(gains, grid, noise_var):
@@ -658,6 +698,23 @@ class TestOnePassCapacity:
             for got in (result, alone):
                 assert np.array_equal(got.capacity_bits, mean)
                 assert np.array_equal(got.stderr_bits, stderr)
+
+    def test_isotropic_recovers_jakes_seed_by_seed(self):
+        # the paper's claim that isotropic WDM recovers Jakes' model, read
+        # from the per-seed capacities: both models scale the seed's one W,
+        # so the paired differences have a far smaller standard error than
+        # the two means apart
+        cfg = ExperimentConfig(L_s_over_lambda=32, L_r_over_lambda=32)
+        realizations = 40
+        jakes, iso = ergodic_capacities(
+            [correlation_for(cfg, "jakes"), correlation_for(cfg, "isotropic")],
+            (0.0, 10.0, 20.0, 30.0), 1.0, realizations, 12345,
+        )
+        d = iso.samples - jakes.samples
+        # criterion 5's 5% at the top power, ten times tighter at every power
+        assert np.all(np.abs(d.mean(axis=0)) <= 5e-3 * jakes.capacity_bits)
+        paired = d.std(axis=0, ddof=1) / math.sqrt(realizations)
+        assert np.all(paired < 0.5 * np.hypot(iso.stderr_bits, jakes.stderr_bits))
 
     def test_one_w_per_seed(self, monkeypatch):
         seeds = []
